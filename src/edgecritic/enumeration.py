@@ -9,8 +9,6 @@ from .graphs import (
     Graph,
     GraphError,
     canonical_mask,
-    complete,
-    complete_minus_matching,
     graph_from_mask,
     make_graph,
 )
@@ -68,9 +66,9 @@ def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
     """Every d-regular simple graph on m vertices, one canonical representative
     per isomorphism class, in increasing canonical-mask order.
 
-    Exact for m <= 8 (full-permutation canonicalization). For larger m only the
-    two dense degrees d = m-1 and d = m-2 are supported, where the class is
-    unique: the complement is empty or a perfect matching.
+    Above order 8 the labeled stream grows too fast for the general degrees,
+    so only d = m-1 and d = m-2 are accepted there; their class is unique (the
+    complement is empty or a perfect matching) and the stream is short.
     """
     if m < 1:
         raise GraphError(f"order must be positive, got {m}")
@@ -78,16 +76,8 @@ def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
         raise GraphError(f"degree {d} out of range for order {m}")
     if (m * d) % 2:
         raise GraphError(f"parity violation: m*d = {m * d} is odd")
-    if m > _ENUM_LIMIT:
-        # the class is unique here, so no canonicalization pass is needed
-        # (and none is available: canonical forms stop at order 8)
-        if d == m - 1:
-            return (complete(m),)
-        if d == m - 2:
-            return (complete_minus_matching(m),)
+    if m > _ENUM_LIMIT and d < m - 2:
         raise GraphError(f"enumeration above order {_ENUM_LIMIT} supports only degrees m-1 and m-2")
-    if d == 0:
-        return (make_graph(m, []),)
     seen = set()
     for g in _labeled_regular(m, d):
         seen.add(canonical_mask(g))

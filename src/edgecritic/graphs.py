@@ -6,8 +6,6 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 Edge = tuple[int, int]
 
 
@@ -256,42 +254,41 @@ def complete_minus_matching(k: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms (exact, all permutations; intended for n <= 8)
-
-_CANON_LIMIT = 8
-
-
-@lru_cache(maxsize=None)
-def _perm_arrays(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-
-
-@lru_cache(maxsize=None)
-def _triu_index(n: int):
-    rows, cols = np.triu_indices(n, k=1)
-    weights = (np.int64(1) << np.arange(len(rows), dtype=np.int64))
-    return rows, cols, weights
-
-
-def _all_permuted_masks(graph: Graph) -> np.ndarray:
-    n = graph.n
-    a = np.zeros((n, n), dtype=bool)
-    for u, v in graph.edges:
-        a[u, v] = a[v, u] = True
-    perms = _perm_arrays(n)
-    rows, cols, weights = _triu_index(n)
-    permuted = a[perms[:, :, None], perms[:, None, :]]
-    bits = permuted[:, rows, cols]
-    return bits @ weights
+# canonical forms and automorphisms (exact searches, any order)
 
 
 def canonical_mask(graph: Graph) -> int:
-    """Minimum upper-triangle bitmask over all vertex relabelings."""
-    if graph.n > _CANON_LIMIT:
-        raise GraphError(f"canonical form limited to order {_CANON_LIMIT}, got {graph.n}")
-    if graph.n <= 1:
-        return 0
-    return int(_all_permuted_masks(graph).min())
+    """Minimum upper-triangle bitmask over all vertex relabelings.
+
+    Labels are placed from n-1 down, since the last rows hold the top bits;
+    giving label i to x fixes row i as pattern[x] >> (i+1), where pattern[x]
+    marks the labels on x's neighbours. Only least rows are expanded, and
+    states whose unlabelled vertices see the same patterns share a future, so
+    each is kept once.
+    """
+    n = graph.n
+    mask = 0
+    states = {(0,) * n}
+    for i in range(n - 1, -1, -1):
+        best, expanded = None, set()
+        for pattern in states:
+            for x, p in enumerate(pattern):
+                if p < 0:
+                    continue  # labelled already
+                row = p >> (i + 1)
+                if best is None or row < best:
+                    best, expanded = row, set()
+                elif row > best:
+                    continue
+                child = list(pattern)
+                child[x] = -1
+                for y in graph.adj[x]:
+                    if child[y] >= 0:
+                        child[y] |= 1 << i
+                expanded.add(tuple(child))
+        mask |= best << (i * (2 * n - i - 1) // 2)
+        states = expanded
+    return mask
 
 
 def canonical_graph(graph: Graph) -> Graph:
@@ -300,12 +297,26 @@ def canonical_graph(graph: Graph) -> Graph:
 
 
 def automorphisms(graph: Graph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving relabelings, identity included."""
-    if graph.n > _CANON_LIMIT:
-        raise GraphError(f"automorphisms limited to order {_CANON_LIMIT}, got {graph.n}")
-    if graph.n <= 1:
-        return [tuple(range(graph.n))]
-    masks = _all_permuted_masks(graph)
-    own = graph.triangle_mask()
-    perms = _perm_arrays(graph.n)
-    return [tuple(int(x) for x in perms[i]) for i in np.nonzero(masks == own)[0]]
+    """All adjacency-preserving relabelings, identity included, in lexicographic order.
+
+    Vertices 0, 1, ... get images in turn, smallest first; an image must match
+    the vertex's degree and its adjacency to every vertex mapped before it.
+    """
+    n, adj = graph.n, graph.adj
+    image: list[int] = []
+    found = []
+
+    def extend(v: int) -> None:
+        if v == n:
+            found.append(tuple(image))
+            return
+        for w in range(n):
+            if w in image or len(adj[w]) != len(adj[v]):
+                continue
+            if all((u in adj[v]) == (image[u] in adj[w]) for u in range(v)):
+                image.append(w)
+                extend(v + 1)
+                image.pop()
+
+    extend(0)
+    return found

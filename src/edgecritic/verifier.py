@@ -108,6 +108,7 @@ def _normalize_parts(nbrs: frozenset[int], a, b) -> tuple[tuple[int, ...], tuple
 
 def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """All (vertex, partition) choices up to base automorphisms, sorted."""
+    # |Aut(K10)| = 10! ~ 3.6M, and reducing order 10 would change the long-haul plan
     auts = automorphisms(base) if base.n <= 8 else [tuple(range(base.n))]
     seen: set[tuple] = set()
     reps = []
@@ -148,11 +149,8 @@ def plan_instances(config: SweepConfig) -> list[SplitInstance]:
     plan: list[SplitInstance] = []
     counter = 0
     for m in range(4, config.m_max + 1, 2):
-        degrees = [d for d in range(2, m) if config.degree_wanted(m, d)]
-        if m > 8:
-            degrees = [d for d in degrees if d >= m - 2]
-        for d in degrees:
-            if (m * d) % 2:
+        for d in range(2, m):
+            if (m * d) % 2 or not config.degree_wanted(m, d):
                 continue
             for base in enumerate_regular_graphs(m, d):
                 if not base.is_connected():
@@ -249,6 +247,14 @@ def check_split_instance(inst: SplitInstance) -> VerificationRecord:
 # sweep driver
 
 
+def _drop_torn_line(log_path: str) -> None:
+    """Cut a last line left without its newline by an interrupted write."""
+    with open(log_path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
+
+
 def _validate_resume(log_path: str, plan: list[SplitInstance]) -> int:
     """Existing log must be a prefix of the plan; returns how many are done."""
     done = 0
@@ -271,6 +277,7 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
     records: list[VerificationRecord] = []
     start = 0
     if log_path and resume and os.path.exists(log_path):
+        _drop_torn_line(log_path)
         start = _validate_resume(log_path, plan)
         records.extend(read_records(log_path))
     todo = plan[start:]

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,15 @@ from edgecritic.graph6 import emit_graph6
 from edgecritic.graphs import GraphError, complete, cycle, petersen
 from edgecritic.records import record_from_json_line
 from edgecritic.solver import SearchBudgetExceeded
+
+
+def test_package_imports_without_numpy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, edgecritic, edgecritic.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_named_builders():

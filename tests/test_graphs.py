@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -158,11 +159,35 @@ def test_canonical_mask_known_values():
     assert canonical_graph(g1).degree_sequence() == g1.degree_sequence()
 
 
-def test_canonical_limit():
-    with pytest.raises(GraphError):
-        canonical_mask(petersen())
-    with pytest.raises(GraphError):
-        automorphisms(petersen())
+def _relabel(g, perm):
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_order_ten_canonical_form_and_automorphisms():
+    pet = petersen()
+    want = canonical_mask(pet)
+    rng = random.Random(10)
+    for _ in range(20):
+        perm = list(range(10))
+        rng.shuffle(perm)
+        assert canonical_mask(_relabel(pet, perm)) == want
+    assert canonical_mask(cycle(10)) != canonical_mask(complete_minus_matching(10))
+    for g, size in ((pet, 120), (complete_minus_matching(10), 3840)):
+        auts = automorphisms(g)
+        assert len(auts) == size
+        assert auts[0] == tuple(range(10))
+        for p in auts:
+            assert sorted(p) == list(range(10))
+            assert all(g.has_edge(p[u], p[v]) for u, v in g.edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(max_n=6))
+def test_symmetry_search_matches_brute_force(g):
+    perms = list(itertools.permutations(range(g.n)))
+    assert canonical_mask(g) == min(_relabel(g, p).triangle_mask() for p in perms)
+    assert automorphisms(g) == [p for p in perms
+                                if all(g.has_edge(p[u], p[v]) for u, v in g.edges)]
 
 
 @settings(max_examples=60)
@@ -170,8 +195,7 @@ def test_canonical_limit():
 def test_canonical_mask_is_permutation_invariant(g, rnd):
     perm = list(range(g.n))
     rnd.shuffle(perm)
-    relabeled = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    assert canonical_mask(relabeled) == canonical_mask(g)
+    assert canonical_mask(_relabel(g, perm)) == canonical_mask(g)
 
 
 def test_automorphism_group_sizes():

@@ -295,6 +295,28 @@ def test_sweep_resume_finishes_interrupted_log(tmp_path):
     assert resumed == records
 
 
+def test_sweep_resume_drops_torn_last_line(tmp_path):
+    config = SweepConfig(m_max=6)
+    log = tmp_path / "full.jsonl"
+    records = run_sweep(config, log_path=str(log))
+    whole = log.read_bytes()
+    assert whole.count(b"\n") == len(records) >= 3
+
+    # a crash mid-write leaves the last line cut short, with no newline
+    torn = tmp_path / "torn.jsonl"
+    for cut in (len(whole) - 1, len(whole) - 20, whole.index(b"\n") // 2):
+        torn.write_bytes(whole[:cut])
+        resumed = run_sweep(config, log_path=str(torn), resume=True)
+        assert torn.read_bytes() == whole
+        assert resumed == records
+
+    # a damaged line that did end in a newline is still refused
+    lines = whole.splitlines(keepends=True)
+    torn.write_bytes(lines[0] + lines[1][:30] + b"\n")
+    with pytest.raises(RecordError, match=r"torn\.jsonl:2: malformed record line"):
+        run_sweep(config, log_path=str(torn), resume=True)
+
+
 def test_sweep_resume_rejects_foreign_log(tmp_path):
     log = tmp_path / "log.jsonl"
     records = run_sweep(cubic_m6_config(), log_path=str(log))
