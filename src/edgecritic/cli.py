@@ -198,8 +198,7 @@ def _sweep_command(args, mode: str) -> int:
         degrees = tuple(int(t) for t in args.degrees.split(",") if t != "")
         mode = "custom"
     config = SweepConfig(m_max=args.m_max, mode=mode, degrees=degrees,
-                         budget_ms=args.budget_ms, jobs=args.jobs,
-                         long_haul=args.long)
+                         budget_ms=args.budget_ms, jobs=args.jobs)
     records = run_sweep(config, log_path=args.log, resume=args.resume)
     _emit_records(records, args.json)
     return _record_exit(records)
@@ -271,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--log", help="JSON-lines record log path")
         p.add_argument("--resume", action="store_true",
                        help="continue an interrupted log")
-        p.add_argument("--long", action="store_true",
-                       help="allow the multi-hour order-10 bases")
         if verb == "sweep":
             p.add_argument("--degrees", help="comma list restricting base degrees")
         p.set_defaults(fn=lambda a, m=mode: _sweep_command(a, m))

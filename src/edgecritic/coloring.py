@@ -159,6 +159,135 @@ class PartialEdgeColoring:
         return "\n".join(lines) + "\n"
 
 
+class MutableColoring:
+    """Mutable slot arrays for coloring algorithms that edit in place.
+
+    `col` maps each colored edge to its color, `slot[v]` maps each color at v
+    to the neighbor reached through it, and `present[v]` is v's color bitmask.
+    No validation: callers keep the coloring proper and freeze the result into
+    a PartialEdgeColoring, whose constructor checks it.
+    """
+
+    __slots__ = ("full", "col", "slot", "present")
+
+    def __init__(self, n: int, k: int, assignment=()):
+        self.full = (1 << (k + 1)) - 2
+        self.col: dict[Edge, int] = {}
+        self.slot: list[dict[int, int]] = [dict() for _ in range(n)]
+        self.present = [0] * n
+        for (u, v), c in assignment:
+            self.set(u, v, c)
+
+    def set(self, u: int, v: int, c: int) -> None:
+        self.col[edge_key(u, v)] = c
+        self.slot[u][c] = v
+        self.slot[v][c] = u
+        self.present[u] |= 1 << c
+        self.present[v] |= 1 << c
+
+    def clear(self, u: int, v: int) -> int:
+        c = self.col.pop(edge_key(u, v))
+        del self.slot[u][c]
+        del self.slot[v][c]
+        self.present[u] ^= 1 << c
+        self.present[v] ^= 1 << c
+        return c
+
+    def missing(self, v: int) -> int:
+        return self.full & ~self.present[v]
+
+    def flip(self, v: int, first: int, second: int) -> None:
+        """Swap the two colors on the path leaving v along its `first` edge.
+
+        v must miss `second`, so it is an end of its (first, second)-component
+        and the swap keeps the coloring proper.
+        """
+        if second in self.slot[v]:
+            raise LinkageError(f"vertex {v} sees color {second}; not a path end")
+        slot, col = self.slot, self.col
+        path = [v]
+        c = first
+        while (w := slot[path[-1]].get(c)) is not None:
+            path.append(w)
+            c = second if c == first else first
+        if len(path) == 1:
+            return
+        for u, w in zip(path, path[1:]):
+            e = edge_key(u, w)
+            col[e] = second if col[e] == first else first
+        for w in path:
+            s = slot[w]
+            x, y = s.pop(first, None), s.pop(second, None)
+            if x is not None:
+                s[second] = x
+            if y is not None:
+                s[first] = y
+        swap = (1 << first) | (1 << second)
+        self.present[path[0]] ^= swap
+        self.present[path[-1]] ^= swap
+
+
+def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialEdgeColoring]:
+    """Colorings of the host minus each edge that moving the hole reaches.
+
+    Breadth-first over holes from `coloring`, in sorted order. A slide colors
+    the hole xy with a color missing at x and present at y, and uncolors y's
+    edge of that color, which becomes the new hole. When slides reach no new
+    edge, the reached colorings are taken in turn: at each hole end, every
+    (alpha, beta) path that starts there (alpha missing) is swapped, and the
+    result is slid again. Each edge keeps the first coloring that reaches it,
+    the start edge included. Every returned coloring goes through the
+    validating constructor, so it is a proper k-coloring whose one uncolored
+    edge is its key.
+    """
+    if coloring.uncolored is None:
+        raise ColoringError("no uncolored edge")
+    graph, k = coloring.graph, coloring.k
+    start = coloring.uncolored
+    reached = {start: dict(coloring.colored_items())}
+    order = [start]
+
+    def slide(core, hole):
+        x, y = hole
+        for p, q in ((x, y), (y, x)):
+            for a in _bits(core.missing(p) & core.present[q]):
+                new = edge_key(q, core.slot[q][a])
+                if new not in reached:
+                    assign = dict(core.col)
+                    assign[hole] = a
+                    del assign[new]
+                    reached[new] = assign
+                    order.append(new)
+
+    def open_at(hole):
+        # a slide only ever reaches edges at the ends of the hole it starts from
+        return any(edge_key(p, w) not in reached for p in hole for w in graph.neighbors(p))
+
+    slid = swapped = 0
+    while len(reached) < len(graph.edges):
+        if slid < len(order):
+            hole = order[slid]
+            slid += 1
+            slide(MutableColoring(graph.n, k, reached[hole].items()), hole)
+        elif swapped < len(order):
+            hole = order[swapped]
+            swapped += 1
+            if not open_at(hole):
+                continue
+            core = MutableColoring(graph.n, k, reached[hole].items())
+            # each swap is undone before the next pair is drawn
+            for p, a, b in ((p, a, b) for p in hole for a in _bits(core.missing(p))
+                            for b in sorted(core.slot[p])):
+                core.flip(p, b, a)
+                slide(core, hole)
+                core.flip(p, a, b)
+                if not open_at(hole):
+                    break
+        else:
+            break
+    return {e: PartialEdgeColoring(graph, k, reached[e], e) for e in sorted(reached)}
+
+
 def coloring_from_text(graph: Graph, text: str) -> PartialEdgeColoring:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

@@ -87,8 +87,6 @@ def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
 def enumerate_small_graphs(max_edges: int, max_support: int = 7) -> list[Graph]:
     """Every isomorphism class with 1..max_edges edges, no isolated vertices,
     and at most max_support vertices. Deterministic order."""
-    if max_support > _ENUM_LIMIT:
-        raise GraphError(f"support cap limited to {_ENUM_LIMIT}")
     seed = make_graph(2, [(0, 1)])
     seen = {(2, seed.triangle_mask())}
     frontier = [seed]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from .coloring import PartialEdgeColoring
+from .coloring import MutableColoring, PartialEdgeColoring, propagate_certificates
 from .graphs import Edge, Graph, GraphError, edge_key
 
 
@@ -160,10 +160,24 @@ def critical_edge_report(graph: Graph, budget_ms: float | None = None) -> tuple[
 
     Edge-critical means connected, class 2, and every edge critical.
     """
-    crit = [e for e in graph.sorted_edges() if is_critical_edge(graph, *e, budget_ms=budget_ms)]
-    ok = (bool(graph.edges) and graph.is_connected()
-          and classify_cached(graph, budget_ms) == 2 and len(crit) == graph.edge_count())
-    return ok, crit
+    if not graph.edges:
+        return False, []
+    if classify_cached(graph, budget_ms) != 2:
+        crit = [e for e in graph.sorted_edges() if is_critical_edge(graph, *e, budget_ms=budget_ms)]
+        return False, crit
+    # class 2: an edge is critical iff the rest is max-degree-colorable, and
+    # sliding the hole of one such coloring certifies most other edges
+    delta = graph.max_degree()
+    certified: dict[Edge, PartialEdgeColoring] = {}
+    crit = []
+    for e in graph.sorted_edges():
+        if e not in certified:
+            phi = find_coloring(graph, delta, hole=e, budget_ms=budget_ms)
+            if phi is None:
+                continue
+            certified.update(propagate_certificates(phi))
+        crit.append(e)
+    return graph.is_connected() and len(crit) == graph.edge_count(), crit
 
 
 # ---------------------------------------------------------------------------
@@ -181,26 +195,8 @@ def vizing_color(graph: Graph) -> PartialEdgeColoring:
     k = graph.max_degree() + 1
     if not graph.edges:
         return PartialEdgeColoring(graph, k, {})
-    full = (1 << (k + 1)) - 2
-    slot: list[dict[int, int]] = [dict() for _ in range(graph.n)]
-    col: dict[Edge, int] = {}
-
-    def missing(v):
-        m = full
-        for c in slot[v]:
-            m &= ~(1 << c)
-        return m
-
-    def set_color(u, v, c):
-        col[edge_key(u, v)] = c
-        slot[u][c] = v
-        slot[v][c] = u
-
-    def clear_color(u, v):
-        c = col.pop(edge_key(u, v))
-        del slot[u][c]
-        del slot[v][c]
-        return c
+    core = MutableColoring(graph.n, k)
+    slot, missing = core.slot, core.missing
 
     def insert(u, v0):
         fan = [v0]
@@ -213,7 +209,7 @@ def vizing_color(graph: Graph) -> PartialEdgeColoring:
             if common:
                 rotate(u, fan, len(fan) - 1)
                 c = (common & -common).bit_length() - 1
-                set_color(u, fan[-1], c)
+                core.set(u, fan[-1], c)
                 return
             ext = None
             rest = ml
@@ -232,39 +228,24 @@ def vizing_color(graph: Graph) -> PartialEdgeColoring:
         c = (mu & -mu).bit_length() - 1
         md = missing(fan[-1])
         d = (md & -md).bit_length() - 1
-        # collect the (c, d) path leaving u via its d edge, then flip it
-        path = []
-        v, want = u, d
-        while True:
-            w = slot[v].get(want)
-            if w is None:
-                break
-            path.append((v, w))
-            v, want = w, c if want == d else d
-        # clear the whole path before rewriting: adjacent path edges pass
-        # through a shared color mid-flip, and interleaved clears would drop
-        # live slot entries
-        flipped = [(vv, ww, clear_color(vv, ww)) for vv, ww in path]
-        for vv, ww, cur in flipped:
-            set_color(vv, ww, c if cur == d else d)
+        core.flip(u, d, c)
         # d is now missing at u; find a fan prefix that still accepts it
         target = 1 << d
         for i, t in enumerate(fan):
             if i > 0:
-                fc = col[edge_key(u, fan[i])]
+                fc = core.col[edge_key(u, fan[i])]
                 if not missing(fan[i - 1]) & (1 << fc):
                     break
             if missing(t) & target:
                 rotate(u, fan, i)
-                set_color(u, fan[i], d)
+                core.set(u, fan[i], d)
                 return
         raise AssertionError("fan recoloring failed to land a color")
 
     def rotate(u, fan, upto):
         for j in range(1, upto + 1):
-            cj = clear_color(u, fan[j])
-            set_color(u, fan[j - 1], cj)
+            core.set(u, fan[j - 1], core.clear(u, fan[j]))
 
     for u, v in sorted(graph.edges):
         insert(u, v)
-    return PartialEdgeColoring(graph, k, col)
+    return PartialEdgeColoring(graph, k, core.col)

@@ -17,6 +17,7 @@ from .coloring import (
     PartialEdgeColoring,
     coloring_from_text,
     elementary_violation,
+    propagate_certificates,
 )
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import (
@@ -53,8 +54,8 @@ class SweepConfig:
 
     mode "theorem" keeps bases with 4*degree >= 3*order; mode "conjecture"
     keeps 3*degree > order (the threshold read on the base's order); mode
-    "custom" keeps exactly the degrees listed. Bases of order 10 are gated
-    behind long_haul and exist only in the theorem range.
+    "custom" keeps exactly the degrees listed. Bases of order 10 exist only
+    in the theorem range (K10 and K10 minus a perfect matching).
     """
 
     m_max: int = 8
@@ -62,7 +63,6 @@ class SweepConfig:
     degrees: tuple[int, ...] | None = None
     budget_ms: float | None = 60000.0
     jobs: int = 1
-    long_haul: bool = False
 
     def degree_wanted(self, m: int, d: int) -> bool:
         if self.mode == "theorem":
@@ -80,8 +80,6 @@ class SweepConfig:
             raise GraphError("base order cap must be an even number >= 4")
         if self.m_max > 10:
             raise GraphError("base orders above 10 are not supported")
-        if self.m_max > 8 and not self.long_haul:
-            raise GraphError("order-10 bases are hours of work; set long_haul")
         if self.m_max > 8 and self.mode != "theorem":
             raise GraphError("order-10 bases exist only in the theorem range")
 
@@ -108,7 +106,7 @@ def _normalize_parts(nbrs: frozenset[int], a, b) -> tuple[tuple[int, ...], tuple
 
 def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """All (vertex, partition) choices up to base automorphisms, sorted."""
-    # |Aut(K10)| = 10! ~ 3.6M, and reducing order 10 would change the long-haul plan
+    # |Aut(K10)| = 10! ~ 3.6M, and reducing order 10 would change the order-10 plan
     auts = automorphisms(base) if base.n <= 8 else [tuple(range(base.n))]
     seen: set[tuple] = set()
     reps = []
@@ -233,11 +231,15 @@ def check_split_instance(inst: SplitInstance) -> VerificationRecord:
         if inst.solver_confirm:
             if find_coloring(g, delta, hole=split_edge, budget_ms=inst.budget_ms) is None:
                 return fail("solver-disagrees-on-split-edge")
+        # slides of the inherited hole certify most edges; search the rest
+        certified = propagate_certificates(inherited)
         for e in g.sorted_edges():
-            if e == split_edge:
-                continue  # certified by the inherited coloring
-            if find_coloring(g, delta, hole=e, budget_ms=inst.budget_ms) is None:
+            if e in certified:
+                continue
+            phi_e = find_coloring(g, delta, hole=e, budget_ms=inst.budget_ms)
+            if phi_e is None:
                 return fail("edge-critical", edge=list(e))
+            certified.update(propagate_certificates(phi_e))
     except SearchBudgetExceeded:
         return VerificationRecord(SPLIT_LEMMA, inst.instance_id, hyp, None)
     return VerificationRecord(SPLIT_LEMMA, inst.instance_id, hyp, True)
@@ -305,11 +307,9 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
 
 
 def verify_theorem1(m_max: int = 8, budget_ms: float | None = 60000.0,
-                    jobs: int = 1, long_haul: bool = False,
-                    log_path: str | None = None,
+                    jobs: int = 1, log_path: str | None = None,
                     resume: bool = False) -> list[VerificationRecord]:
-    config = SweepConfig(m_max=m_max, mode="theorem", budget_ms=budget_ms,
-                         jobs=jobs, long_haul=long_haul)
+    config = SweepConfig(m_max=m_max, mode="theorem", budget_ms=budget_ms, jobs=jobs)
     return run_sweep(config, log_path, resume)
 
 

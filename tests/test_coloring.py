@@ -9,6 +9,7 @@ from edgecritic.coloring import (
     ColoringError,
     ImproperColoringError,
     LinkageError,
+    MutableColoring,
     PartialEdgeColoring,
     are_linked,
     chain_ray,
@@ -19,13 +20,14 @@ from edgecritic.coloring import (
     kempe_chain,
     kempe_swap,
     parity_census,
+    propagate_certificates,
     ray_swap,
     recolor_edge,
     slide_uncolored,
     subchain_swap,
 )
-from edgecritic.graphs import GraphError, cycle, make_graph
-from edgecritic.solver import vizing_color
+from edgecritic.graphs import GraphError, cycle, make_graph, petersen_minus_vertex
+from edgecritic.solver import classify, find_coloring, is_critical_edge, vizing_color
 
 
 def triangle_coloring(k=3):
@@ -361,7 +363,66 @@ def test_parity_census_with_hole():
     assert parity_census(col) == {1: 3, 2: 1, 3: 1}
 
 
+# ------------------------------------------------------------ mutable core
+
+def test_mutable_core_set_clear_missing():
+    core = MutableColoring(5, 3, c5_coloring().colored_items())
+    assert core.missing(0) == 1 << 2 and core.missing(4) == 1 << 1
+    assert core.clear(4, 0) == 3
+    assert (0, 4) not in core.col and 3 not in core.slot[0]
+    assert core.missing(0) == (1 << 2) | (1 << 3)
+    core.set(0, 4, 3)
+    assert core.col == dict(c5_coloring().colored_items())
+
+
+def test_mutable_core_flip_matches_kempe_swap():
+    start = c5_coloring()
+    core = MutableColoring(5, 3, start.colored_items())
+    core.flip(0, 1, 2)  # 0 misses 2: the whole (1, 2)-path 0-1-2-3-4
+    swapped = kempe_swap(start, 0, 1, 2)
+    assert core.col == dict(swapped.colored_items())
+    for v in range(5):
+        assert core.missing(v) == swapped.missing_mask(v)
+        assert core.slot[v] == {c: swapped.neighbor_via(v, c) for c in swapped.present(v)}
+    core.flip(0, 2, 1)
+    assert core.col == dict(start.colored_items())
+    with pytest.raises(LinkageError, match="not a path end"):
+        core.flip(1, 1, 2)  # 1 sees both colors: interior, not an end
+
+
+def test_propagation_from_one_hole_reaches_every_edge():
+    g = petersen_minus_vertex()
+    phi = find_coloring(g, 3, hole=(0, 4))
+    certs = propagate_certificates(phi)
+    assert sorted(certs) == g.sorted_edges()
+    assert certs[(0, 4)] == phi
+    for e, cert in certs.items():
+        assert cert.uncolored == e and cert.k == 3
+        assert_proper(cert)
+
+
+def test_propagation_needs_a_hole():
+    with pytest.raises(ColoringError, match="no uncolored edge"):
+        propagate_certificates(triangle_coloring())
+
+
 # ------------------------------------------------------------ properties
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs().filter(lambda g: classify(g) == 2))
+def test_propagated_certificates_are_hole_colorings(g):
+    delta = g.max_degree()
+    seeds = (find_coloring(g, delta, hole=e) for e in g.sorted_edges())
+    phi = next((s for s in seeds if s is not None), None)
+    if phi is None:
+        return  # no edge of this host is critical
+    certs = propagate_certificates(phi)
+    assert certs[phi.uncolored] == phi
+    for e, cert in certs.items():
+        assert cert.graph == g and cert.uncolored == e and cert.k == delta
+        assert_proper(cert)
+        assert is_critical_edge(g, *e)
+
 
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(), st.data())

@@ -156,6 +156,22 @@ def test_small_graph_edge_histogram():
     assert by_edges == {1: 1, 2: 2, 3: 5, 4: 10}
 
 
+def test_small_graph_counts_match_oeis_a000664():
+    # graphs with e edges and no isolated vertices: 1, 2, 5, 11, 26 for
+    # e = 1..5 (OEIS A000664); five edges span up to ten vertices
+    def by_edges(corpus):
+        return [sum(g.edge_count() == e for g in corpus) for e in range(1, 6)]
+
+    corpus = enumerate_small_graphs(5, max_support=10)
+    assert by_edges(corpus) == [1, 2, 5, 11, 26]
+    assert all(g.degree(v) > 0 for g in corpus for v in range(g.n))
+    # a nine-vertex cap drops exactly five disjoint edges
+    capped = enumerate_small_graphs(5, max_support=9)
+    assert by_edges(capped) == [1, 2, 5, 11, 25]
+    (lost,) = [g for g in corpus if g not in capped]
+    assert lost.n == 10 and lost.max_degree() == 1
+
+
 def test_small_graph_no_isolated_vertices():
     for g in enumerate_small_graphs(6):
         assert all(g.degree(v) > 0 for v in range(g.n))

@@ -163,6 +163,19 @@ def test_petersen_minus_vertex_is_edge_critical():
     assert ok and len(crit) == g.edge_count() == 12
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_graphs())
+def test_critical_report_matches_per_edge_decisions(g):
+    # the report certifies most edges by sliding holes; each edge alone agrees
+    ok, crit = critical_edge_report(g)
+    assert crit == [e for e in g.sorted_edges() if is_critical_edge(g, *e)]
+    assert ok == (g.is_connected() and classify(g) == 2 and len(crit) == g.edge_count())
+
+
+def test_critical_report_on_edgeless_graph():
+    assert critical_edge_report(make_graph(3, [])) == (False, [])
+
+
 def test_is_critical_edge_rejects_non_edge():
     with pytest.raises(GraphError):
         is_critical_edge(cycle(5), 0, 2)

@@ -1,6 +1,7 @@
 """Sweep planning, per-instance checks, log resume, and the 9-vertex hunt."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -18,7 +19,7 @@ from edgecritic.graphs import (
     split_spec,
     vertex_split,
 )
-from edgecritic.records import RecordError, read_records
+from edgecritic.records import RecordError, VerificationRecord, read_records
 from edgecritic.solver import (
     SearchBudgetExceeded,
     classify,
@@ -81,13 +82,32 @@ def test_config_validation_errors():
         with pytest.raises(GraphError, match="even number >= 4"):
             SweepConfig(m_max=bad).validate()
     with pytest.raises(GraphError, match="above 10"):
-        SweepConfig(m_max=12, long_haul=True).validate()
-    with pytest.raises(GraphError, match="long_haul"):
-        SweepConfig(m_max=10).validate()
+        SweepConfig(m_max=12).validate()
     with pytest.raises(GraphError, match="theorem range"):
-        SweepConfig(m_max=10, mode="conjecture", long_haul=True).validate()
+        SweepConfig(m_max=10, mode="conjecture").validate()
     SweepConfig().validate()
-    SweepConfig(m_max=10, long_haul=True).validate()
+    SweepConfig(m_max=10).validate()
+
+
+def test_order_ten_plan_sample_passes_without_search(monkeypatch):
+    # order 10 needs no opt-in: sliding the inherited hole certifies every
+    # edge, so the only searches left are the sampled solver cross-checks
+    plan = plan_instances(SweepConfig(m_max=10))
+    assert len(plan) == 3831
+    sample = random.Random(10).sample(plan, 20)
+    searched = []
+
+    def counting(g, k, hole=None, budget_ms=None):
+        searched.append(hole)
+        return find_coloring(g, k, hole=hole, budget_ms=budget_ms)
+
+    monkeypatch.setattr(verifier, "find_coloring", counting)
+    for inst in sample:
+        before = len(searched)
+        assert check_split_instance(inst).verdict == "pass", inst.instance_id
+        n = parse_graph6(inst.base_graph6).n
+        assert searched[before:] == ([(inst.vertex, n)] if inst.solver_confirm else [])
+    assert any(inst.solver_confirm for inst in sample)
 
 
 def test_degree_selection_by_mode():
@@ -221,6 +241,40 @@ def test_split_of_order8_circulant_is_not_critical():
                             vertex=0, part_a=(5,), part_b=(6, 7),
                             budget_ms=None, solver_confirm=False)
     assert check_split_instance(sibling).verdict == "pass"
+
+
+def search_only_record(inst):
+    """The record of a planned split with every edge decided by its own search."""
+    base = parse_graph6(inst.base_graph6)
+    g = vertex_split(base, split_spec(inst.vertex, inst.part_a, inst.part_b))
+    hyp = {"base_class1": True, "base_connected": True, "base_regular": True}
+    for e in g.sorted_edges():
+        if find_coloring(g, g.max_degree(), hole=e) is None:
+            witness = {"check": "edge-critical", "graph6": emit_graph6(g), "edge": list(e)}
+            return VerificationRecord(verifier.SPLIT_LEMMA, inst.instance_id, hyp, False, witness)
+    return VerificationRecord(verifier.SPLIT_LEMMA, inst.instance_id, hyp, True)
+
+
+def test_split_checks_match_search_only_reference():
+    plan = (plan_instances(SweepConfig(m_max=8, mode="custom", degrees=(3,)))
+            + plan_instances(SweepConfig(m_max=8)))
+    assert len(plan) == 23 + 11
+    for inst in plan:
+        assert check_split_instance(inst) == search_only_record(inst), inst.instance_id
+    assert sum(search_only_record(inst).verdict == "fail" for inst in plan) == 1
+
+
+def test_k10_split_is_certified_without_search(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verifier, "find_coloring", lambda *a, **kw: calls.append(a))
+    k10 = complete(10)
+    inst = SplitInstance(instance_id="I~~~~~~~w v=0 A=1,2,3,4 B=5,6,7,8,9",
+                         base_graph6=emit_graph6(k10),
+                         base_coloring_text=find_delta_coloring(k10).to_text(),
+                         vertex=0, part_a=(1, 2, 3, 4), part_b=(5, 6, 7, 8, 9),
+                         budget_ms=None, solver_confirm=False)
+    assert check_split_instance(inst).verdict == "pass"
+    assert calls == []
 
 
 def test_split_instance_fails_when_not_overfull():
