@@ -1,7 +1,11 @@
 """Partial proper edge colorings and Kempe-chain operations.
 
-Colors are integers in [1, k]; 0 means uncolored. Present/missing queries are
-backed by per-vertex bitmasks where bit c corresponds to color c.
+Colors are integers in [1, k]; 0 means uncolored. One representation holds a
+coloring: `MutableColoring`, per-vertex slot dicts (color -> neighbor) plus
+present-color bitmasks, where bit c corresponds to color c. A
+`PartialEdgeColoring` is the validated, frozen face of one such core;
+algorithms that edit in place (`vizing_color`, hole propagation) work on a
+core directly and freeze their results through the validating constructor.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ class PartialEdgeColoring:
     """A proper edge coloring of a host graph with at most one uncolored edge.
 
     Every graph edge except the designated hole carries a color in [1, k].
-    Instances are treated as values: mutating operations return new objects.
+    The constructor checks that and fills its own MutableColoring, which no
+    method changes: instances are values, and deriving operations return new
+    objects.
     """
 
-    __slots__ = ("graph", "k", "uncolored", "_assign", "_slot")
+    __slots__ = ("graph", "k", "uncolored", "_core")
 
     def __init__(self, graph: Graph, k: int, assignment, uncolored: Edge | None = None,
                  validate: bool = True):
@@ -58,8 +64,9 @@ class PartialEdgeColoring:
         if len(holes) > 1:
             raise ColoringError(f"more than one uncolored edge: {sorted(holes)}")
         self.uncolored = next(iter(holes)) if holes else None
-        self._assign = norm
-        slot: list[dict[int, int]] = [dict() for _ in range(graph.n)]
+        core = MutableColoring(graph.n, k)
+        core.col = norm
+        slot, present = core.slot, core.present
         for (u, v), c in norm.items():
             if validate:
                 if not 1 <= c <= k:
@@ -68,9 +75,12 @@ class PartialEdgeColoring:
                     raise ImproperColoringError(f"color {c} repeated at vertex {u}")
                 if c in slot[v]:
                     raise ImproperColoringError(f"color {c} repeated at vertex {v}")
+            # MutableColoring.set, inlined: this loop builds every certificate
             slot[u][c] = v
             slot[v][c] = u
-        self._slot = slot
+            present[u] |= 1 << c
+            present[v] |= 1 << c
+        self._core = core
         if validate:
             covered = set(norm)
             if self.uncolored is not None:
@@ -86,46 +96,43 @@ class PartialEdgeColoring:
 
     @property
     def palette_mask(self) -> int:
-        return (1 << (self.k + 1)) - 2
+        return self._core.full
 
     def color_of(self, u: int, v: int) -> int:
         e = edge_key(u, v)
         if e == self.uncolored:
             return 0
         try:
-            return self._assign[e]
+            return self._core.col[e]
         except KeyError:
             raise GraphError(f"edge {e} not in host graph") from None
 
     def present_mask(self, v: int) -> int:
-        mask = 0
-        for c in self._slot[v]:
-            mask |= 1 << c
-        return mask
+        return self._core.present[v]
 
     def missing_mask(self, v: int) -> int:
-        return self.palette_mask & ~self.present_mask(v)
+        return self._core.missing(v)
 
     def present(self, v: int) -> frozenset[int]:
-        return frozenset(self._slot[v])
+        return frozenset(self._core.slot[v])
 
     def missing(self, v: int) -> frozenset[int]:
         return frozenset(_bits(self.missing_mask(v)))
 
     def neighbor_via(self, v: int, c: int) -> int | None:
-        return self._slot[v].get(c)
+        return self._core.slot[v].get(c)
 
     def is_full(self) -> bool:
         return self.uncolored is None
 
     def colored_items(self) -> list[tuple[Edge, int]]:
-        return sorted(self._assign.items())
+        return sorted(self._core.col.items())
 
     # -- derivation ----------------------------------------------------------
 
-    def with_changes(self, changes: dict[Edge, int], validate: bool = True) -> "PartialEdgeColoring":
+    def with_changes(self, changes: dict[Edge, int]) -> "PartialEdgeColoring":
         """New coloring with the given edge->color updates applied (0 uncolors)."""
-        assign = dict(self._assign)
+        assign = dict(self._core.col)
         holes = {self.uncolored} - {None}
         for e, c in changes.items():
             e = edge_key(*e)
@@ -140,15 +147,15 @@ class PartialEdgeColoring:
         if len(holes) > 1:
             raise ColoringError(f"more than one uncolored edge: {sorted(holes)}")
         hole = next(iter(holes)) if holes else None
-        return PartialEdgeColoring(self.graph, self.k, assign, hole, validate=validate)
+        return PartialEdgeColoring(self.graph, self.k, assign, hole)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PartialEdgeColoring)
                 and self.graph == other.graph and self.k == other.k
-                and self.uncolored == other.uncolored and self._assign == other._assign)
+                and self.uncolored == other.uncolored and self._core.col == other._core.col)
 
     def __repr__(self) -> str:
-        return f"PartialEdgeColoring(k={self.k}, colored={len(self._assign)}, uncolored={self.uncolored})"
+        return f"PartialEdgeColoring(k={self.k}, colored={len(self._core.col)}, uncolored={self.uncolored})"
 
     # -- text form ------------------------------------------------------------
 
@@ -170,13 +177,19 @@ class MutableColoring:
 
     __slots__ = ("full", "col", "slot", "present")
 
-    def __init__(self, n: int, k: int, assignment=()):
+    def __init__(self, n: int, k: int):
         self.full = (1 << (k + 1)) - 2
         self.col: dict[Edge, int] = {}
         self.slot: list[dict[int, int]] = [dict() for _ in range(n)]
         self.present = [0] * n
-        for (u, v), c in assignment:
-            self.set(u, v, c)
+
+    def copy(self) -> "MutableColoring":
+        new = MutableColoring.__new__(MutableColoring)
+        new.full = self.full
+        new.col = dict(self.col)
+        new.slot = [dict(s) for s in self.slot]
+        new.present = list(self.present)
+        return new
 
     def set(self, u: int, v: int, c: int) -> None:
         self.col[edge_key(u, v)] = c
@@ -205,17 +218,12 @@ class MutableColoring:
         if second in self.slot[v]:
             raise LinkageError(f"vertex {v} sees color {second}; not a path end")
         slot, col = self.slot, self.col
-        path = [v]
-        c = first
-        while (w := slot[path[-1]].get(c)) is not None:
-            path.append(w)
-            c = second if c == first else first
-        if len(path) == 1:
+        verts, edges, _ = _walk(slot, v, first, second)
+        if not edges:
             return
-        for u, w in zip(path, path[1:]):
-            e = edge_key(u, w)
+        for e in edges:
             col[e] = second if col[e] == first else first
-        for w in path:
+        for w in (v, *verts):
             s = slot[w]
             x, y = s.pop(first, None), s.pop(second, None)
             if x is not None:
@@ -223,8 +231,8 @@ class MutableColoring:
             if y is not None:
                 s[first] = y
         swap = (1 << first) | (1 << second)
-        self.present[path[0]] ^= swap
-        self.present[path[-1]] ^= swap
+        self.present[v] ^= swap
+        self.present[verts[-1]] ^= swap
 
 
 def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialEdgeColoring]:
@@ -234,17 +242,17 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
     the hole xy with a color missing at x and present at y, and uncolors y's
     edge of that color, which becomes the new hole. When slides reach no new
     edge, the reached colorings are taken in turn: at each hole end, every
-    (alpha, beta) path that starts there (alpha missing) is swapped, and the
-    result is slid again. Each edge keeps the first coloring that reaches it,
-    the start edge included. Every returned coloring goes through the
-    validating constructor, so it is a proper k-coloring whose one uncolored
-    edge is its key.
+    (alpha, beta) path that starts there (alpha missing) is swapped on a copy
+    of the coloring's core, and the result is slid again. Each edge keeps the
+    first coloring that reaches it, the start edge included. Every coloring is
+    built by the validating constructor when its edge is reached, so it is a
+    proper k-coloring whose one uncolored edge is its key.
     """
     if coloring.uncolored is None:
         raise ColoringError("no uncolored edge")
     graph, k = coloring.graph, coloring.k
     start = coloring.uncolored
-    reached = {start: dict(coloring.colored_items())}
+    reached = {start: PartialEdgeColoring(graph, k, coloring.colored_items(), start)}
     order = [start]
 
     def slide(core, hole):
@@ -256,7 +264,7 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
                     assign = dict(core.col)
                     assign[hole] = a
                     del assign[new]
-                    reached[new] = assign
+                    reached[new] = PartialEdgeColoring(graph, k, assign, new)
                     order.append(new)
 
     def open_at(hole):
@@ -268,13 +276,13 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
         if slid < len(order):
             hole = order[slid]
             slid += 1
-            slide(MutableColoring(graph.n, k, reached[hole].items()), hole)
+            slide(reached[hole]._core, hole)
         elif swapped < len(order):
             hole = order[swapped]
             swapped += 1
             if not open_at(hole):
                 continue
-            core = MutableColoring(graph.n, k, reached[hole].items())
+            core = reached[hole]._core.copy()
             # each swap is undone before the next pair is drawn
             for p, a, b in ((p, a, b) for p in hole for a in _bits(core.missing(p))
                             for b in sorted(core.slot[p])):
@@ -285,7 +293,7 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
                     break
         else:
             break
-    return {e: PartialEdgeColoring(graph, k, reached[e], e) for e in sorted(reached)}
+    return dict(sorted(reached.items()))
 
 
 def coloring_from_text(graph: Graph, text: str) -> PartialEdgeColoring:
@@ -361,22 +369,20 @@ def _check_chain_args(coloring, x, alpha, beta):
             raise ColoringError(f"color {c} outside palette [1, {coloring.k}]")
 
 
-def _walk(coloring, start, first_color, second_color):
-    """Alternating walk from start; returns (vertices after start, edges, closed)."""
+def _walk(slot, start, first_color, second_color):
+    """Alternating walk over slot dicts; returns (vertices after start, edges, closed)."""
     verts: list[int] = []
     edges: list[Edge] = []
     v = start
     c = first_color
-    while True:
-        w = coloring.neighbor_via(v, c)
-        if w is None:
-            return verts, edges, False
+    while (w := slot[v].get(c)) is not None:
         edges.append(edge_key(v, w))
         if w == start:
             return verts, edges, True
         verts.append(w)
         v = w
         c = second_color if c == first_color else first_color
+    return verts, edges, False
 
 
 def kempe_chain(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int) -> KempeChain:
@@ -386,10 +392,11 @@ def kempe_chain(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int) ->
     smaller-id endpoint. Cycles are listed from x along its alpha edge.
     """
     _check_chain_args(coloring, x, alpha, beta)
-    va, ea, closed = _walk(coloring, x, alpha, beta)
+    slot = coloring._core.slot
+    va, ea, closed = _walk(slot, x, alpha, beta)
     if closed:
         return KempeChain((x, *va), tuple(ea), (alpha, beta), True)
-    vb, eb, _ = _walk(coloring, x, beta, alpha)
+    vb, eb, _ = _walk(slot, x, beta, alpha)
     vertices = (*reversed(vb), x, *va)
     edges = (*reversed(eb), *ea)
     if vb and va and vertices[0] > vertices[-1]:
@@ -411,18 +418,18 @@ def chain_ray(coloring: PartialEdgeColoring, x: int, via: int, alpha: int, beta:
     if first not in (alpha, beta):
         raise LinkageError(f"edge ({x}, {via}) carries color {first}, not {alpha} or {beta}")
     second = beta if first == alpha else alpha
-    verts, edges, closed = _walk(coloring, x, first, second)
+    verts, edges, closed = _walk(coloring._core.slot, x, first, second)
     if closed:
         verts, edges = verts, edges[:-1]
     return KempeChain((x, *verts), tuple(edges), (alpha, beta), False)
 
 
-def _swap_chain_edges(coloring, edges, alpha, beta, validate=True):
+def _swap_chain_edges(coloring, edges, alpha, beta):
     changes = {}
     for e in edges:
         c = coloring.color_of(*e)
         changes[e] = beta if c == alpha else alpha
-    return coloring.with_changes(changes, validate=validate)
+    return coloring.with_changes(changes)
 
 
 def kempe_swap(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int) -> PartialEdgeColoring:

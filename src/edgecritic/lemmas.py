@@ -72,11 +72,10 @@ def _witnessed_hypotheses(graph: Graph, budget_ms) -> dict[str, bool]:
 
 
 def check_vizing_adjacency(graph: Graph, u: int, v: int,
-                           budget_ms: float | None = None,
-                           instance_id: str | None = None) -> VerificationRecord:
+                           budget_ms: float | None = None) -> VerificationRecord:
     """A critical edge forces many max-degree neighbors at both endpoints."""
     name = "vizing-adjacency"
-    iid = instance_id or _ids(graph, f"e={u}-{v}")
+    iid = _ids(graph, f"e={u}-{v}")
     delta = graph.max_degree()
     try:
         hyp = _critical_hypotheses(graph, (u, v), budget_ms)
@@ -98,12 +97,11 @@ def check_vizing_adjacency(graph: Graph, u: int, v: int,
 
 
 def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
-                          budget_ms: float | None = None,
-                          instance_id: str | None = None) -> VerificationRecord:
+                          budget_ms: float | None = None) -> VerificationRecord:
     """Degree structure around a critical edge whose ends have full deficiency."""
     name = "deficiency-pair-degrees"
     a, b = pair.u, pair.v
-    iid = instance_id or _ids(graph, f"pair={a},{b}")
+    iid = _ids(graph, f"pair={a},{b}")
     delta = graph.max_degree()
     hyp = {"adjacent": graph.has_edge(a, b),
            "full_deficiency": graph.degree(a) + graph.degree(b) == delta + 2}
@@ -150,12 +148,11 @@ def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
 
 
 def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
-                          budget_ms: float | None = None,
-                          instance_id: str | None = None) -> VerificationRecord:
+                          budget_ms: float | None = None) -> VerificationRecord:
     """With max degree at least 3(n-1)/4, at most one outside vertex sits one below it."""
     name = "single-subdelta"
     a, b = pair.u, pair.v
-    iid = instance_id or _ids(graph, f"pair={a},{b}")
+    iid = _ids(graph, f"pair={a},{b}")
     delta = graph.max_degree()
     hyp = {"adjacent": graph.has_edge(a, b),
            "full_deficiency": graph.degree(a) + graph.degree(b) == delta + 2,
@@ -179,12 +176,11 @@ def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
 # coloring statements
 
 
-def check_parity(coloring: PartialEdgeColoring,
-                 instance_id: str | None = None) -> VerificationRecord:
+def check_parity(coloring: PartialEdgeColoring) -> VerificationRecord:
     """In a full coloring, each color is missing at n-parity many vertices."""
     name = "parity-census"
     g = coloring.graph
-    iid = instance_id or _ids(g, f"k={coloring.k}")
+    iid = _ids(g, f"k={coloring.k}")
     hyp = {"full_coloring": coloring.is_full()}
     if not all(hyp.values()):
         return VerificationRecord(name, iid, hyp, None)
@@ -196,13 +192,12 @@ def check_parity(coloring: PartialEdgeColoring,
 
 
 def check_multifan(coloring: PartialEdgeColoring, fan: Multifan,
-                   budget_ms: float | None = None,
-                   instance_id: str | None = None) -> VerificationRecord:
+                   budget_ms: float | None = None) -> VerificationRecord:
     """Multifan vertices are elementary and center/leaf pairs are chain-linked."""
     name = "multifan-elementary"
     g = coloring.graph
     r = fan.center
-    iid = instance_id or _ids(g, f"fan={r}:{','.join(map(str, fan.leaves))}")
+    iid = _ids(g, f"fan={r}:{','.join(map(str, fan.leaves))}")
     hyp = {"valid_multifan": multifan_violation(coloring, fan) is None,
            "anchored_delta_coloring": (coloring.uncolored is not None
                                        and _anchored(coloring, coloring.uncolored))}
@@ -232,13 +227,12 @@ def check_multifan(coloring: PartialEdgeColoring, fan: Multifan,
 
 
 def check_kierstead(coloring: PartialEdgeColoring, path: KiersteadPath,
-                    budget_ms: float | None = None,
-                    instance_id: str | None = None) -> VerificationRecord:
+                    budget_ms: float | None = None) -> VerificationRecord:
     """Four-vertex path: low inner degree forces elementarity; tail overlap is at most one."""
     name = "kierstead-path"
     g = coloring.graph
     vs = path.vertices
-    iid = instance_id or _ids(g, "path=" + "-".join(map(str, vs)))
+    iid = _ids(g, "path=" + "-".join(map(str, vs)))
     hyp = {"valid_kierstead_path": kierstead_violation(coloring, path) is None,
            "four_vertices": len(vs) == 4,
            "anchored_delta_coloring": (coloring.uncolored is not None
@@ -289,12 +283,11 @@ def _kite_hypotheses(coloring: PartialEdgeColoring, kite: ShortKite) -> dict[str
 
 
 def check_short_kite(coloring: PartialEdgeColoring, kite: ShortKite,
-                     budget_ms: float | None = None,
-                     instance_id: str | None = None) -> VerificationRecord:
+                     budget_ms: float | None = None) -> VerificationRecord:
     """Under the twin-path hypotheses one kite tail must reach max degree."""
     name = "short-kite-degree"
     g = coloring.graph
-    iid = instance_id or _ids(g, "kite=" + ",".join(map(str, kite.vertex_set())))
+    iid = _ids(g, "kite=" + ",".join(map(str, kite.vertex_set())))
     hyp = _kite_hypotheses(coloring, kite)
     if not all(hyp.values()):
         return VerificationRecord(name, iid, hyp, None)
@@ -345,12 +338,11 @@ def _case_one_labels(coloring: PartialEdgeColoring,
 
 
 def check_kite_chain_route(coloring: PartialEdgeColoring, kite: ShortKite,
-                           budget_ms: float | None = None,
-                           instance_id: str | None = None) -> VerificationRecord:
+                           budget_ms: float | None = None) -> VerificationRecord:
     """The two-color chain from tail2 crosses the hub-rim1 edge, hub first."""
     name = "kite-chain-route"
     g = coloring.graph
-    iid = instance_id or _ids(g, "kite=" + ",".join(map(str, kite.vertex_set())))
+    iid = _ids(g, "kite=" + ",".join(map(str, kite.vertex_set())))
     hyp, labels = _case_one_labels(coloring, kite)
     if not all(hyp.values()):
         return VerificationRecord(name, iid, hyp, None)
@@ -416,13 +408,12 @@ def swap_rims_script(coloring: PartialEdgeColoring,
 # whole-graph battery
 
 
-def lemma_battery(graph: Graph, budget_ms: float | None = None,
-                  keep_vacuous_kites: bool = False) -> list[VerificationRecord]:
+def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[VerificationRecord]:
     """Every checker on every structure of one host, deterministic order.
 
     One coloring per edge anchors the coloring-based checks. Skipped records
     are kept, except the flood of hypothesis-failing kite labelings on dense
-    hosts, which is dropped unless asked for.
+    hosts, which is dropped.
     """
     from .solver import chromatic_index  # local: avoids a hot import for users
     from .structures import (
@@ -453,7 +444,7 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None,
         for kite in anchored_kites.get(e, ()):
             for rec in (check_short_kite(phi, kite, budget_ms=budget_ms),
                         check_kite_chain_route(phi, kite, budget_ms=budget_ms)):
-                if keep_vacuous_kites or rec.verdict != "skipped":
+                if rec.verdict != "skipped":
                     records.append(rec)
     for pair in find_full_deficiency_pairs(graph):
         records.append(check_deficiency_pair(graph, pair, budget_ms=budget_ms))

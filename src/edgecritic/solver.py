@@ -165,19 +165,28 @@ def critical_edge_report(graph: Graph, budget_ms: float | None = None) -> tuple[
     if classify_cached(graph, budget_ms) != 2:
         crit = [e for e in graph.sorted_edges() if is_critical_edge(graph, *e, budget_ms=budget_ms)]
         return False, crit
-    # class 2: an edge is critical iff the rest is max-degree-colorable, and
-    # sliding the hole of one such coloring certifies most other edges
+    # class 2: an edge is critical iff the rest is max-degree-colorable
+    crit = [e for e, cert in hole_colorings(graph, budget_ms=budget_ms) if cert is not None]
+    return graph.is_connected() and len(crit) == graph.edge_count(), crit
+
+
+def hole_colorings(graph: Graph, seed: PartialEdgeColoring | None = None,
+                   budget_ms: float | None = None):
+    """Yield (edge, max-degree coloring of the graph minus that edge, or None).
+
+    Edges come in sorted order. Colorings are propagated from the seed, a
+    coloring with one uncolored edge, and again from every coloring the
+    solver has to find for an edge that no propagation reached; None means
+    the search proved that edge has no such coloring.
+    """
     delta = graph.max_degree()
-    certified: dict[Edge, PartialEdgeColoring] = {}
-    crit = []
+    certified = propagate_certificates(seed) if seed is not None else {}
     for e in graph.sorted_edges():
         if e not in certified:
-            phi = find_coloring(graph, delta, hole=e, budget_ms=budget_ms)
-            if phi is None:
-                continue
-            certified.update(propagate_certificates(phi))
-        crit.append(e)
-    return graph.is_connected() and len(crit) == graph.edge_count(), crit
+            found = find_coloring(graph, delta, hole=e, budget_ms=budget_ms)
+            if found is not None:
+                certified.update(propagate_certificates(found))
+        yield e, certified.get(e)
 
 
 # ---------------------------------------------------------------------------

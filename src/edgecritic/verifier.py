@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .coloring import (
@@ -17,7 +18,6 @@ from .coloring import (
     PartialEdgeColoring,
     coloring_from_text,
     elementary_violation,
-    propagate_certificates,
 )
 from .graph6 import emit_graph6, parse_graph6
 from .graphs import (
@@ -34,11 +34,11 @@ from .enumeration import enumerate_regular_graphs
 from .records import RecordError, VerificationRecord, read_records
 from .solver import (
     SearchBudgetExceeded,
-    classify,
     classify_cached,
     enumerate_colorings,
     find_coloring,
     find_delta_coloring,
+    hole_colorings,
 )
 from .structures import enumerate_kierstead_paths, kierstead_violation
 
@@ -76,6 +76,8 @@ class SweepConfig:
             raise GraphError(f"unknown sweep mode {self.mode!r}")
         if self.mode == "custom" and not self.degrees:
             raise GraphError("custom mode needs an explicit degree tuple")
+        if self.mode != "custom" and self.degrees is not None:
+            raise GraphError(f"degrees apply only in custom mode, not {self.mode!r}")
         if self.m_max < 4 or self.m_max % 2:
             raise GraphError("base order cap must be an even number >= 4")
         if self.m_max > 10:
@@ -153,10 +155,8 @@ def plan_instances(config: SweepConfig) -> list[SplitInstance]:
             for base in enumerate_regular_graphs(m, d):
                 if not base.is_connected():
                     continue
-                if classify_cached(base, config.budget_ms) != 1:
-                    continue
                 phi = find_delta_coloring(base, config.budget_ms)
-                if phi is None:  # unreachable: class 1 just certified
+                if phi is None:  # class 2
                     continue
                 g6 = emit_graph6(base)
                 text = phi.to_text()
@@ -202,7 +202,11 @@ def inherit_split_coloring(base_coloring: PartialEdgeColoring,
 
 
 def check_split_instance(inst: SplitInstance) -> VerificationRecord:
-    """Overfull + class 2 + every edge critical, for one split instance."""
+    """Overfull + class 2 + every edge critical, for one split instance.
+
+    Overfull is class 2 already: every color class is a matching of at most
+    floor(n/2) edges, so max-degree colors cannot cover all edges.
+    """
     base = parse_graph6(inst.base_graph6)
     phi = coloring_from_text(base, inst.base_coloring_text)
     spec = split_spec(inst.vertex, inst.part_a, inst.part_b)
@@ -226,20 +230,13 @@ def check_split_instance(inst: SplitInstance) -> VerificationRecord:
             range(1, delta + 1)) or inherited.missing(inst.vertex) & inherited.missing(base.n):
         return fail("inherited-missing-partition")
     try:
-        if classify(g, inst.budget_ms) != 2:
-            return fail("class2")
         if inst.solver_confirm:
             if find_coloring(g, delta, hole=split_edge, budget_ms=inst.budget_ms) is None:
                 return fail("solver-disagrees-on-split-edge")
         # slides of the inherited hole certify most edges; search the rest
-        certified = propagate_certificates(inherited)
-        for e in g.sorted_edges():
-            if e in certified:
-                continue
-            phi_e = find_coloring(g, delta, hole=e, budget_ms=inst.budget_ms)
-            if phi_e is None:
+        for e, cert in hole_colorings(g, inherited, inst.budget_ms):
+            if cert is None:
                 return fail("edge-critical", edge=list(e))
-            certified.update(propagate_certificates(phi_e))
     except SearchBudgetExceeded:
         return VerificationRecord(SPLIT_LEMMA, inst.instance_id, hyp, None)
     return VerificationRecord(SPLIT_LEMMA, inst.instance_id, hyp, True)
@@ -283,26 +280,17 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
         start = _validate_resume(log_path, plan)
         records.extend(read_records(log_path))
     todo = plan[start:]
-    sink = open(log_path, "a" if start else "w", encoding="ascii") if log_path else None
-    try:
-        if config.jobs > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                stream = pool.map(check_split_instance, todo, chunksize=1)
-                for rec in stream:
-                    records.append(rec)
-                    if sink:
-                        sink.write(rec.to_json_line() + "\n")
-                        sink.flush()
-        else:
-            for inst in todo:
-                rec = check_split_instance(inst)
-                records.append(rec)
-                if sink:
-                    sink.write(rec.to_json_line() + "\n")
-                    sink.flush()
-    finally:
-        if sink:
-            sink.close()
+    parallel = config.jobs > 1 and len(todo) > 1
+    with ((open(log_path, "a" if start else "w", encoding="ascii") if log_path
+           else nullcontext()) as sink,
+          (ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext()) as pool):
+        stream = (pool.map(check_split_instance, todo, chunksize=1) if parallel
+                  else map(check_split_instance, todo))
+        for rec in stream:
+            records.append(rec)
+            if sink:
+                sink.write(rec.to_json_line() + "\n")
+                sink.flush()
     return records
 
 
@@ -317,7 +305,7 @@ def sweep_conjecture_range(m_max: int = 8, budget_ms: float | None = 60000.0,
                            jobs: int = 1, degrees: tuple[int, ...] | None = None,
                            log_path: str | None = None,
                            resume: bool = False) -> list[VerificationRecord]:
-    mode = "custom" if degrees else "conjecture"
+    mode = "custom" if degrees is not None else "conjecture"
     config = SweepConfig(m_max=m_max, mode=mode, degrees=degrees,
                          budget_ms=budget_ms, jobs=jobs)
     return run_sweep(config, log_path, resume)

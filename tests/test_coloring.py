@@ -26,7 +26,15 @@ from edgecritic.coloring import (
     slide_uncolored,
     subchain_swap,
 )
-from edgecritic.graphs import GraphError, cycle, make_graph, petersen_minus_vertex
+from edgecritic.graph6 import parse_graph6
+from edgecritic.graphs import (
+    GraphError,
+    cycle,
+    make_graph,
+    petersen_minus_vertex,
+    split_spec,
+    vertex_split,
+)
 from edgecritic.solver import classify, find_coloring, is_critical_edge, vizing_color
 
 
@@ -365,8 +373,15 @@ def test_parity_census_with_hole():
 
 # ------------------------------------------------------------ mutable core
 
+def c5_core():
+    core = MutableColoring(5, 3)
+    for (u, v), c in c5_coloring().colored_items():
+        core.set(u, v, c)
+    return core
+
+
 def test_mutable_core_set_clear_missing():
-    core = MutableColoring(5, 3, c5_coloring().colored_items())
+    core = c5_core()
     assert core.missing(0) == 1 << 2 and core.missing(4) == 1 << 1
     assert core.clear(4, 0) == 3
     assert (0, 4) not in core.col and 3 not in core.slot[0]
@@ -377,7 +392,7 @@ def test_mutable_core_set_clear_missing():
 
 def test_mutable_core_flip_matches_kempe_swap():
     start = c5_coloring()
-    core = MutableColoring(5, 3, start.colored_items())
+    core = c5_core()
     core.flip(0, 1, 2)  # 0 misses 2: the whole (1, 2)-path 0-1-2-3-4
     swapped = kempe_swap(start, 0, 1, 2)
     assert core.col == dict(swapped.colored_items())
@@ -399,6 +414,28 @@ def test_propagation_from_one_hole_reaches_every_edge():
     for e, cert in certs.items():
         assert cert.uncolored == e and cert.k == 3
         assert_proper(cert)
+
+
+def assert_same_coloring(a, b):
+    assert a == b
+    for v in range(a.graph.n):
+        assert a.present_mask(v) == b.present_mask(v)
+        assert {c: a.neighbor_via(v, c) for c in a.present(v)} == \
+            {c: b.neighbor_via(v, c) for c in b.present(v)}
+
+
+def test_propagation_leaves_input_and_certificates_unshared():
+    # the cubic split with one non-critical edge (3, 4): slides stall here,
+    # so the swap phase flips Kempe paths on its working core
+    g = vertex_split(parse_graph6("G@Umf?"), split_spec(0, (5, 6), (7,)))
+    phi = find_coloring(g, 3, hole=(0, 8))
+    text = phi.to_text()
+    certs = propagate_certificates(phi)
+    assert_same_coloring(phi, coloring_from_text(g, text))
+    assert sorted(certs) == [e for e in g.sorted_edges() if e != (3, 4)]
+    assert certs[(0, 8)] == phi
+    for cert in certs.values():
+        assert_same_coloring(cert, coloring_from_text(g, cert.to_text()))
 
 
 def test_propagation_needs_a_hole():

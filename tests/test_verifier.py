@@ -6,6 +6,7 @@ import random
 import networkx as nx
 import pytest
 
+import edgecritic.solver as solver
 import edgecritic.verifier as verifier
 from conftest import assert_proper
 from edgecritic.coloring import ColoringError, coloring_from_text, elementary_violation
@@ -78,6 +79,9 @@ def test_config_validation_errors():
         SweepConfig(mode="exhaustive").validate()
     with pytest.raises(GraphError, match="explicit degree tuple"):
         SweepConfig(mode="custom").validate()
+    for mode in ("theorem", "conjecture"):
+        with pytest.raises(GraphError, match="only in custom mode"):
+            SweepConfig(mode=mode, degrees=(3,)).validate()
     for bad in (2, 7):
         with pytest.raises(GraphError, match="even number >= 4"):
             SweepConfig(m_max=bad).validate()
@@ -101,7 +105,9 @@ def test_order_ten_plan_sample_passes_without_search(monkeypatch):
         searched.append(hole)
         return find_coloring(g, k, hole=hole, budget_ms=budget_ms)
 
+    # split-edge confirms search from verifier, leftover holes from solver
     monkeypatch.setattr(verifier, "find_coloring", counting)
+    monkeypatch.setattr(solver, "find_coloring", counting)
     for inst in sample:
         before = len(searched)
         assert check_split_instance(inst).verdict == "pass", inst.instance_id
@@ -265,14 +271,15 @@ def test_split_checks_match_search_only_reference():
 
 
 def test_k10_split_is_certified_without_search(monkeypatch):
-    calls = []
-    monkeypatch.setattr(verifier, "find_coloring", lambda *a, **kw: calls.append(a))
     k10 = complete(10)
     inst = SplitInstance(instance_id="I~~~~~~~w v=0 A=1,2,3,4 B=5,6,7,8,9",
                          base_graph6=emit_graph6(k10),
                          base_coloring_text=find_delta_coloring(k10).to_text(),
                          vertex=0, part_a=(1, 2, 3, 4), part_b=(5, 6, 7, 8, 9),
                          budget_ms=None, solver_confirm=False)
+    calls = []
+    for module in (verifier, solver):
+        monkeypatch.setattr(module, "find_coloring", lambda *a, **kw: calls.append(a))
     assert check_split_instance(inst).verdict == "pass"
     assert calls == []
 
@@ -298,21 +305,26 @@ def test_split_instance_fails_on_oversized_palette():
 
 
 def test_split_instance_fail_and_undecided_on_solver_outcomes(monkeypatch):
-    monkeypatch.setattr(verifier, "classify", lambda g, budget_ms=None: 1)
-    rec = check_split_instance(k4_instance())
-    assert rec.verdict == "fail" and rec.witness["check"] == "class2"
-
-    monkeypatch.setattr(verifier, "classify", lambda g, budget_ms=None: 2)
-    monkeypatch.setattr(verifier, "find_coloring",
-                        lambda *a, **kw: None)
-    rec = check_split_instance(k4_instance(solver_confirm=True))
+    confirmed, unconfirmed = k4_instance(solver_confirm=True), k4_instance(solver_confirm=False)
+    monkeypatch.setattr(verifier, "find_coloring", lambda *a, **kw: None)
+    rec = check_split_instance(confirmed)
     assert rec.verdict == "fail"
     assert rec.witness["check"] == "solver-disagrees-on-split-edge"
 
-    def boom(g, budget_ms=None):
+    def boom(*a, **kw):
         raise SearchBudgetExceeded("over budget")
-    monkeypatch.setattr(verifier, "classify", boom)
-    rec = check_split_instance(k4_instance())
+
+    # the split-edge confirm search runs out of budget
+    monkeypatch.setattr(verifier, "find_coloring", boom)
+    rec = check_split_instance(confirmed)
+    assert rec.verdict == "undecided"
+    assert rec.conclusion is None and rec.witness is None
+
+    # a hole search runs out: propagation reaches only its seed, so the
+    # first other edge is searched
+    monkeypatch.setattr(solver, "propagate_certificates", lambda phi: {phi.uncolored: phi})
+    monkeypatch.setattr(solver, "find_coloring", boom)
+    rec = check_split_instance(unconfirmed)
     assert rec.verdict == "undecided"
     assert rec.conclusion is None and rec.witness is None
 
