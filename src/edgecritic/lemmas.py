@@ -8,6 +8,8 @@ anything, and a solver-budget exhaustion leaves the conclusion undecided.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .coloring import (
     ColoringError,
     PartialEdgeColoring,
@@ -39,14 +41,26 @@ from .structures import (
 )
 
 
+@lru_cache(maxsize=1)
+def _host_graph6(graph: Graph) -> str:
+    """The host's graph6, emitted once for all the records of one host."""
+    return emit_graph6(graph)
+
+
 def _ids(graph: Graph, tag: str) -> str:
-    return f"{emit_graph6(graph)} {tag}"
+    return f"{_host_graph6(graph)} {tag}"
 
 
-def _critical_hypotheses(graph: Graph, hole, budget_ms) -> dict[str, bool]:
-    """class-2 and hole-criticality hypotheses shared by the adjacency lemmas."""
+def _critical_hypotheses(graph: Graph, hole, budget_ms, colorable) -> dict[str, bool]:
+    """class-2 and hole-criticality hypotheses shared by the adjacency lemmas.
+
+    `colorable`, unless None, says for every edge whether the host minus that
+    edge has a max-degree coloring, so no search repeats.
+    """
     hyp = {"class2": classify_cached(graph, budget_ms) == 2}
-    if hyp["class2"]:
+    if hyp["class2"] and colorable is not None:
+        hyp["critical_edge"] = colorable[hole]
+    elif hyp["class2"]:
         hyp["critical_edge"] = find_coloring(
             graph, graph.max_degree(), hole=hole, budget_ms=budget_ms) is not None
     else:
@@ -74,11 +88,15 @@ def _witnessed_hypotheses(graph: Graph, budget_ms) -> dict[str, bool]:
 def check_vizing_adjacency(graph: Graph, u: int, v: int,
                            budget_ms: float | None = None) -> VerificationRecord:
     """A critical edge forces many max-degree neighbors at both endpoints."""
+    return _vizing_adjacency(graph, u, v, budget_ms, None)
+
+
+def _vizing_adjacency(graph, u, v, budget_ms, colorable) -> VerificationRecord:
     name = "vizing-adjacency"
     iid = _ids(graph, f"e={u}-{v}")
     delta = graph.max_degree()
     try:
-        hyp = _critical_hypotheses(graph, (u, v), budget_ms)
+        hyp = _critical_hypotheses(graph, (u, v), budget_ms, colorable)
     except SearchBudgetExceeded:
         return VerificationRecord(name, iid, {}, None)
     if not all(hyp.values()):
@@ -99,6 +117,10 @@ def check_vizing_adjacency(graph: Graph, u: int, v: int,
 def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
                           budget_ms: float | None = None) -> VerificationRecord:
     """Degree structure around a critical edge whose ends have full deficiency."""
+    return _deficiency_pair(graph, pair, budget_ms, None)
+
+
+def _deficiency_pair(graph, pair, budget_ms, colorable) -> VerificationRecord:
     name = "deficiency-pair-degrees"
     a, b = pair.u, pair.v
     iid = _ids(graph, f"pair={a},{b}")
@@ -108,7 +130,7 @@ def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
     if not all(hyp.values()):
         return VerificationRecord(name, iid, hyp, None)
     try:
-        hyp.update(_critical_hypotheses(graph, (a, b), budget_ms))
+        hyp.update(_critical_hypotheses(graph, (a, b), budget_ms, colorable))
     except SearchBudgetExceeded:
         return VerificationRecord(name, iid, hyp, None)
     if not all(hyp.values()):
@@ -150,6 +172,10 @@ def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
 def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
                           budget_ms: float | None = None) -> VerificationRecord:
     """With max degree at least 3(n-1)/4, at most one outside vertex sits one below it."""
+    return _single_subdelta(graph, pair, budget_ms, None)
+
+
+def _single_subdelta(graph, pair, budget_ms, colorable) -> VerificationRecord:
     name = "single-subdelta"
     a, b = pair.u, pair.v
     iid = _ids(graph, f"pair={a},{b}")
@@ -160,7 +186,7 @@ def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
     if not all(hyp.values()):
         return VerificationRecord(name, iid, hyp, None)
     try:
-        hyp.update(_critical_hypotheses(graph, (a, b), budget_ms))
+        hyp.update(_critical_hypotheses(graph, (a, b), budget_ms, colorable))
     except SearchBudgetExceeded:
         return VerificationRecord(name, iid, hyp, None)
     if not all(hyp.values()):
@@ -411,9 +437,12 @@ def swap_rims_script(coloring: PartialEdgeColoring,
 def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[VerificationRecord]:
     """Every checker on every structure of one host, deterministic order.
 
-    One coloring per edge anchors the coloring-based checks. Skipped records
-    are kept, except the flood of hypothesis-failing kite labelings on dense
-    hosts, which is dropped.
+    Each edge is searched once for a coloring of the host minus it; that
+    coloring anchors the coloring-based checks and decides hole criticality
+    for the degree-counting ones. Skipped records are kept, except those of
+    kites: a kite anchored at the hole is checked only when every kite
+    hypothesis holds, so the flood of hypothesis-failing kite labelings on
+    dense hosts is never checked at all.
     """
     from .solver import chromatic_index  # local: avoids a hot import for users
     from .structures import (
@@ -431,22 +460,31 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
     anchored_kites: dict = {}
     for kite in find_short_kites(graph):
         anchored_kites.setdefault(edge_key(kite.apex, kite.rim1), []).append(kite)
+    colorable = {}
     for e in graph.sorted_edges():
-        records.append(check_vizing_adjacency(graph, *e, budget_ms=budget_ms))
         phi = find_coloring(graph, delta, hole=e, budget_ms=budget_ms)
+        colorable[e] = phi is not None
+        records.append(_vizing_adjacency(graph, *e, budget_ms, colorable))
         if phi is None:
             continue
         for center in e:
             fan = build_maximal_multifan(phi, center)
             records.append(check_multifan(phi, fan, budget_ms=budget_ms))
-        for path in enumerate_kierstead_paths(phi):
+        paths = enumerate_kierstead_paths(phi)
+        for path in paths:
             records.append(check_kierstead(phi, path, budget_ms=budget_ms))
+        # phi is proper, so a kite's head is one of these paths exactly when
+        # its kierstead_through_rim1 hypothesis holds
+        heads = {path.vertices for path in paths}
         for kite in anchored_kites.get(e, ()):
+            if ((kite.apex, kite.rim1, kite.hub, kite.tail1) not in heads
+                    or not all(_kite_hypotheses(phi, kite).values())):
+                continue
             for rec in (check_short_kite(phi, kite, budget_ms=budget_ms),
                         check_kite_chain_route(phi, kite, budget_ms=budget_ms)):
                 if rec.verdict != "skipped":
                     records.append(rec)
     for pair in find_full_deficiency_pairs(graph):
-        records.append(check_deficiency_pair(graph, pair, budget_ms=budget_ms))
-        records.append(check_single_subdelta(graph, pair, budget_ms=budget_ms))
+        records.append(_deficiency_pair(graph, pair, budget_ms, colorable))
+        records.append(_single_subdelta(graph, pair, budget_ms, colorable))
     return records

@@ -7,10 +7,20 @@ shape and by corrupted colorings on a genuinely overfull host.
 """
 
 import pytest
+from hypothesis import given, settings
 
 import edgecritic.lemmas as lemmas
+from conftest import small_graphs
 from edgecritic.coloring import ColoringError, PartialEdgeColoring
-from edgecritic.graphs import complete, cycle, make_graph, split_spec, vertex_split
+from edgecritic.graph6 import emit_graph6, parse_graph6
+from edgecritic.graphs import (
+    complete,
+    cycle,
+    edge_key,
+    make_graph,
+    split_spec,
+    vertex_split,
+)
 from edgecritic.lemmas import (
     build_contradiction_script,
     check_deficiency_pair,
@@ -35,16 +45,25 @@ from edgecritic.recolor import (
     apply_step,
     execute_script,
 )
-from edgecritic.solver import SearchBudgetExceeded, find_coloring, vizing_color
+from edgecritic.solver import (
+    SearchBudgetExceeded,
+    chromatic_index,
+    classify,
+    find_coloring,
+    vizing_color,
+)
 from edgecritic.structures import (
     FullDeficiencyPair,
     KiersteadPath,
     Multifan,
     ShortKite,
+    build_maximal_multifan,
     enumerate_kierstead_paths,
+    find_full_deficiency_pairs,
     find_short_kites,
     is_multifan,
 )
+from edgecritic.verifier import SweepConfig, plan_instances
 
 KITE = ShortKite(apex=0, rim1=1, rim2=2, hub=3, tail1=4, tail2=5)
 
@@ -293,15 +312,127 @@ def test_battery_deterministic():
     assert a == b
 
 
-def test_battery_drops_vacuous_kite_records_by_default():
+def kite_checker_calls(monkeypatch):
+    """Route the battery's two kite checkers through a call log."""
+    calls = []
+    for name in ("check_short_kite", "check_kite_chain_route"):
+        def logged(coloring, kite, budget_ms=None, _check=getattr(lemmas, name)):
+            calls.append((coloring, kite))
+            return _check(coloring, kite, budget_ms=budget_ms)
+        monkeypatch.setattr(lemmas, name, logged)
+    return calls
+
+
+def test_battery_drops_vacuous_kite_records_by_default(monkeypatch):
     host = make_graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)])
-    # the battery checks these kites, and every check comes out skipped
+    # checked one by one, every kite of this host comes out skipped
     kites = find_short_kites(host)
     assert kites
     for kite in kites:
         phi = find_coloring(host, host.max_degree(), hole=(kite.apex, kite.rim1))
         assert check_short_kite(phi, kite).verdict == "skipped"
         assert check_kite_chain_route(phi, kite).verdict == "skipped"
+    calls = kite_checker_calls(monkeypatch)
     lean = lemma_battery(host)
     kite_lemmas = {"short-kite-degree", "kite-chain-route"}
     assert all(r.lemma not in kite_lemmas for r in lean)
+    # no kite of this host meets the kite hypotheses, so none is checked
+    assert calls == []
+
+
+def reference_battery(graph):
+    """The battery with the full kite loop: every kite anchored at the hole
+    goes through both checkers, and skipped kite records are dropped."""
+    records = []
+    delta = graph.max_degree()
+    full = find_coloring(graph, chromatic_index(graph))
+    if full is not None:
+        records.append(check_parity(full))
+    anchored_kites = {}
+    for kite in find_short_kites(graph):
+        anchored_kites.setdefault(edge_key(kite.apex, kite.rim1), []).append(kite)
+    for e in graph.sorted_edges():
+        records.append(check_vizing_adjacency(graph, *e))
+        phi = find_coloring(graph, delta, hole=e)
+        if phi is None:
+            continue
+        for center in e:
+            records.append(check_multifan(phi, build_maximal_multifan(phi, center)))
+        for path in enumerate_kierstead_paths(phi):
+            records.append(check_kierstead(phi, path))
+        for kite in anchored_kites.get(e, ()):
+            for rec in (check_short_kite(phi, kite), check_kite_chain_route(phi, kite)):
+                if rec.verdict != "skipped":
+                    records.append(rec)
+    for pair in find_full_deficiency_pairs(graph):
+        records.append(check_deficiency_pair(graph, pair))
+        records.append(check_single_subdelta(graph, pair))
+    return records
+
+
+def assert_battery_matches_reference(graph):
+    want = [r.to_json_line() for r in reference_battery(graph)]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = kite_checker_calls(mp)
+        records = lemma_battery(graph)
+    assert [r.to_json_line() for r in records] == want
+    # the reference shares the id helper, so check the ids on their own
+    assert all(r.instance_id.startswith(emit_graph6(graph) + " ") for r in records)
+    for phi, kite in calls:
+        heads = {p.vertices for p in enumerate_kierstead_paths(phi)}
+        assert (kite.apex, kite.rim1, kite.hub, kite.tail1) in heads, kite
+    return calls
+
+
+def theorem_range_splits():
+    return [vertex_split(parse_graph6(inst.base_graph6),
+                         split_spec(inst.vertex, inst.part_a, inst.part_b))
+            for inst in plan_instances(SweepConfig())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(min_n=6, min_m=9).filter(lambda g: classify(g) == 2))
+def test_battery_matches_reference_on_class_two_hosts(g):
+    # dense enough that nearly every drawn host has kites for the filter to drop
+    assert_battery_matches_reference(g)
+
+
+def test_battery_matches_reference_on_kite_hosts():
+    hosts = [complete(6), make_graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)])]
+    splits = theorem_range_splits()
+    assert len(splits) == 11
+    calls = 0
+    for g in hosts + splits:
+        calls += len(assert_battery_matches_reference(g))
+    assert calls > 0  # some kites reach the checkers
+
+
+def test_battery_searches_each_hole_once(monkeypatch):
+    g = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
+    assert find_full_deficiency_pairs(g)  # the pair records need hole searches too
+    searched = []
+
+    def logged(graph, k, hole=None, budget_ms=None):
+        searched.append(hole)
+        return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
+    monkeypatch.setattr(lemmas, "find_coloring", logged)
+    emitted = []
+
+    def emit(graph):
+        emitted.append(graph)
+        return emit_graph6(graph)
+    monkeypatch.setattr(lemmas, "emit_graph6", emit)
+    lemmas._host_graph6.cache_clear()
+    records = lemma_battery(g)
+    assert searched == [None] + g.sorted_edges()
+    assert emitted == [g] and len(records) > 1
+
+
+def test_battery_raises_when_a_hole_search_runs_out(monkeypatch):
+    def boom(graph, k, hole=None, budget_ms=None):
+        if hole is not None:
+            raise SearchBudgetExceeded("out of time")
+        return find_coloring(graph, k, budget_ms=budget_ms)
+    monkeypatch.setattr(lemmas, "find_coloring", boom)
+    with pytest.raises(SearchBudgetExceeded):
+        lemma_battery(cycle(5), budget_ms=1.0)

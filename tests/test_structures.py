@@ -1,5 +1,7 @@
 """Fan/path/kite structures and their validators."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import small_graphs
 from edgecritic.coloring import ColoringError, PartialEdgeColoring
 from edgecritic.graphs import complete, cycle, make_graph, petersen, petersen_minus_vertex
-from edgecritic.solver import find_coloring
+from edgecritic.solver import classify, find_coloring
 from edgecritic.structures import (
     FullDeficiencyPair,
     KiersteadPath,
@@ -156,6 +158,21 @@ def test_enumerated_kierstead_paths_validate(g, data):
     for p in paths:
         assert len(p.vertices) == 4
         assert kierstead_violation(col, p) is None, kierstead_violation(col, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(min_n=4).filter(lambda g: classify(g) == 2))
+def test_enumerated_kierstead_paths_are_every_four_vertex_path(g):
+    # the battery's kite filter rests on this: on a proper hole coloring the
+    # enumeration finds exactly the four-vertex sequences the validator accepts
+    delta = g.max_degree()
+    for hole in g.sorted_edges():
+        col = find_coloring(g, delta, hole=hole)
+        if col is None:
+            continue
+        brute = sorted(vs for vs in itertools.permutations(range(g.n), 4)
+                       if kierstead_violation(col, KiersteadPath(vs)) is None)
+        assert sorted(p.vertices for p in enumerate_kierstead_paths(col)) == brute
 
 
 # ------------------------------------------------------------ short kites
