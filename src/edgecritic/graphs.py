@@ -299,24 +299,68 @@ def canonical_graph(graph: Graph) -> Graph:
 def automorphisms(graph: Graph) -> list[tuple[int, ...]]:
     """All adjacency-preserving relabelings, identity included, in lexicographic order.
 
-    Vertices 0, 1, ... get images in turn, smallest first; an image must match
-    the vertex's degree and its adjacency to every vertex mapped before it.
+    This lists the whole group, n! permutations for the complete graph, so it
+    is the brute-force reference; sweeps plan from `automorphism_generators`.
+    """
+    return list(_extensions(graph, []))
+
+
+def _extensions(graph: Graph, image: list[int]):
+    """Every automorphism whose images of 0..len(image)-1 are `image`, in
+    lexicographic order; the prefix must match degrees and adjacency already.
+
+    Vertices get images in turn, smallest first; an image must match the
+    vertex's degree and its adjacency to every vertex mapped before it.
     """
     n, adj = graph.n, graph.adj
-    image: list[int] = []
-    found = []
+    v = len(image)
+    if v == n:
+        yield tuple(image)
+        return
+    for w in range(n):
+        if w in image or len(adj[w]) != len(adj[v]):
+            continue
+        if all((u in adj[v]) == (image[u] in adj[w]) for u in range(v)):
+            image.append(w)
+            yield from _extensions(graph, image)
+            image.pop()
 
-    def extend(v: int) -> None:
-        if v == n:
-            found.append(tuple(image))
-            return
-        for w in range(n):
-            if w in image or len(adj[w]) != len(adj[v]):
+
+def _orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
+    orbit, frontier = {point}, [point]
+    while frontier:
+        x = frontier.pop()
+        for p in gens:
+            if p[x] not in orbit:
+                orbit.add(p[x])
+                frontier.append(p[x])
+    return orbit
+
+
+def automorphism_generators(graph: Graph) -> list[tuple[int, ...]]:
+    """At most n-1 automorphisms that generate the whole group, found without listing it.
+
+    A stabiliser chain on the base 0, 1, ..., n-1, built from the bottom: when
+    level i starts, the permutations kept so far generate the automorphisms
+    fixing 0..i. Each w outside the orbit of i that matches i's degree and
+    adjacency to 0..i-1 gets one search for an automorphism fixing 0..i-1 and
+    sending i to w; a hit is kept and the orbit grows, a miss rules out w's
+    whole orbit. Each kept permutation joins two orbits of the group found so
+    far, hence the bound. The product of the orbit lengths of i is the order.
+    """
+    n, adj = graph.n, graph.adj
+    gens: list[tuple[int, ...]] = []
+    for i in range(n - 1, -1, -1):
+        orbit, ruled_out = _orbit(i, gens), set()
+        for w in range(i + 1, n):
+            if w in orbit or w in ruled_out or len(adj[w]) != len(adj[i]):
                 continue
-            if all((u in adj[v]) == (image[u] in adj[w]) for u in range(v)):
-                image.append(w)
-                extend(v + 1)
-                image.pop()
-
-    extend(0)
-    return found
+            if any((u in adj[i]) != (u in adj[w]) for u in range(i)):
+                continue
+            p = next(_extensions(graph, [*range(i), w]), None)
+            if p is None:
+                ruled_out |= _orbit(w, gens)
+            else:
+                gens.append(p)
+                orbit = _orbit(i, gens)
+    return gens

@@ -311,10 +311,14 @@ def _kite_hypotheses(coloring: PartialEdgeColoring, kite: ShortKite) -> dict[str
 def check_short_kite(coloring: PartialEdgeColoring, kite: ShortKite,
                      budget_ms: float | None = None) -> VerificationRecord:
     """Under the twin-path hypotheses one kite tail must reach max degree."""
+    return _short_kite(coloring, kite, budget_ms, _kite_hypotheses(coloring, kite))
+
+
+def _short_kite(coloring, kite, budget_ms, kite_hyp) -> VerificationRecord:
     name = "short-kite-degree"
     g = coloring.graph
     iid = _ids(g, "kite=" + ",".join(map(str, kite.vertex_set())))
-    hyp = _kite_hypotheses(coloring, kite)
+    hyp = dict(kite_hyp)
     if not all(hyp.values()):
         return VerificationRecord(name, iid, hyp, None)
     try:
@@ -331,9 +335,11 @@ def check_short_kite(coloring: PartialEdgeColoring, kite: ShortKite,
     return VerificationRecord(name, iid, hyp, True)
 
 
-def _case_one_labels(coloring: PartialEdgeColoring,
-                     kite: ShortKite) -> tuple[dict[str, bool], tuple[int, int, int, int]]:
+def _case_one_labels(coloring: PartialEdgeColoring, kite: ShortKite, kite_hyp: dict[str, bool]
+                     ) -> tuple[dict[str, bool], tuple[int, int, int, int]]:
     """Hypothesis booleans and the (base, gamma, delta, eta) color labels.
+
+    `kite_hyp` is `_kite_hypotheses(coloring, kite)`; the result extends a copy.
 
     The normalized state: rim1 misses exactly one color, which also sits on
     apex-rim2 and hub-tail2; both tails miss the same single color; the four
@@ -341,7 +347,7 @@ def _case_one_labels(coloring: PartialEdgeColoring,
     """
     a, b, c = kite.apex, kite.rim1, kite.rim2
     u, x, y = kite.hub, kite.tail1, kite.tail2
-    hyp = _kite_hypotheses(coloring, kite)
+    hyp = dict(kite_hyp)
     if not all(hyp.values()):
         return hyp, (0, 0, 0, 0)
     mb = sorted(coloring.missing(b))
@@ -366,10 +372,14 @@ def _case_one_labels(coloring: PartialEdgeColoring,
 def check_kite_chain_route(coloring: PartialEdgeColoring, kite: ShortKite,
                            budget_ms: float | None = None) -> VerificationRecord:
     """The two-color chain from tail2 crosses the hub-rim1 edge, hub first."""
+    return _kite_chain_route(coloring, kite, budget_ms, _kite_hypotheses(coloring, kite))
+
+
+def _kite_chain_route(coloring, kite, budget_ms, kite_hyp) -> VerificationRecord:
     name = "kite-chain-route"
     g = coloring.graph
     iid = _ids(g, "kite=" + ",".join(map(str, kite.vertex_set())))
-    hyp, labels = _case_one_labels(coloring, kite)
+    hyp, labels = _case_one_labels(coloring, kite, kite_hyp)
     if not all(hyp.values()):
         return VerificationRecord(name, iid, hyp, None)
     try:
@@ -402,7 +412,7 @@ def build_contradiction_script(coloring: PartialEdgeColoring,
     On a genuinely class-2 host the executor must reject it partway; reaching
     the end would certify the host class 1 and refute the input assumption.
     """
-    hyp, labels = _case_one_labels(coloring, kite)
+    hyp, labels = _case_one_labels(coloring, kite, _kite_hypotheses(coloring, kite))
     bad = [k for k, v in hyp.items() if not v]
     if bad:
         raise ColoringError(f"instance not in normalized shape: {', '.join(bad)}")
@@ -477,11 +487,13 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
         # its kierstead_through_rim1 hypothesis holds
         heads = {path.vertices for path in paths}
         for kite in anchored_kites.get(e, ()):
-            if ((kite.apex, kite.rim1, kite.hub, kite.tail1) not in heads
-                    or not all(_kite_hypotheses(phi, kite).values())):
+            if (kite.apex, kite.rim1, kite.hub, kite.tail1) not in heads:
                 continue
-            for rec in (check_short_kite(phi, kite, budget_ms=budget_ms),
-                        check_kite_chain_route(phi, kite, budget_ms=budget_ms)):
+            kite_hyp = _kite_hypotheses(phi, kite)
+            if not all(kite_hyp.values()):
+                continue
+            for rec in (_short_kite(phi, kite, budget_ms, kite_hyp),
+                        _kite_chain_route(phi, kite, budget_ms, kite_hyp)):
                 if rec.verdict != "skipped":
                     records.append(rec)
     for pair in find_full_deficiency_pairs(graph):

@@ -24,7 +24,7 @@ from .graphs import (
     Graph,
     GraphError,
     SplitSpec,
-    automorphisms,
+    automorphism_generators,
     is_overfull,
     petersen_minus_vertex,
     split_spec,
@@ -108,8 +108,7 @@ def _normalize_parts(nbrs: frozenset[int], a, b) -> tuple[tuple[int, ...], tuple
 
 def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """All (vertex, partition) choices up to base automorphisms, sorted."""
-    # |Aut(K10)| = 10! ~ 3.6M, and reducing order 10 would change the order-10 plan
-    auts = automorphisms(base) if base.n <= 8 else [tuple(range(base.n))]
+    gens = automorphism_generators(base)
     seen: set[tuple] = set()
     reps = []
     for v in range(base.n):
@@ -126,13 +125,17 @@ def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ..
             key = (v, tuple(a), tuple(b))
             if key in seen:
                 continue
-            orbit = set()
-            for p in auts:
-                pv = p[v]
-                pa, pb = _normalize_parts(base.neighbors(pv),
-                                          (p[w] for w in a), (p[w] for w in b))
-                orbit.add((pv, pa, pb))
-            seen |= orbit
+            # breadth-first closure under the generators is the whole orbit;
+            # orbits are disjoint, so `seen` doubles as this one's membership test
+            orbit = [key]
+            seen.add(key)
+            for u, pa, pb in orbit:
+                for p in gens:
+                    image = (p[u], *_normalize_parts(base.neighbors(p[u]),
+                                                     (p[w] for w in pa), (p[w] for w in pb)))
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
             reps.append(min(orbit))
     return sorted(reps)
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgecritic.enumeration import enumerate_regular_graphs
 from edgecritic.graphs import (
     GraphError,
+    automorphism_generators,
     automorphisms,
     canonical_graph,
     canonical_mask,
@@ -205,6 +207,78 @@ def test_automorphism_group_sizes():
     assert len(automorphisms(cube())) == 48
     assert len(automorphisms(prism())) == 12
     assert len(automorphisms(complete_minus_matching(8))) == 384
+
+
+def _group_order(gens, n):
+    """Product over levels i of the orbit of i under the generators fixing 0..i-1."""
+    order = 1
+    for i in range(n):
+        level = [p for p in gens if all(p[j] == j for j in range(i))]
+        orbit, frontier = {i}, [i]
+        while frontier:
+            x = frontier.pop()
+            for p in level:
+                if p[x] not in orbit:
+                    orbit.add(p[x])
+                    frontier.append(p[x])
+        order *= len(orbit)
+    return order
+
+
+def _closure(gens, n):
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        q = frontier.pop()
+        for p in gens:
+            r = tuple(p[x] for x in q)
+            if r not in group:
+                group.add(r)
+                frontier.append(r)
+    return group
+
+
+def assert_generates_whole_group(g):
+    gens = automorphism_generators(g)
+    assert len(gens) <= max(g.n - 1, 0)
+    for p in gens:
+        assert sorted(p) == list(range(g.n))
+        assert all(g.has_edge(p[u], p[v]) for u, v in g.edges)
+    auts = automorphisms(g)
+    assert _closure(gens, g.n) == set(auts)
+    # a strong generating set: the chain's orbit lengths multiply to the order
+    assert _group_order(gens, g.n) == len(auts)
+
+
+def test_generators_generate_the_group_of_every_small_regular_graph():
+    count = 0
+    for m in range(1, 9):
+        for d in range(m):
+            if m * d % 2:
+                continue
+            for g in enumerate_regular_graphs(m, d):
+                assert_generates_whole_group(g)
+                count += 1
+    assert count == 48
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_generators_generate_the_group_of_small_graphs(g):
+    assert_generates_whole_group(g)
+
+
+def test_generators_generate_the_group_of_named_graphs():
+    for g in (complete(1), complete(4), cycle(5), complete_bipartite(3, 3), cube(),
+              prism(), complete_minus_matching(8), petersen(), petersen_minus_vertex()):
+        assert_generates_whole_group(g)
+
+
+def test_order_ten_group_orders_from_generators_alone():
+    for g, size in ((complete(10), 3628800), (complete_minus_matching(10), 3840),
+                    (petersen(), 120)):
+        gens = automorphism_generators(g)
+        assert len(gens) <= 9
+        assert _group_order(gens, 10) == size
 
 
 def test_automorphisms_preserve_adjacency():

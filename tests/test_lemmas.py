@@ -312,13 +312,18 @@ def test_battery_deterministic():
     assert a == b
 
 
+KITE_HYPOTHESES = lemmas._kite_hypotheses  # unwrapped, for the call logs below
+
+
 def kite_checker_calls(monkeypatch):
     """Route the battery's two kite checkers through a call log."""
     calls = []
-    for name in ("check_short_kite", "check_kite_chain_route"):
-        def logged(coloring, kite, budget_ms=None, _check=getattr(lemmas, name)):
+    for name in ("_short_kite", "_kite_chain_route"):
+        def logged(coloring, kite, budget_ms, kite_hyp, _check=getattr(lemmas, name)):
             calls.append((coloring, kite))
-            return _check(coloring, kite, budget_ms=budget_ms)
+            # the battery hands over the hypotheses it gated on, unchanged
+            assert kite_hyp == KITE_HYPOTHESES(coloring, kite)
+            return _check(coloring, kite, budget_ms, kite_hyp)
         monkeypatch.setattr(lemmas, name, logged)
     return calls
 
@@ -405,6 +410,24 @@ def test_battery_matches_reference_on_kite_hosts():
     for g in hosts + splits:
         calls += len(assert_battery_matches_reference(g))
     assert calls > 0  # some kites reach the checkers
+
+
+def test_battery_computes_kite_hypotheses_once_per_kite(monkeypatch):
+    computed = []
+
+    def logged(coloring, kite):
+        computed.append((coloring, kite))  # holds the coloring, so ids stay unique
+        return KITE_HYPOTHESES(coloring, kite)
+    monkeypatch.setattr(lemmas, "_kite_hypotheses", logged)
+    kite_records = 0
+    for g in [complete(6)] + theorem_range_splits():
+        del computed[:]
+        records = lemma_battery(g)
+        keys = [(id(phi), kite) for phi, kite in computed]
+        assert len(set(keys)) == len(keys), emit_graph6(g)
+        kite_records += sum(r.lemma in ("short-kite-degree", "kite-chain-route")
+                            for r in records)
+    assert kite_records > 0  # some kites pass the gate and reach both checkers
 
 
 def test_battery_searches_each_hole_once(monkeypatch):

@@ -1,7 +1,7 @@
 """Sweep planning, per-instance checks, log resume, and the 9-vertex hunt."""
 
+import hashlib
 import itertools
-import random
 
 import networkx as nx
 import pytest
@@ -11,9 +11,13 @@ import edgecritic.verifier as verifier
 from conftest import assert_proper
 from edgecritic.coloring import ColoringError, coloring_from_text, elementary_violation
 from edgecritic.graph6 import emit_graph6, parse_graph6
+from edgecritic.enumeration import enumerate_regular_graphs
 from edgecritic.graphs import (
     GraphError,
+    automorphisms,
+    canonical_mask,
     complete,
+    complete_minus_matching,
     is_overfull,
     make_graph,
     petersen_minus_vertex,
@@ -93,12 +97,71 @@ def test_config_validation_errors():
     SweepConfig(m_max=10).validate()
 
 
-def test_order_ten_plan_sample_passes_without_search(monkeypatch):
-    # order 10 needs no opt-in: sliding the inherited hole certifies every
-    # edge, so the only searches left are the sampled solver cross-checks
+def full_group_split_orbits(base):
+    """Split orbits mapped through the whole listed automorphism group."""
+    auts = automorphisms(base)
+    seen = set()
+    reps = []
+    for v in range(base.n):
+        nbrs = sorted(base.neighbors(v))
+        if len(nbrs) < 2:
+            continue
+        rest = nbrs[1:]
+        for pick in range(1 << len(rest)):
+            a = [nbrs[0]] + [w for i, w in enumerate(rest) if pick >> i & 1]
+            b = [w for i, w in enumerate(rest) if not pick >> i & 1]
+            if not b:
+                continue
+            key = (v, tuple(a), tuple(b))
+            if key in seen:
+                continue
+            orbit = set()
+            for p in auts:
+                pv = p[v]
+                pa, pb = verifier._normalize_parts(base.neighbors(pv),
+                                                   (p[w] for w in a), (p[w] for w in b))
+                orbit.add((pv, pa, pb))
+            seen |= orbit
+            reps.append(min(orbit))
+    return sorted(reps)
+
+
+def test_split_orbits_match_full_group_through_order_eight():
+    count = 0
+    for m in range(1, 9):
+        for d in range(m):
+            if m * d % 2:
+                continue
+            for base in enumerate_regular_graphs(m, d):  # connected or not
+                assert verifier._split_orbits(base) == full_group_split_orbits(base), \
+                    emit_graph6(base)
+                count += 1
+    assert count == 48
+
+
+def test_order_ten_plan_is_one_split_per_class_and_passes_without_search(monkeypatch):
     plan = plan_instances(SweepConfig(m_max=10))
-    assert len(plan) == 3831
-    sample = random.Random(10).sample(plan, 20)
+    assert len(plan) == 23
+    assert [p.instance_id for p in plan[:11]] == THEOREM_IDS
+    order_ten = plan[11:]
+    reps = [canonical_mask(vertex_split(parse_graph6(inst.base_graph6),
+                                        split_spec(inst.vertex, inst.part_a, inst.part_b)))
+            for inst in order_ten]
+    assert len(set(reps)) == len(reps) == 12
+    # oracle: every unreduced split is isomorphic to exactly one representative
+    unreduced = 0
+    for base in (complete(10), complete_minus_matching(10)):
+        for v in base.vertices():
+            least, *rest = sorted(base.neighbors(v))
+            for r in range(len(rest)):
+                for more in itertools.combinations(rest, r):
+                    a = (least, *more)
+                    b = tuple(w for w in rest if w not in more)
+                    g = vertex_split(base, split_spec(v, a, b))
+                    assert reps.count(canonical_mask(g)) == 1, (emit_graph6(base), v, a)
+                    unreduced += 1
+    assert unreduced == 3820
+
     searched = []
 
     def counting(g, k, hole=None, budget_ms=None):
@@ -108,12 +171,23 @@ def test_order_ten_plan_sample_passes_without_search(monkeypatch):
     # split-edge confirms search from verifier, leftover holes from solver
     monkeypatch.setattr(verifier, "find_coloring", counting)
     monkeypatch.setattr(solver, "find_coloring", counting)
-    for inst in sample:
+    for inst in plan:
         before = len(searched)
         assert check_split_instance(inst).verdict == "pass", inst.instance_id
         n = parse_graph6(inst.base_graph6).n
         assert searched[before:] == ([(inst.vertex, n)] if inst.solver_confirm else [])
-    assert any(inst.solver_confirm for inst in sample)
+    assert sum(inst.solver_confirm for inst in plan) == 3
+
+
+def test_order_ten_theorem_log_is_pinned(tmp_path):
+    short, full = tmp_path / "m8.jsonl", tmp_path / "m10.jsonl"
+    run_sweep(SweepConfig(m_max=8), log_path=str(short))
+    records = run_sweep(SweepConfig(m_max=10), log_path=str(full))
+    assert len(records) == 23 and all(r.verdict == "pass" for r in records)
+    lines = full.read_bytes().splitlines(keepends=True)
+    assert b"".join(lines[:11]) == short.read_bytes()
+    assert hashlib.sha256(full.read_bytes()).hexdigest() == \
+        "584631ee2c97da30264a7f27347d7a59c3f5e9c59f5da2b558decb2474fca721"
 
 
 def test_degree_selection_by_mode():
