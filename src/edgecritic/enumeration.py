@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .graphs import (
@@ -13,62 +12,18 @@ from .graphs import (
     make_graph,
 )
 
-_ENUM_LIMIT = 8
-
-
-def _labeled_regular(m: int, d: int):
-    """All d-regular labeled graphs on m vertices with N(0) = {1..d}.
-
-    Every isomorphism class has a labeling of this shape, so canonical
-    deduplication of this stream covers all classes.
-    """
-    need = [d] * m
-    adj = [set() for _ in range(m)]
-
-    def connect(u, v):
-        adj[u].add(v)
-        adj[v].add(u)
-        need[u] -= 1
-        need[v] -= 1
-
-    def disconnect(u, v):
-        adj[u].remove(v)
-        adj[v].remove(u)
-        need[u] += 1
-        need[v] += 1
-
-    for w in range(1, d + 1):
-        connect(0, w)
-
-    def rec(v):
-        if v == m:
-            if all(x == 0 for x in need):
-                yield make_graph(m, {(u, w) for u in range(m) for w in adj[u] if u < w})
-            return
-        if need[v] == 0:
-            yield from rec(v + 1)
-            return
-        candidates = [w for w in range(v + 1, m) if need[w] > 0]
-        if len(candidates) < need[v]:
-            return
-        for chosen in itertools.combinations(candidates, need[v]):
-            for w in chosen:
-                connect(v, w)
-            yield from rec(v + 1)
-            for w in chosen:
-                disconnect(v, w)
-
-    yield from rec(1)
-
 
 @lru_cache(maxsize=None)
 def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
     """Every d-regular simple graph on m vertices, one canonical representative
     per isomorphism class, in increasing canonical-mask order.
 
-    Above order 8 the labeled stream grows too fast for the general degrees,
-    so only d = m-1 and d = m-2 are accepted there; their class is unique (the
-    complement is empty or a perfect matching) and the stream is short.
+    Double-edge switches (ab, cd -> ac, bd) connect all labelled d-regular
+    graphs on m vertices (Taylor, "Constrained switchings in graphs", 1981),
+    and a switch of a relabelled graph is a relabelled switch, so one
+    breadth-first search over canonical masks, started from a circulant,
+    reaches every class. Above degree (m-1)/2 the classes are the
+    complements of those of degree m-1-d.
     """
     if m < 1:
         raise GraphError(f"order must be positive, got {m}")
@@ -76,11 +31,28 @@ def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
         raise GraphError(f"degree {d} out of range for order {m}")
     if (m * d) % 2:
         raise GraphError(f"parity violation: m*d = {m * d} is odd")
-    if m > _ENUM_LIMIT and d < m - 2:
-        raise GraphError(f"enumeration above order {_ENUM_LIMIT} supports only degrees m-1 and m-2")
-    seen = set()
-    for g in _labeled_regular(m, d):
-        seen.add(canonical_mask(g))
+    if 2 * d > m - 1:
+        full = (1 << m * (m - 1) // 2) - 1
+        seen = {canonical_mask(graph_from_mask(m, full ^ g.triangle_mask()))
+                for g in enumerate_regular_graphs(m, m - 1 - d)}
+        return tuple(graph_from_mask(m, mask) for mask in sorted(seen))
+    # i ~ i +- 1..d//2, plus the antipode when d is odd
+    offsets = [*range(1, d // 2 + 1), *([m // 2] if d % 2 else [])]
+    seen = {canonical_mask(make_graph(m, [(i, (i + k) % m) for i in range(m) for k in offsets]))}
+    frontier = list(seen)
+    for mask in frontier:
+        g = graph_from_mask(m, mask)
+        edges = g.sorted_edges()
+        for i, (a, b) in enumerate(edges):
+            for c, e in edges[i + 1:]:
+                if len({a, b, c, e}) < 4:
+                    continue
+                for f, h in (((a, c), (b, e)), ((a, e), (b, c))):
+                    if not (g.has_edge(*f) or g.has_edge(*h)):
+                        key = canonical_mask(make_graph(m, g.edges - {(a, b), (c, e)} | {f, h}))
+                        if key not in seen:
+                            seen.add(key)
+                            frontier.append(key)
     return tuple(graph_from_mask(m, mask) for mask in sorted(seen))
 
 

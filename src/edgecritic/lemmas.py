@@ -454,7 +454,6 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
     hypothesis holds, so the flood of hypothesis-failing kite labelings on
     dense hosts is never checked at all.
     """
-    from .solver import chromatic_index  # local: avoids a hot import for users
     from .structures import (
         build_maximal_multifan,
         enumerate_kierstead_paths,
@@ -464,7 +463,9 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
 
     records = []
     delta = graph.max_degree()
-    full = find_coloring(graph, chromatic_index(graph, budget_ms), budget_ms=budget_ms)
+    # the cached class decision is the one max-degree search; the checkers reuse it
+    k = delta + 1 if graph.edges and classify_cached(graph, budget_ms) == 2 else delta
+    full = find_coloring(graph, k, budget_ms=budget_ms)
     if full is not None:
         records.append(check_parity(full))
     anchored_kites: dict = {}

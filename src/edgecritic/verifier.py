@@ -54,8 +54,7 @@ class SweepConfig:
 
     mode "theorem" keeps bases with 4*degree >= 3*order; mode "conjecture"
     keeps 3*degree > order (the threshold read on the base's order); mode
-    "custom" keeps exactly the degrees listed. Bases of order 10 exist only
-    in the theorem range (K10 and K10 minus a perfect matching).
+    "custom" keeps exactly the degrees listed.
     """
 
     m_max: int = 8
@@ -82,8 +81,6 @@ class SweepConfig:
             raise GraphError("base order cap must be an even number >= 4")
         if self.m_max > 10:
             raise GraphError("base orders above 10 are not supported")
-        if self.m_max > 8 and self.mode != "theorem":
-            raise GraphError("order-10 bases exist only in the theorem range")
 
 
 @dataclass(frozen=True)

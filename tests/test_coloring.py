@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_proper, small_graphs
+from conftest import assert_proper, class_two_graphs, small_graphs
 from edgecritic.coloring import (
     ColoringError,
     ImproperColoringError,
@@ -35,7 +35,7 @@ from edgecritic.graphs import (
     split_spec,
     vertex_split,
 )
-from edgecritic.solver import classify, find_coloring, is_critical_edge, vizing_color
+from edgecritic.solver import find_coloring, is_critical_edge, vizing_color
 
 
 def triangle_coloring(k=3):
@@ -446,7 +446,7 @@ def test_propagation_needs_a_hole():
 # ------------------------------------------------------------ properties
 
 @settings(max_examples=60, deadline=None)
-@given(small_graphs().filter(lambda g: classify(g) == 2))
+@given(class_two_graphs())
 def test_propagated_certificates_are_hole_colorings(g):
     delta = g.max_degree()
     seeds = (find_coloring(g, delta, hole=e) for e in g.sorted_edges())

@@ -107,11 +107,82 @@ def test_order_ten_supported_cases():
     assert k10_pm.edge_count() == 40
 
 
-def test_order_ten_general_degree_rejected():
-    with pytest.raises(GraphError):
-        enumerate_regular_graphs(10, 7)
-    with pytest.raises(GraphError):
-        enumerate_regular_graphs(12, 3)
+# OEIS A051031: d-regular graphs on 10 vertices, d = 2..7
+ORDER_TEN_COUNTS = {2: 5, 3: 21, 4: 60, 5: 60, 6: 21, 7: 5}
+
+
+def test_order_ten_counts_match_oeis_a051031():
+    got = {d: len(enumerate_regular_graphs(10, d)) for d in ORDER_TEN_COUNTS}
+    assert got == ORDER_TEN_COUNTS
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_order_ten_classes_pairwise_non_isomorphic(d):
+    graphs = []
+    for g in enumerate_regular_graphs(10, d):
+        assert g.n == 10 and g.is_regular() and g.max_degree() == d
+        h = nx.Graph()
+        h.add_nodes_from(range(10))
+        h.add_edges_from(g.edges)
+        graphs.append(h)
+    for a, b in itertools.combinations(graphs, 2):
+        assert not nx.is_isomorphic(a, b)
+
+
+def _labeled_regular(m: int, d: int):
+    """Reference: every d-regular labelled graph on m vertices with N(0) = {1..d}.
+
+    Every isomorphism class has a labelling of this shape.
+    """
+    need = [d] * m
+    adj = [set() for _ in range(m)]
+
+    def connect(u, v):
+        adj[u].add(v)
+        adj[v].add(u)
+        need[u] -= 1
+        need[v] -= 1
+
+    def disconnect(u, v):
+        adj[u].remove(v)
+        adj[v].remove(u)
+        need[u] += 1
+        need[v] += 1
+
+    for w in range(1, d + 1):
+        connect(0, w)
+
+    def rec(v):
+        if v == m:
+            if all(x == 0 for x in need):
+                yield make_graph(m, {(u, w) for u in range(m) for w in adj[u] if u < w})
+            return
+        if need[v] == 0:
+            yield from rec(v + 1)
+            return
+        candidates = [w for w in range(v + 1, m) if need[w] > 0]
+        if len(candidates) < need[v]:
+            return
+        for chosen in itertools.combinations(candidates, need[v]):
+            for w in chosen:
+                connect(v, w)
+            yield from rec(v + 1)
+            for w in chosen:
+                disconnect(v, w)
+
+    yield from rec(1)
+
+
+def test_switch_closure_matches_labelled_stream_through_order_eight():
+    pairs = 0
+    for m in range(1, 9):
+        for d in range(m):
+            if m * d % 2:
+                continue
+            want = sorted({canonical_mask(g) for g in _labeled_regular(m, d)})
+            assert [g.triangle_mask() for g in enumerate_regular_graphs(m, d)] == want, (m, d)
+            pairs += 1
+    assert pairs == 30
 
 
 # ------------------------------------------------------- small graphs

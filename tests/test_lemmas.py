@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 
 import edgecritic.lemmas as lemmas
-from conftest import small_graphs
+import edgecritic.solver as solver
+from conftest import class_two_graphs
 from edgecritic.coloring import ColoringError, PartialEdgeColoring
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import (
@@ -48,7 +49,6 @@ from edgecritic.recolor import (
 from edgecritic.solver import (
     SearchBudgetExceeded,
     chromatic_index,
-    classify,
     find_coloring,
     vizing_color,
 )
@@ -396,7 +396,7 @@ def theorem_range_splits():
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_graphs(min_n=6, min_m=9).filter(lambda g: classify(g) == 2))
+@given(class_two_graphs(min_n=6, min_m=9))
 def test_battery_matches_reference_on_class_two_hosts(g):
     # dense enough that nearly every drawn host has kites for the filter to drop
     assert_battery_matches_reference(g)
@@ -449,6 +449,21 @@ def test_battery_searches_each_hole_once(monkeypatch):
     records = lemma_battery(g)
     assert searched == [None] + g.sorted_edges()
     assert emitted == [g] and len(records) > 1
+
+
+def test_battery_makes_one_max_degree_search_per_host(monkeypatch):
+    g = cycle(5)  # class 2: chi' = delta + 1
+    searched = []
+
+    def logged(graph, k, hole=None, budget_ms=None):
+        searched.append((k, hole))
+        return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
+    monkeypatch.setattr(lemmas, "find_coloring", logged)
+    monkeypatch.setattr(solver, "find_coloring", logged)
+    monkeypatch.setattr(solver, "_CLASS_CACHE", {})
+    lemma_battery(g)
+    # the class decision is the only search of the whole host at delta colours
+    assert [k for k, hole in searched if hole is None] == [2, 3]
 
 
 def test_battery_raises_when_a_hole_search_runs_out(monkeypatch):

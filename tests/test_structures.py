@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import class_two_graphs, small_graphs
 from edgecritic.coloring import ColoringError, PartialEdgeColoring
 from edgecritic.graphs import complete, cycle, make_graph, petersen, petersen_minus_vertex
-from edgecritic.solver import classify, find_coloring
+from edgecritic.solver import find_coloring
 from edgecritic.structures import (
     FullDeficiencyPair,
     KiersteadPath,
@@ -161,7 +161,7 @@ def test_enumerated_kierstead_paths_validate(g, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_graphs(min_n=4).filter(lambda g: classify(g) == 2))
+@given(class_two_graphs(min_n=4))
 def test_enumerated_kierstead_paths_are_every_four_vertex_path(g):
     # the battery's kite filter rests on this: on a proper hole coloring the
     # enumeration finds exactly the four-vertex sequences the validator accepts

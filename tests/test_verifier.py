@@ -91,10 +91,9 @@ def test_config_validation_errors():
             SweepConfig(m_max=bad).validate()
     with pytest.raises(GraphError, match="above 10"):
         SweepConfig(m_max=12).validate()
-    with pytest.raises(GraphError, match="theorem range"):
-        SweepConfig(m_max=10, mode="conjecture").validate()
     SweepConfig().validate()
     SweepConfig(m_max=10).validate()
+    SweepConfig(m_max=10, mode="conjecture").validate()
 
 
 def full_group_split_orbits(base):
@@ -188,6 +187,17 @@ def test_order_ten_theorem_log_is_pinned(tmp_path):
     assert b"".join(lines[:11]) == short.read_bytes()
     assert hashlib.sha256(full.read_bytes()).hexdigest() == \
         "584631ee2c97da30264a7f27347d7a59c3f5e9c59f5da2b558decb2474fca721"
+
+
+def test_order_ten_degree_seven_slice_is_pinned(tmp_path):
+    # K8 and the five 7-regular classes on 10 vertices; the representatives
+    # are canonical, so any correct enumerator gives these bytes
+    log = tmp_path / "d7.jsonl"
+    records = run_sweep(SweepConfig(m_max=10, mode="custom", degrees=(7,)),
+                        log_path=str(log))
+    assert len(records) == 125 and all(r.verdict == "pass" for r in records)
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == \
+        "e99f01b16c68d112ecc44ccd80b0ea37a1bc661fbe3fa974d52f7f0066ece2e9"
 
 
 def test_degree_selection_by_mode():
