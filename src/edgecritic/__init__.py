@@ -16,7 +16,6 @@ from .coloring import (
     color_uncolored,
     coloring_from_text,
     elementary_violation,
-    is_elementary,
     kempe_chain,
     kempe_swap,
     parity_census,
@@ -29,9 +28,7 @@ from .enumeration import enumerate_regular_graphs, enumerate_small_graphs
 from .graph6 import (
     Graph6Error,
     emit_graph6,
-    emit_graph6_lines,
     parse_graph6,
-    parse_graph6_lines,
 )
 from .graphs import (
     Edge,
@@ -39,7 +36,6 @@ from .graphs import (
     GraphError,
     SplitSpec,
     automorphisms,
-    canonical_graph,
     canonical_mask,
     complete,
     complete_bipartite,
@@ -88,7 +84,6 @@ from .records import (
     read_records,
     record_from_json_line,
     tally_verdicts,
-    write_records,
 )
 from .solver import (
     SearchBudgetExceeded,
@@ -111,10 +106,7 @@ from .structures import (
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
     find_short_kites,
-    is_kierstead_path,
-    is_multifan,
     kierstead_violation,
-    kite_in_graph,
     kite_violation,
     multifan_violation,
 )
@@ -126,8 +118,6 @@ from .verifier import (
     plan_instances,
     reproduce_nonelementary_path,
     run_sweep,
-    sweep_conjecture_range,
-    verify_theorem1,
 )
 
 __version__ = "0.1.0"

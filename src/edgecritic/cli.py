@@ -82,6 +82,14 @@ def _load_graphs(args) -> list[tuple[str, Graph]]:
     return [(ln, parse_graph6(ln)) for ln in lines]
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type of a comma list of integers; empty items are skipped."""
+    try:
+        return tuple(int(t) for t in text.split(",") if t != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+
+
 def _input_flags(sub) -> None:
     sub.add_argument("--builder", help="named graph (petersen, k33, kN, cN, ...)")
     sub.add_argument("--graph6", help="one graph6 string")
@@ -163,10 +171,10 @@ def _cmd_split(args) -> int:
     if len(graphs) != 1:
         raise GraphError("split works on exactly one graph")
     _, g = graphs[0]
-    part_a = tuple(int(t) for t in args.part_a.split(",") if t != "")
-    nbrs = g.neighbors(args.vertex)
-    part_b = tuple(sorted(nbrs - set(part_a)))
-    spec = split_spec(args.vertex, part_a, part_b)
+    if not 0 <= args.vertex < g.n:
+        raise GraphError(f"vertex {args.vertex} out of range 0..{g.n - 1}")
+    part_b = tuple(sorted(g.neighbors(args.vertex) - set(args.part_a)))
+    spec = split_spec(args.vertex, args.part_a, part_b)
     split = vertex_split(g, spec)
     payload = {
         "graph6": emit_graph6(split),
@@ -193,9 +201,8 @@ def _cmd_lemmas(args) -> int:
 
 
 def _sweep_command(args, mode: str) -> int:
-    degrees = None
-    if getattr(args, "degrees", None):
-        degrees = tuple(int(t) for t in args.degrees.split(",") if t != "")
+    degrees = getattr(args, "degrees", None)
+    if degrees is not None:
         mode = "custom"
     config = SweepConfig(m_max=args.m_max, mode=mode, degrees=degrees,
                          budget_ms=args.budget_ms, jobs=args.jobs)
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="split a vertex into an adjacent pair")
     common(p)
     p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--part-a", required=True,
+    p.add_argument("--part-a", type=_int_list, required=True,
                    help="comma list of neighbors kept on the original id")
     p.set_defaults(fn=_cmd_split)
 
@@ -271,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resume", action="store_true",
                        help="continue an interrupted log")
         if verb == "sweep":
-            p.add_argument("--degrees", help="comma list restricting base degrees")
+            p.add_argument("--degrees", type=_int_list,
+                           help="comma list restricting base degrees")
         p.set_defaults(fn=lambda a, m=mode: _sweep_command(a, m))
 
     p = sub.add_parser("figure1",

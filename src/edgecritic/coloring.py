@@ -338,10 +338,6 @@ def elementary_violation(coloring: PartialEdgeColoring, vertices) -> tuple[int, 
     return None
 
 
-def is_elementary(coloring: PartialEdgeColoring, vertices) -> bool:
-    return elementary_violation(coloring, vertices) is None
-
-
 # ---------------------------------------------------------------------------
 # Kempe chains
 

@@ -82,17 +82,3 @@ def parse_graph6(text: str) -> Graph:
         if bits >> (nbits - 1 - pos) & 1:
             edges.append((i, j))
     return make_graph(n, edges)
-
-
-def parse_graph6_lines(text: str) -> list[Graph]:
-    """Parse a newline-separated multi-graph file body."""
-    graphs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            graphs.append(parse_graph6(line))
-    return graphs
-
-
-def emit_graph6_lines(graphs) -> str:
-    return "".join(emit_graph6(g) + "\n" for g in graphs)

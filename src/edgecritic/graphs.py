@@ -291,11 +291,6 @@ def canonical_mask(graph: Graph) -> int:
     return mask
 
 
-def canonical_graph(graph: Graph) -> Graph:
-    """Canonically relabeled copy: the lexicographically least adjacency mask."""
-    return graph_from_mask(graph.n, canonical_mask(graph))
-
-
 def automorphisms(graph: Graph) -> list[tuple[int, ...]]:
     """All adjacency-preserving relabelings, identity included, in lexicographic order.
 

@@ -76,15 +76,6 @@ def record_from_json_line(line: str) -> VerificationRecord:
     return rec
 
 
-def write_records(path: str, records: Iterable[VerificationRecord]) -> int:
-    n = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for rec in records:
-            fh.write(rec.to_json_line() + "\n")
-            n += 1
-    return n
-
-
 def read_records(path: str) -> Iterator[VerificationRecord]:
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):

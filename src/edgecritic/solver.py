@@ -152,7 +152,8 @@ def is_critical_edge(graph: Graph, u: int, v: int, budget_ms: float | None = Non
     if classify_cached(graph, budget_ms) == 2:
         # for a class 2 host: critical iff the rest is max-degree-colorable
         return find_coloring(graph, graph.max_degree(), hole=e, budget_ms=budget_ms) is not None
-    return chromatic_index(graph.delete_edge(*e), budget_ms) < chromatic_index(graph, budget_ms)
+    # class 1: the chromatic index is the max degree, no search needed for it
+    return chromatic_index(graph.delete_edge(*e), budget_ms) < graph.max_degree()
 
 
 def critical_edge_report(graph: Graph, budget_ms: float | None = None) -> tuple[bool, list[Edge]]:

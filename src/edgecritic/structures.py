@@ -97,10 +97,6 @@ def multifan_violation(coloring: PartialEdgeColoring, fan: Multifan) -> str | No
     return None
 
 
-def is_multifan(coloring: PartialEdgeColoring, fan: Multifan) -> bool:
-    return multifan_violation(coloring, fan) is None
-
-
 def kierstead_violation(coloring: PartialEdgeColoring, path: KiersteadPath) -> str | None:
     g = coloring.graph
     vs = path.vertices
@@ -127,10 +123,6 @@ def kierstead_violation(coloring: PartialEdgeColoring, path: KiersteadPath) -> s
     return None
 
 
-def is_kierstead_path(coloring: PartialEdgeColoring, path: KiersteadPath) -> bool:
-    return kierstead_violation(coloring, path) is None
-
-
 def kite_violation(graph: Graph, kite: ShortKite) -> str | None:
     vs = kite.vertex_set()
     if len(set(vs)) != 6:
@@ -139,10 +131,6 @@ def kite_violation(graph: Graph, kite: ShortKite) -> str | None:
         if not graph.has_edge(u, v):
             return f"missing edge ({u}, {v})"
     return None
-
-
-def kite_in_graph(graph: Graph, kite: ShortKite) -> bool:
-    return kite_violation(graph, kite) is None
 
 
 # ---------------------------------------------------------------------------

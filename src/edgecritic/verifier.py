@@ -81,6 +81,8 @@ class SweepConfig:
             raise GraphError("base order cap must be an even number >= 4")
         if self.m_max > 10:
             raise GraphError("base orders above 10 are not supported")
+        if self.jobs < 1:
+            raise GraphError(f"jobs must be at least 1, not {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -254,18 +256,18 @@ def _drop_torn_line(log_path: str) -> None:
             fh.truncate(data.rfind(b"\n") + 1)
 
 
-def _validate_resume(log_path: str, plan: list[SplitInstance]) -> int:
-    """Existing log must be a prefix of the plan; returns how many are done."""
-    done = 0
+def _validate_resume(log_path: str, plan: list[SplitInstance]) -> list[VerificationRecord]:
+    """Existing log must be a prefix of the plan; returns its records."""
+    done: list[VerificationRecord] = []
     for rec in read_records(log_path):
-        if done >= len(plan):
+        if len(done) >= len(plan):
             raise RecordError(f"{log_path}: more records than planned instances")
-        want = plan[done]
+        want = plan[len(done)]
         if rec.lemma != SPLIT_LEMMA or rec.instance_id != want.instance_id:
             raise RecordError(
-                f"{log_path}: record {done + 1} is {rec.instance_id!r}, "
+                f"{log_path}: record {len(done) + 1} is {rec.instance_id!r}, "
                 f"plan says {want.instance_id!r}")
-        done += 1
+        done.append(rec)
     return done
 
 
@@ -274,14 +276,12 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
     """Execute the plan, optionally streaming records to a JSON-lines log."""
     plan = plan_instances(config)
     records: list[VerificationRecord] = []
-    start = 0
     if log_path and resume and os.path.exists(log_path):
         _drop_torn_line(log_path)
-        start = _validate_resume(log_path, plan)
-        records.extend(read_records(log_path))
-    todo = plan[start:]
+        records = _validate_resume(log_path, plan)
+    todo = plan[len(records):]
     parallel = config.jobs > 1 and len(todo) > 1
-    with ((open(log_path, "a" if start else "w", encoding="ascii") if log_path
+    with ((open(log_path, "a" if records else "w", encoding="ascii") if log_path
            else nullcontext()) as sink,
           (ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext()) as pool):
         stream = (pool.map(check_split_instance, todo, chunksize=1) if parallel
@@ -292,23 +292,6 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
                 sink.write(rec.to_json_line() + "\n")
                 sink.flush()
     return records
-
-
-def verify_theorem1(m_max: int = 8, budget_ms: float | None = 60000.0,
-                    jobs: int = 1, log_path: str | None = None,
-                    resume: bool = False) -> list[VerificationRecord]:
-    config = SweepConfig(m_max=m_max, mode="theorem", budget_ms=budget_ms, jobs=jobs)
-    return run_sweep(config, log_path, resume)
-
-
-def sweep_conjecture_range(m_max: int = 8, budget_ms: float | None = 60000.0,
-                           jobs: int = 1, degrees: tuple[int, ...] | None = None,
-                           log_path: str | None = None,
-                           resume: bool = False) -> list[VerificationRecord]:
-    mode = "custom" if degrees is not None else "conjecture"
-    config = SweepConfig(m_max=m_max, mode=mode, degrees=degrees,
-                         budget_ms=budget_ms, jobs=jobs)
-    return run_sweep(config, log_path, resume)
 
 
 # ---------------------------------------------------------------------------

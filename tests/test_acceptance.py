@@ -41,7 +41,6 @@ from edgecritic.verifier import (
     plan_instances,
     reproduce_nonelementary_path,
     run_sweep,
-    verify_theorem1,
 )
 
 
@@ -58,7 +57,7 @@ def criterion(n: int, blurb: str):
 def test_criterion_1_high_degree_range_verified():
     with criterion(1, "every high-degree split through order 8 checks out"):
         start = time.monotonic()
-        records = verify_theorem1(m_max=8, budget_ms=None)
+        records = run_sweep(SweepConfig(m_max=8, budget_ms=None))
         tally = tally_verdicts(records)
         assert len(records) == 11
         assert tally["fail"] == 0 and tally["undecided"] == 0
@@ -242,8 +241,8 @@ def test_criterion_8_sweeps_are_reproducible(tmp_path):
     with criterion(8, "repeat runs are byte-identical, parallel agrees"):
         first = tmp_path / "one.jsonl"
         second = tmp_path / "two.jsonl"
-        records = verify_theorem1(m_max=8, budget_ms=None, log_path=str(first))
-        verify_theorem1(m_max=8, budget_ms=None, log_path=str(second))
+        records = run_sweep(SweepConfig(m_max=8, budget_ms=None), str(first))
+        run_sweep(SweepConfig(m_max=8, budget_ms=None), str(second))
         assert first.read_bytes() == second.read_bytes()
-        parallel = verify_theorem1(m_max=8, budget_ms=None, jobs=2)
+        parallel = run_sweep(SweepConfig(m_max=8, budget_ms=None, jobs=2))
         assert parallel == records

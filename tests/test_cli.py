@@ -98,6 +98,20 @@ def test_split_wants_one_graph(tmp_path, capsys):
     assert "exactly one graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["split", "--builder", "c4", "--vertex", "9", "--part-a", "1"],
+     "vertex 9 out of range 0..3"),
+    (["split", "--builder", "c4", "--vertex", "-1", "--part-a", "1"],
+     "vertex -1 out of range 0..3"),
+    (["split", "--builder", "c4", "--vertex", "0", "--part-a", "1,x"],
+     "not a comma list of integers: '1,x'"),
+    (["sweep", "--degrees", "3,x"], "not a comma list of integers: '3,x'"),
+], ids=["vertex-high", "vertex-negative", "part-a", "degrees"])
+def test_bad_flag_values_exit_two(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_lemmas_battery_lines(capsys):
     assert main(["lemmas", "--builder", "c5"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -16,7 +16,6 @@ from edgecritic.coloring import (
     color_uncolored,
     coloring_from_text,
     elementary_violation,
-    is_elementary,
     kempe_chain,
     kempe_swap,
     parity_census,
@@ -183,7 +182,6 @@ def test_from_text_errors():
 
 def test_elementary_exact_palette():
     col = triangle_coloring()
-    assert is_elementary(col, [0, 1, 2])
     assert elementary_violation(col, [0, 1, 2]) is None
 
 
@@ -191,7 +189,7 @@ def test_elementary_violation_first_witness():
     col = triangle_coloring(k=4)  # now color 4 is missing everywhere
     assert elementary_violation(col, [0, 1, 2]) == (0, 1, 4)
     assert elementary_violation(col, [2, 1]) == (1, 2, 4)
-    assert not is_elementary(col, [0, 2])
+    assert elementary_violation(col, [0, 2]) is not None
 
 
 # ------------------------------------------------------------ chains

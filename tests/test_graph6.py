@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from edgecritic.graph6 import (
     Graph6Error,
     emit_graph6,
-    emit_graph6_lines,
     parse_graph6,
-    parse_graph6_lines,
 )
-from edgecritic.graphs import complete, cycle, make_graph, petersen
+from edgecritic.graphs import complete, make_graph, petersen
 
 from conftest import small_graphs
 
@@ -83,11 +81,3 @@ def test_nonzero_padding_rejected():
     assert parse_graph6("B?").edge_count() == 0
     with pytest.raises(Graph6Error):
         parse_graph6("B" + chr(63 + 0b000100))
-
-
-def test_multi_line_helpers():
-    graphs = [complete(4), cycle(5), make_graph(2, [(0, 1)])]
-    text = emit_graph6_lines(graphs)
-    assert text.count("\n") == 3
-    assert parse_graph6_lines(text) == graphs
-    assert parse_graph6_lines("\n  \n" + text) == graphs

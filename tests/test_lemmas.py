@@ -61,7 +61,7 @@ from edgecritic.structures import (
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
     find_short_kites,
-    is_multifan,
+    multifan_violation,
 )
 from edgecritic.verifier import SweepConfig, plan_instances
 
@@ -250,7 +250,7 @@ def test_auxiliary_hole_slide_keeps_a_fan():
     moved = apply_step(phi, SlideUncolored((1, 3)))
     assert moved.uncolored == (1, 3)
     assert moved.color_of(0, 1) == 3
-    assert is_multifan(moved, Multifan(3, (1, 5)))
+    assert multifan_violation(moved, Multifan(3, (1, 5))) is None
 
 
 def test_swap_rims_script():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+import edgecritic.solver as solver
 from conftest import assert_proper, small_graphs
 from edgecritic.graphs import (
     GraphError,
@@ -174,6 +175,21 @@ def test_critical_report_matches_per_edge_decisions(g):
 
 def test_critical_report_on_edgeless_graph():
     assert critical_edge_report(make_graph(3, [])) == (False, [])
+
+
+@pytest.mark.parametrize("g, searches", [(complete(4), 7), (cube(), 13)],
+                         ids=["k4", "cube"])
+def test_class_one_report_searches_each_edge_once(monkeypatch, g, searches):
+    # one class decision, then one search of G - e per edge: chi'(G) = delta is known
+    calls = []
+
+    def counting(graph, k, hole=None, budget_ms=None):
+        calls.append((graph, k, hole))
+        return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
+    monkeypatch.setattr(solver, "find_coloring", counting)
+    monkeypatch.setattr(solver, "_CLASS_CACHE", {})
+    assert critical_edge_report(g) == (False, [])
+    assert len(calls) == searches == g.edge_count() + 1
 
 
 def test_is_critical_edge_rejects_non_edge():

@@ -41,8 +41,6 @@ from edgecritic.verifier import (
     plan_instances,
     reproduce_nonelementary_path,
     run_sweep,
-    sweep_conjecture_range,
-    verify_theorem1,
 )
 
 THEOREM_IDS = [
@@ -91,6 +89,9 @@ def test_config_validation_errors():
             SweepConfig(m_max=bad).validate()
     with pytest.raises(GraphError, match="above 10"):
         SweepConfig(m_max=12).validate()
+    for jobs in (0, -3):
+        with pytest.raises(GraphError, match="jobs must be at least 1"):
+            SweepConfig(jobs=jobs).validate()
     SweepConfig().validate()
     SweepConfig(m_max=10).validate()
     SweepConfig(m_max=10, mode="conjecture").validate()
@@ -445,6 +446,20 @@ def test_sweep_resume_finishes_interrupted_log(tmp_path):
     assert resumed == records
 
 
+def test_sweep_resume_reads_the_log_once(tmp_path, monkeypatch):
+    log = tmp_path / "part.jsonl"
+    records = run_sweep(cubic_m6_config(), log_path=str(log))
+    log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:2]))
+    reads = []
+
+    def counting(path):
+        reads.append(path)
+        return read_records(path)
+    monkeypatch.setattr(verifier, "read_records", counting)
+    assert run_sweep(cubic_m6_config(), log_path=str(log), resume=True) == records
+    assert reads == [str(log)]
+
+
 def test_sweep_resume_drops_torn_last_line(tmp_path):
     config = SweepConfig(m_max=6)
     log = tmp_path / "full.jsonl"
@@ -491,16 +506,6 @@ def test_sweep_parallel_matches_serial(tmp_path):
     parallel = run_sweep(cubic_m6_config(jobs=2), log_path=str(log))
     assert parallel == serial
     assert list(read_records(str(log))) == serial
-
-
-def test_wrappers_dispatch():
-    assert [r.instance_id for r in verify_theorem1(m_max=4, budget_ms=None)] == \
-        ["C~ v=0 A=1 B=2,3"]
-    by_wrapper = sweep_conjecture_range(m_max=6, degrees=(3,), budget_ms=None)
-    assert by_wrapper == run_sweep(cubic_m6_config())
-    conj = plan_instances(SweepConfig(m_max=4, mode="conjecture"))
-    assert [p.instance_id for p in sweep_conjecture_range(m_max=4, budget_ms=None)] == \
-        [p.instance_id for p in conj]
 
 
 # ------------------------------------------------------------- 9-vertex hunt
