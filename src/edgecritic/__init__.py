@@ -57,10 +57,9 @@ from .lemmas import (
     build_contradiction_script,
     check_deficiency_pair,
     check_kierstead,
-    check_kite_chain_route,
+    check_kite,
     check_multifan,
     check_parity,
-    check_short_kite,
     check_single_subdelta,
     check_vizing_adjacency,
     lemma_battery,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -88,6 +89,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(t) for t in text.split(",") if t != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+
+
+def _budget_ms(text: str) -> float:
+    """argparse type of --budget-ms: finite and above 0 (a NaN deadline never fires)."""
+    try:
+        if 0 < float(text) < math.inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite budget above 0 ms: {text!r}")
 
 
 def _input_flags(sub) -> None:
@@ -240,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         if inputs:
             _input_flags(p)
         p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument("--budget-ms", type=float, default=60000.0,
+        p.add_argument("--budget-ms", type=_budget_ms, default=60000.0,
                        help="solver time budget per decision (default 60000)")
 
     p = sub.add_parser("chi", help="chromatic index and class")

@@ -22,18 +22,20 @@ def edge_key(u: int, v: int) -> Edge:
 class Graph:
     """Immutable simple graph on vertex ids 0..n-1.
 
-    Equality and hashing consider (n, edges) only; adj is derived.
+    Equality and hashing consider (n, edges) only; adj and delta (the
+    maximum degree) are derived.
     """
 
     n: int
     edges: frozenset[Edge]
     adj: tuple[frozenset[int], ...] = field(compare=False, repr=False)
+    delta: int = field(compare=False, repr=False)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return self.delta
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adj[v]
@@ -100,7 +102,8 @@ def make_graph(n: int, edges) -> Graph:
     for u, v in norm:
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, frozenset(norm), tuple(frozenset(a) for a in adj))
+    return Graph(n, frozenset(norm), tuple(frozenset(a) for a in adj),
+                 max(map(len, adj), default=0))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:

@@ -8,6 +8,7 @@ in plan order; reruns are byte-identical and interrupted runs resume.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -83,6 +84,8 @@ class SweepConfig:
             raise GraphError("base orders above 10 are not supported")
         if self.jobs < 1:
             raise GraphError(f"jobs must be at least 1, not {self.jobs}")
+        if self.budget_ms is not None and not 0 < self.budget_ms < math.inf:
+            raise GraphError(f"budget_ms must be finite and above 0, not {self.budget_ms}")
 
 
 @dataclass(frozen=True)

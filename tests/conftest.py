@@ -5,8 +5,17 @@ from functools import lru_cache
 from hypothesis import strategies as st
 
 from edgecritic.enumeration import enumerate_small_graphs
-from edgecritic.graphs import Graph, make_graph
+from edgecritic.graph6 import parse_graph6
+from edgecritic.graphs import (
+    Graph,
+    cycle,
+    make_graph,
+    petersen_minus_vertex,
+    split_spec,
+    vertex_split,
+)
 from edgecritic.solver import classify
+from edgecritic.verifier import SweepConfig, plan_instances
 
 
 def assert_proper(coloring) -> None:
@@ -55,3 +64,17 @@ def class_two_graphs(draw, min_n=2, min_m=1):
                               if g.n >= min_n and g.edge_count() >= min_m]))
     perm = draw(st.permutations(range(g.n)))
     return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def corpus_hosts() -> list[Graph]:
+    """The 42 lemma-corpus hosts, in order: the theorem-range splits through
+    order 8, the cubic splits through order 8, the cycles C3..C9 and the
+    Petersen graph minus a vertex."""
+    hosts = []
+    for cfg in (SweepConfig(), SweepConfig(m_max=8, mode="custom", degrees=(3,))):
+        for inst in plan_instances(cfg):
+            base = parse_graph6(inst.base_graph6)
+            hosts.append(vertex_split(base, split_spec(inst.vertex, inst.part_a, inst.part_b)))
+    hosts.extend(cycle(k) for k in range(3, 10))
+    hosts.append(petersen_minus_vertex())
+    return hosts

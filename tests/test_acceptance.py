@@ -8,7 +8,7 @@ import contextlib
 import random
 import time
 
-from conftest import assert_proper, random_graph
+from conftest import assert_proper, corpus_hosts, random_graph
 from edgecritic.coloring import (
     ImproperColoringError,
     LinkageError,
@@ -19,8 +19,7 @@ from edgecritic.coloring import (
     subchain_swap,
 )
 from edgecritic.enumeration import enumerate_small_graphs
-from edgecritic.graph6 import parse_graph6
-from edgecritic.graphs import cycle, petersen_minus_vertex, split_spec, vertex_split
+from edgecritic.graphs import cycle, petersen_minus_vertex
 from edgecritic.lemmas import lemma_battery
 from edgecritic.records import tally_verdicts
 from edgecritic.solver import (
@@ -38,7 +37,6 @@ from edgecritic.structures import (
 )
 from edgecritic.verifier import (
     SweepConfig,
-    plan_instances,
     reproduce_nonelementary_path,
     run_sweep,
 )
@@ -116,15 +114,7 @@ def test_criterion_4_named_critical_graphs():
 
 def test_criterion_5_lemma_battery_over_the_corpus():
     with criterion(5, "adjacency lemmas hold on all 42 corpus hosts"):
-        hosts = []
-        for cfg in (SweepConfig(),
-                    SweepConfig(m_max=8, mode="custom", degrees=(3,))):
-            for inst in plan_instances(cfg):
-                base = parse_graph6(inst.base_graph6)
-                hosts.append(vertex_split(
-                    base, split_spec(inst.vertex, inst.part_a, inst.part_b)))
-        hosts.extend(cycle(k) for k in range(3, 10))
-        hosts.append(petersen_minus_vertex())
+        hosts = corpus_hosts()
         assert len(hosts) == 42
         total = {"pass": 0, "fail": 0, "skipped": 0, "undecided": 0}
         for g in hosts:

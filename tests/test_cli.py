@@ -1,5 +1,6 @@
 """CLI surface: output shapes, exit codes, batch input."""
 
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import edgecritic.cli as cli
+from conftest import corpus_hosts
 from edgecritic.cli import build_named, main
 from edgecritic.coloring import PartialEdgeColoring
 from edgecritic.graph6 import emit_graph6
@@ -106,7 +108,17 @@ def test_split_wants_one_graph(tmp_path, capsys):
     (["split", "--builder", "c4", "--vertex", "0", "--part-a", "1,x"],
      "not a comma list of integers: '1,x'"),
     (["sweep", "--degrees", "3,x"], "not a comma list of integers: '3,x'"),
-], ids=["vertex-high", "vertex-negative", "part-a", "degrees"])
+    (["chi", "--builder", "petersen", "--budget-ms", "-5"],
+     "not a finite budget above 0 ms: '-5'"),
+    (["chi", "--builder", "petersen", "--budget-ms", "0"],
+     "not a finite budget above 0 ms: '0'"),
+    (["chi", "--builder", "petersen", "--budget-ms", "nan"],
+     "not a finite budget above 0 ms: 'nan'"),
+    (["theorem1", "--budget-ms", "inf"], "not a finite budget above 0 ms: 'inf'"),
+    (["lemmas", "--builder", "c5", "--budget-ms", "ten"],
+     "not a finite budget above 0 ms: 'ten'"),
+], ids=["vertex-high", "vertex-negative", "part-a", "degrees", "budget-negative",
+        "budget-zero", "budget-nan", "budget-inf", "budget-word"])
 def test_bad_flag_values_exit_two(capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
@@ -125,6 +137,25 @@ def test_lemmas_json_round_trips(capsys):
     records = [record_from_json_line(ln) for ln in lines]
     assert len(records) == 36
     assert {r.verdict for r in records} == {"pass", "skipped"}
+
+
+def test_lemmas_json_over_the_corpus_is_pinned(tmp_path, capsys):
+    hosts = tmp_path / "hosts.g6"
+    hosts.write_text("".join(emit_graph6(g) + "\n" for g in corpus_hosts()))
+    assert main(["lemmas", "--json", "--file", str(hosts)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out.count(b"\n") == 7217
+    assert hashlib.sha256(out).hexdigest() == \
+        "b449ffaab0e349c801e255a77bd17aef2edb8393e120b4f1f972ee81a7e0fe68"
+
+
+def test_sweep_m8_log_is_pinned(tmp_path, capsys):
+    log = tmp_path / "m8.jsonl"
+    assert main(["sweep", "--m-max", "8", "--log", str(log)]) == 1  # the cubic fail
+    assert capsys.readouterr().out.endswith(
+        "total=107 pass=106 fail=1 skipped=0 undecided=0\n")
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == \
+        "f25862d4951f34526f8a8e128faec28175ab43ef86b5e4954ac609b2733f3b8f"
 
 
 def test_theorem1_smallest_range(capsys):

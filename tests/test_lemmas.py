@@ -26,10 +26,9 @@ from edgecritic.lemmas import (
     build_contradiction_script,
     check_deficiency_pair,
     check_kierstead,
-    check_kite_chain_route,
+    check_kite,
     check_multifan,
     check_parity,
-    check_short_kite,
     check_single_subdelta,
     check_vizing_adjacency,
     lemma_battery,
@@ -49,6 +48,7 @@ from edgecritic.recolor import (
 from edgecritic.solver import (
     SearchBudgetExceeded,
     chromatic_index,
+    classify_cached,
     find_coloring,
     vizing_color,
 )
@@ -91,13 +91,13 @@ def overfull_host():
 def test_vizing_adjacency_passes_on_critical_hosts():
     for g in (cycle(5), cycle(7)):
         for e in g.sorted_edges():
-            rec = check_vizing_adjacency(g, *e)
+            rec = check_vizing_adjacency(g, *e, find_coloring(g, 2, hole=e))
             assert rec.lemma == "vizing-adjacency"
             assert rec.verdict == "pass", (e, rec.witness)
 
 
 def test_vizing_adjacency_skips_class_one():
-    rec = check_vizing_adjacency(cycle(6), 0, 1)
+    rec = check_vizing_adjacency(cycle(6), 0, 1, find_coloring(cycle(6), 2, hole=(0, 1)))
     assert rec.verdict == "skipped"
     assert rec.hypotheses == {"class2": False, "critical_edge": False}
 
@@ -106,7 +106,7 @@ def test_vizing_adjacency_undecided_on_budget(monkeypatch):
     def boom(graph, budget_ms=None):
         raise SearchBudgetExceeded("out of time")
     monkeypatch.setattr(lemmas, "classify_cached", boom)
-    rec = check_vizing_adjacency(cycle(5), 0, 1, budget_ms=1.0)
+    rec = check_vizing_adjacency(cycle(5), 0, 1, None, budget_ms=1.0)
     assert rec.verdict == "undecided"
     assert rec.hypotheses == {}
     assert rec.conclusion is None
@@ -174,15 +174,30 @@ def test_kierstead_tail_overlap_fails_on_corrupted_coloring():
 def test_deficiency_checkers_on_split_host():
     host = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
     for pair in (FullDeficiencyPair(0, 1), FullDeficiencyPair(0, 4)):
-        assert check_deficiency_pair(host, pair).verdict == "pass"
-        assert check_single_subdelta(host, pair).verdict == "pass"
+        phi = find_coloring(host, host.max_degree(), hole=(pair.u, pair.v))
+        assert check_deficiency_pair(host, pair, phi).verdict == "pass"
+        assert check_single_subdelta(host, pair, phi).verdict == "pass"
+
+
+def test_degree_counting_checkers_need_evidence_of_the_hole():
+    host = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
+    pair = FullDeficiencyPair(0, 1)
+    other_hole = find_coloring(host, host.max_degree(), hole=(0, 4))
+    for rec in (check_vizing_adjacency(host, 0, 1, None),
+                check_vizing_adjacency(host, 0, 1, other_hole),
+                check_deficiency_pair(host, pair, None),
+                check_single_subdelta(host, pair, other_hole)):
+        assert rec.verdict == "skipped"
+        assert rec.hypotheses["class2"] is True
+        assert rec.hypotheses["critical_edge"] is False
 
 
 def test_deficiency_checkers_skip_bad_hypotheses():
-    rec = check_deficiency_pair(cycle(5), FullDeficiencyPair(0, 2))
+    rec = check_deficiency_pair(cycle(5), FullDeficiencyPair(0, 2), None)
     assert rec.verdict == "skipped"
     assert rec.hypotheses["adjacent"] is False
-    rec = check_single_subdelta(cycle(5), FullDeficiencyPair(0, 1))
+    rec = check_single_subdelta(cycle(5), FullDeficiencyPair(0, 1),
+                                find_coloring(cycle(5), 2, hole=(0, 1)))
     assert rec.verdict == "skipped"
     assert rec.hypotheses["degree_bound"] is False
 
@@ -191,7 +206,8 @@ def test_deficiency_checkers_skip_bad_hypotheses():
 
 def test_case_one_hypotheses_all_hold():
     g, phi = case_one_instance()
-    rec = check_short_kite(phi, KITE)
+    rec, _ = check_kite(phi, KITE)
+    assert rec.lemma == "short-kite-degree"
     # the shape holds but the host is class 1, so the claim is vacuous here
     assert rec.verdict == "skipped"
     assert rec.hypotheses["class2"] is False
@@ -203,7 +219,7 @@ def test_case_one_hypotheses_all_hold():
 
 def test_case_one_chain_route_skips_on_class_one_host():
     g, phi = case_one_instance()
-    rec = check_kite_chain_route(phi, KITE)
+    _, rec = check_kite(phi, KITE)
     assert rec.lemma == "kite-chain-route"
     assert rec.verdict == "skipped"
     assert rec.hypotheses["class2"] is False
@@ -264,13 +280,16 @@ def test_swap_rims_script():
         swap_rims_script(res.final, KITE)
 
 
-def test_chain_route_fails_when_edge_off_chain():
-    h = overfull_host()
-    phi = PartialEdgeColoring(h, 4, {
+def off_chain_coloring():
+    """A corrupted coloring of the overfull host whose tail2 chain misses hub-rim1."""
+    return PartialEdgeColoring(overfull_host(), 4, {
         (0, 2): 1, (1, 3): 3, (1, 5): 2, (1, 6): 4, (2, 3): 4, (2, 6): 3,
         (2, 4): 1, (3, 4): 2, (3, 5): 1, (4, 5): 3, (4, 6): 1, (5, 6): 2},
         uncolored=(0, 1), validate=False)
-    rec = check_kite_chain_route(phi, KITE)
+
+
+def test_chain_route_fails_when_edge_off_chain():
+    _, rec = check_kite(off_chain_coloring(), KITE)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "edge-off-chain", "chain": [5, 4]}
 
@@ -281,7 +300,7 @@ def test_chain_route_fails_on_wrong_order():
         (0, 2): 1, (1, 3): 4, (1, 5): 2, (1, 6): 3, (2, 3): 3, (2, 6): 2,
         (2, 4): 4, (3, 4): 2, (3, 5): 1, (4, 5): 1, (4, 6): 4, (5, 6): 4},
         uncolored=(0, 1), validate=False)
-    rec = check_kite_chain_route(phi, KITE)
+    _, rec = check_kite(phi, KITE)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "order", "chain": [5, 6, 1, 3, 2, 4]}
 
@@ -312,19 +331,17 @@ def test_battery_deterministic():
     assert a == b
 
 
-KITE_HYPOTHESES = lemmas._kite_hypotheses  # unwrapped, for the call logs below
+KITE_HYPOTHESES = lemmas._kite_hypotheses  # unwrapped, for the call log below
 
 
 def kite_checker_calls(monkeypatch):
-    """Route the battery's two kite checkers through a call log."""
+    """Route the battery's kite checker through a call log."""
     calls = []
-    for name in ("_short_kite", "_kite_chain_route"):
-        def logged(coloring, kite, budget_ms, kite_hyp, _check=getattr(lemmas, name)):
-            calls.append((coloring, kite))
-            # the battery hands over the hypotheses it gated on, unchanged
-            assert kite_hyp == KITE_HYPOTHESES(coloring, kite)
-            return _check(coloring, kite, budget_ms, kite_hyp)
-        monkeypatch.setattr(lemmas, name, logged)
+
+    def logged(coloring, kite, budget_ms=None, _check=lemmas.check_kite):
+        calls.append((coloring, kite))
+        return _check(coloring, kite, budget_ms)
+    monkeypatch.setattr(lemmas, "check_kite", logged)
     return calls
 
 
@@ -335,8 +352,7 @@ def test_battery_drops_vacuous_kite_records_by_default(monkeypatch):
     assert kites
     for kite in kites:
         phi = find_coloring(host, host.max_degree(), hole=(kite.apex, kite.rim1))
-        assert check_short_kite(phi, kite).verdict == "skipped"
-        assert check_kite_chain_route(phi, kite).verdict == "skipped"
+        assert [rec.verdict for rec in check_kite(phi, kite)] == ["skipped", "skipped"]
     calls = kite_checker_calls(monkeypatch)
     lean = lemma_battery(host)
     kite_lemmas = {"short-kite-degree", "kite-chain-route"}
@@ -345,20 +361,26 @@ def test_battery_drops_vacuous_kite_records_by_default(monkeypatch):
     assert calls == []
 
 
-def reference_battery(graph):
-    """The battery with the full kite loop: every kite anchored at the hole
-    goes through both checkers, and skipped kite records are dropped."""
-    records = []
-    delta = graph.max_degree()
+def battery_evidence(graph):
+    """Every search the battery makes: an optimal coloring of the host and a
+    max-degree coloring (or None) of the host minus each edge."""
     full = find_coloring(graph, chromatic_index(graph))
+    delta = graph.max_degree()
+    return full, {e: find_coloring(graph, delta, hole=e) for e in graph.sorted_edges()}
+
+
+def reference_battery(graph, full, holes):
+    """The battery with the full kite loop, on the evidence of
+    `battery_evidence`: every kite anchored at the hole goes through the kite
+    checker, and skipped kite records are dropped."""
+    records = []
     if full is not None:
         records.append(check_parity(full))
     anchored_kites = {}
     for kite in find_short_kites(graph):
         anchored_kites.setdefault(edge_key(kite.apex, kite.rim1), []).append(kite)
-    for e in graph.sorted_edges():
-        records.append(check_vizing_adjacency(graph, *e))
-        phi = find_coloring(graph, delta, hole=e)
+    for e, phi in holes.items():
+        records.append(check_vizing_adjacency(graph, *e, phi))
         if phi is None:
             continue
         for center in e:
@@ -366,17 +388,18 @@ def reference_battery(graph):
         for path in enumerate_kierstead_paths(phi):
             records.append(check_kierstead(phi, path))
         for kite in anchored_kites.get(e, ()):
-            for rec in (check_short_kite(phi, kite), check_kite_chain_route(phi, kite)):
+            for rec in check_kite(phi, kite):
                 if rec.verdict != "skipped":
                     records.append(rec)
     for pair in find_full_deficiency_pairs(graph):
-        records.append(check_deficiency_pair(graph, pair))
-        records.append(check_single_subdelta(graph, pair))
+        phi = holes[(pair.u, pair.v)]
+        records.append(check_deficiency_pair(graph, pair, phi))
+        records.append(check_single_subdelta(graph, pair, phi))
     return records
 
 
 def assert_battery_matches_reference(graph):
-    want = [r.to_json_line() for r in reference_battery(graph)]
+    want = [r.to_json_line() for r in reference_battery(graph, *battery_evidence(graph))]
     with pytest.MonkeyPatch.context() as mp:
         calls = kite_checker_calls(mp)
         records = lemma_battery(graph)
@@ -410,6 +433,28 @@ def test_battery_matches_reference_on_kite_hosts():
     for g in hosts + splits:
         calls += len(assert_battery_matches_reference(g))
     assert calls > 0  # some kites reach the checkers
+
+
+def test_checkers_judge_given_evidence_without_searching(monkeypatch):
+    host = parse_graph6(r"Fj\|w")  # a theorem-range split with kites and pairs
+    want = [r.to_json_line() for r in lemma_battery(host)]  # warms the class cache
+    evidence = battery_evidence(host)
+    corrupted = off_chain_coloring()
+    classify_cached(corrupted.graph)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lemma checker searched for a coloring")
+    monkeypatch.setattr(lemmas, "find_coloring", refuse)
+    monkeypatch.setattr(solver, "find_coloring", refuse)
+    records = reference_battery(host, *evidence)
+    assert [r.to_json_line() for r in records] == want
+    route = check_kite(corrupted, KITE)[1]
+    assert route.verdict == "fail"
+    # every public checker ran to a verdict on the evidence it was given
+    assert {r.lemma for r in records + [route] if r.conclusion is not None} == {
+        "parity-census", "vizing-adjacency", "multifan-elementary", "kierstead-path",
+        "short-kite-degree", "kite-chain-route", "deficiency-pair-degrees",
+        "single-subdelta"}
 
 
 def test_battery_computes_kite_hypotheses_once_per_kite(monkeypatch):

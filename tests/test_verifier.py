@@ -92,6 +92,10 @@ def test_config_validation_errors():
     for jobs in (0, -3):
         with pytest.raises(GraphError, match="jobs must be at least 1"):
             SweepConfig(jobs=jobs).validate()
+    for budget in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(GraphError, match="budget_ms must be finite and above 0"):
+            SweepConfig(budget_ms=budget).validate()
+    SweepConfig(budget_ms=None).validate()
     SweepConfig().validate()
     SweepConfig(m_max=10).validate()
     SweepConfig(m_max=10, mode="conjecture").validate()
