@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .graphs import (
+    Edge,
     Graph,
     GraphError,
+    automorphism_generators,
     canonical_mask,
+    edge_key,
     graph_from_mask,
     make_graph,
+    orbit_closure,
 )
 
 
@@ -22,8 +27,10 @@ def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
     graphs on m vertices (Taylor, "Constrained switchings in graphs", 1981),
     and a switch of a relabelled graph is a relabelled switch, so one
     breadth-first search over canonical masks, started from a circulant,
-    reaches every class. Above degree (m-1)/2 the classes are the
-    complements of those of degree m-1-d.
+    reaches every class. An automorphism of g maps each switch s of g to a
+    switch of g whose graph is the relabelled graph of s, with the same
+    canonical mask, so one switch per Aut(g)-orbit is canonicalised. Above
+    degree (m-1)/2 the classes are the complements of those of degree m-1-d.
     """
     if m < 1:
         raise GraphError(f"order must be positive, got {m}")
@@ -40,20 +47,38 @@ def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
     offsets = [*range(1, d // 2 + 1), *([m // 2] if d % 2 else [])]
     seen = {canonical_mask(make_graph(m, [(i, (i + k) % m) for i in range(m) for k in offsets]))}
     frontier = list(seen)
+    pairs = list(itertools.combinations(range(m), 2))
     for mask in frontier:
         g = graph_from_mask(m, mask)
-        edges = g.sorted_edges()
-        for i, (a, b) in enumerate(edges):
-            for c, e in edges[i + 1:]:
-                if len({a, b, c, e}) < 4:
-                    continue
-                for f, h in (((a, c), (b, e)), ((a, e), (b, c))):
-                    if not (g.has_edge(*f) or g.has_edge(*h)):
-                        key = canonical_mask(make_graph(m, g.edges - {(a, b), (c, e)} | {f, h}))
-                        if key not in seen:
-                            seen.add(key)
-                            frontier.append(key)
+        # each generator as a map of vertex pairs, so relabelling a switch is four lookups
+        relabel = [{(u, v): edge_key(p[u], p[v]) for u, v in pairs}.__getitem__
+                   for p in automorphism_generators(g)]
+        done: set[frozenset[Edge]] = set()
+        for switch in _switches(g):
+            if switch not in done:
+                orbit_closure(switch, relabel, _image, done)
+                key = canonical_mask(make_graph(m, g.edges ^ switch))
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append(key)
     return tuple(graph_from_mask(m, mask) for mask in sorted(seen))
+
+
+def _switches(g: Graph):
+    """Every double-edge switch of g, as the set of the four edges it toggles:
+    the two it removes are edges of g, the two it adds are not."""
+    edges = g.sorted_edges()
+    for i, (a, b) in enumerate(edges):
+        for c, e in edges[i + 1:]:
+            if len({a, b, c, e}) < 4:
+                continue
+            for f, h in (((a, c), edge_key(b, e)), ((a, e), edge_key(b, c))):
+                if not (f in g.edges or h in g.edges):
+                    yield frozenset(((a, b), (c, e), f, h))
+
+
+def _image(relabel, switch: frozenset[Edge]) -> frozenset[Edge]:
+    return frozenset(map(relabel, switch))
 
 
 def enumerate_small_graphs(max_edges: int, max_support: int = 7) -> list[Graph]:

@@ -324,15 +324,27 @@ def _extensions(graph: Graph, image: list[int]):
             image.pop()
 
 
-def _orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
-    orbit, frontier = {point}, [point]
-    while frontier:
-        x = frontier.pop()
+def orbit_closure(point, gens: list, image, seen: set) -> list:
+    """The orbit of `point` under the group generated by `gens`, point first,
+    by breadth-first closure; image(p, x) is where generator p sends x.
+
+    Every member goes into `seen` and images already there are skipped, so
+    one set can mark the members of several disjoint orbits; `point` must
+    not be in it yet.
+    """
+    orbit = [point]
+    seen.add(point)
+    for x in orbit:
         for p in gens:
-            if p[x] not in orbit:
-                orbit.add(p[x])
-                frontier.append(p[x])
+            y = image(p, x)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
     return orbit
+
+
+def _orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
+    return set(orbit_closure(point, gens, tuple.__getitem__, set()))
 
 
 def automorphism_generators(graph: Graph) -> list[tuple[int, ...]]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -27,6 +26,7 @@ from .graphs import (
     SplitSpec,
     automorphism_generators,
     is_overfull,
+    orbit_closure,
     petersen_minus_vertex,
     split_spec,
     vertex_split,
@@ -111,6 +111,12 @@ def _normalize_parts(nbrs: frozenset[int], a, b) -> tuple[tuple[int, ...], tuple
 def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """All (vertex, partition) choices up to base automorphisms, sorted."""
     gens = automorphism_generators(base)
+
+    def image(p, split):
+        u, pa, pb = split
+        return (p[u], *_normalize_parts(base.neighbors(p[u]),
+                                        [p[w] for w in pa], [p[w] for w in pb]))
+
     seen: set[tuple] = set()
     reps = []
     for v in range(base.n):
@@ -125,20 +131,8 @@ def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ..
             if not b:
                 continue
             key = (v, tuple(a), tuple(b))
-            if key in seen:
-                continue
-            # breadth-first closure under the generators is the whole orbit;
-            # orbits are disjoint, so `seen` doubles as this one's membership test
-            orbit = [key]
-            seen.add(key)
-            for u, pa, pb in orbit:
-                for p in gens:
-                    image = (p[u], *_normalize_parts(base.neighbors(p[u]),
-                                                     (p[w] for w in pa), (p[w] for w in pb)))
-                    if image not in seen:
-                        seen.add(image)
-                        orbit.append(image)
-            reps.append(min(orbit))
+            if key not in seen:  # orbits are disjoint: `seen` holds every closed one
+                reps.append(min(orbit_closure(key, gens, image, seen)))
     return sorted(reps)
 
 
@@ -284,6 +278,9 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
         records = _validate_resume(log_path, plan)
     todo = plan[len(records):]
     parallel = config.jobs > 1 and len(todo) > 1
+    if parallel:
+        # imported here, so serial runs do not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ((open(log_path, "a" if records else "w", encoding="ascii") if log_path
            else nullcontext()) as sink,
           (ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext()) as pool):

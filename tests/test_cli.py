@@ -28,6 +28,17 @@ def test_package_imports_without_numpy():
     assert out == "False\n"
 
 
+def test_cli_import_does_not_load_multiprocessing():
+    # the process pool is imported only when a sweep runs with jobs > 1
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = ("import sys, edgecritic.cli; "
+             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 def test_named_builders():
     assert build_named("k6") == complete(6)
     assert build_named("c9") == cycle(9)

@@ -5,6 +5,7 @@ import itertools
 import networkx as nx
 import pytest
 
+from edgecritic import enumeration
 from edgecritic.enumeration import enumerate_regular_graphs, enumerate_small_graphs
 from edgecritic.graphs import Graph, GraphError, canonical_mask, make_graph
 
@@ -95,6 +96,28 @@ def test_results_sorted_deterministic():
     assert [canonical_mask(g) for g in first] == [canonical_mask(g) for g in second]
     masks = [canonical_mask(g) for g in first]
     assert masks == sorted(masks)
+
+
+def test_switch_closure_canonicalises_one_switch_per_automorphism_orbit(monkeypatch):
+    # one call for the starting circulant, one per switch orbit of each class,
+    # one per complemented class: the graphs fix these counts, not the code
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return canonical_mask(g)
+
+    monkeypatch.setattr(enumeration, "canonical_mask", counted)
+    enumerate_regular_graphs.cache_clear()
+    enumerate_regular_graphs(8, 3)
+    assert len(calls) == 41
+    enumerate_regular_graphs.cache_clear()
+    calls.clear()
+    for m in (4, 6, 8):  # the degrees of `sweep --m-max 8`: 3d > m
+        for d in range(m):
+            if m * d % 2 == 0 and 3 * d > m:
+                enumerate_regular_graphs(m, d)
+    assert len(calls) == 82
 
 
 # ------------------------------------------------------- large orders
