@@ -104,9 +104,9 @@ from .structures import (
     build_maximal_multifan,
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
-    find_short_kites,
     kierstead_violation,
     kite_violation,
+    kites_with_head,
     multifan_violation,
 )
 from .verifier import (

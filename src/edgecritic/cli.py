@@ -107,27 +107,26 @@ def _input_flags(sub) -> None:
     sub.add_argument("--file", help="file of graph6 strings, one per line")
 
 
-def _record_exit(records: list[VerificationRecord]) -> int:
-    tally = tally_verdicts(records)
+def _print_records(records: list[VerificationRecord], as_json: bool) -> None:
+    for rec in records:
+        if as_json:
+            print(rec.to_json_line())
+            continue
+        print(f"{rec.verdict:9s} {rec.lemma}  {rec.instance_id}")
+        if rec.verdict == "fail" and rec.witness is not None:
+            print(f"          witness: {json.dumps(rec.witness, sort_keys=True)}")
+
+
+def _finish(tally: dict[str, int], as_json: bool) -> int:
+    """The text-mode summary line, then the exit code of the verdict tally."""
+    if not as_json:
+        print(f"total={sum(tally.values())} pass={tally['pass']} fail={tally['fail']}"
+              f" skipped={tally['skipped']} undecided={tally['undecided']}")
     if tally["fail"]:
         return 1
     if tally["undecided"]:
         return 3
     return 0
-
-
-def _emit_records(records: list[VerificationRecord], as_json: bool) -> None:
-    if as_json:
-        for rec in records:
-            print(rec.to_json_line())
-        return
-    for rec in records:
-        print(f"{rec.verdict:9s} {rec.lemma}  {rec.instance_id}")
-        if rec.verdict == "fail" and rec.witness is not None:
-            print(f"          witness: {json.dumps(rec.witness, sort_keys=True)}")
-    t = tally_verdicts(records)
-    print(f"total={len(records)} pass={t['pass']} fail={t['fail']}"
-          f" skipped={t['skipped']} undecided={t['undecided']}")
 
 
 def _cmd_chi(args) -> int:
@@ -204,11 +203,14 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    records: list[VerificationRecord] = []
+    """Each host's records go out as soon as its battery returns; only the tally is kept."""
+    tally = tally_verdicts(())
     for _, g in _load_graphs(args):
-        records.extend(lemma_battery(g, args.budget_ms))
-    _emit_records(records, args.json)
-    return _record_exit(records)
+        records = lemma_battery(g, args.budget_ms)
+        _print_records(records, args.json)
+        for verdict, count in tally_verdicts(records).items():
+            tally[verdict] += count
+    return _finish(tally, args.json)
 
 
 def _sweep_command(args, mode: str) -> int:
@@ -218,8 +220,8 @@ def _sweep_command(args, mode: str) -> int:
     config = SweepConfig(m_max=args.m_max, mode=mode, degrees=degrees,
                          budget_ms=args.budget_ms, jobs=args.jobs)
     records = run_sweep(config, log_path=args.log, resume=args.resume)
-    _emit_records(records, args.json)
-    return _record_exit(records)
+    _print_records(records, args.json)
+    return _finish(tally_verdicts(records), args.json)
 
 
 def _cmd_figure1(args) -> int:

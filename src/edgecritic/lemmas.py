@@ -11,6 +11,7 @@ their own; the only solver call they make is the cached class decision.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 
 from .coloring import (
     ColoringError,
@@ -40,9 +41,9 @@ from .structures import (
     build_maximal_multifan,
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
-    find_short_kites,
     kierstead_violation,
     kite_violation,
+    kites_with_head,
     multifan_violation,
 )
 
@@ -62,10 +63,13 @@ def _anchored(coloring: PartialEdgeColoring, hole) -> bool:
             and coloring.uncolored == edge_key(*hole))
 
 
-def _is_hole_coloring(graph: Graph, hole, hole_coloring: PartialEdgeColoring | None) -> bool:
-    """Whether the caller's evidence is a max-degree coloring of the host minus the hole."""
-    return (hole_coloring is not None and hole_coloring.graph == graph
-            and _anchored(hole_coloring, hole))
+def _hole_colorable(graph: Graph, hole, evidence) -> bool | None:
+    """Whether the caller's evidence is a max-degree coloring of the host minus
+    the hole; None when it is the SearchBudgetExceeded of a search that ran out."""
+    if isinstance(evidence, SearchBudgetExceeded):
+        return None
+    return (evidence is not None and evidence.graph == graph
+            and _anchored(evidence, hole))
 
 
 def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> VerificationRecord:
@@ -76,7 +80,8 @@ def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> Ver
     class2 hypothesis (from the class cache) and critical_edge: on a class-2
     host the hole is critical exactly when the host minus it is max-degree
     colorable. A class search that runs out of budget leaves the claim
-    undecided and a false hypothesis skips it. Otherwise `violation()`
+    undecided, and so does a hole search that ran out (colorable None) on a
+    class-2 host; a false hypothesis skips it. Otherwise `violation()`
     decides it: a witness dict fails it, None passes it.
     """
     if critical is not None and all(hyp.values()):
@@ -85,6 +90,8 @@ def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> Ver
             class2 = classify_cached(graph, budget_ms) == 2
         except SearchBudgetExceeded:
             return VerificationRecord(name, iid, hyp, None)
+        if class2 and colorable is None:
+            return VerificationRecord(name, iid, {**hyp, "class2": True}, None)
         hyp = {**hyp, "class2": class2, "critical_edge": class2 and colorable}
     if not all(hyp.values()):
         return VerificationRecord(name, iid, hyp, None)
@@ -94,11 +101,12 @@ def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> Ver
 
 # ---------------------------------------------------------------------------
 # degree-counting statements; each takes the max-degree coloring of the host
-# minus the checked edge (or None) that the caller searched for
+# minus the checked edge that the caller searched for: None when there is
+# none, the SearchBudgetExceeded when the search ran out
 
 
 def check_vizing_adjacency(graph: Graph, u: int, v: int,
-                           hole_coloring: PartialEdgeColoring | None,
+                           hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
                            budget_ms: float | None = None) -> VerificationRecord:
     """A critical edge forces many max-degree neighbors at both endpoints."""
     delta = graph.max_degree()
@@ -113,7 +121,7 @@ def check_vizing_adjacency(graph: Graph, u: int, v: int,
         return None
 
     return _gate("vizing-adjacency", _ids(graph, f"e={u}-{v}"), {},
-                 (graph, _is_hole_coloring(graph, (u, v), hole_coloring), budget_ms), violation)
+                 (graph, _hole_colorable(graph, (u, v), hole_coloring), budget_ms), violation)
 
 
 def _pair_hypotheses(graph: Graph, pair: FullDeficiencyPair) -> dict[str, bool]:
@@ -123,7 +131,7 @@ def _pair_hypotheses(graph: Graph, pair: FullDeficiencyPair) -> dict[str, bool]:
 
 
 def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
-                          hole_coloring: PartialEdgeColoring | None,
+                          hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
                           budget_ms: float | None = None) -> VerificationRecord:
     """Degree structure around a critical edge whose ends have full deficiency."""
     a, b = pair.u, pair.v
@@ -156,11 +164,11 @@ def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
 
     return _gate("deficiency-pair-degrees", _ids(graph, f"pair={a},{b}"),
                  _pair_hypotheses(graph, pair),
-                 (graph, _is_hole_coloring(graph, (a, b), hole_coloring), budget_ms), violation)
+                 (graph, _hole_colorable(graph, (a, b), hole_coloring), budget_ms), violation)
 
 
 def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
-                          hole_coloring: PartialEdgeColoring | None,
+                          hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
                           budget_ms: float | None = None) -> VerificationRecord:
     """With max degree at least 3(n-1)/4, at most one outside vertex sits one below it."""
     a, b = pair.u, pair.v
@@ -174,7 +182,7 @@ def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
         return {"vertices": nearly} if len(nearly) > 1 else None
 
     return _gate("single-subdelta", _ids(graph, f"pair={a},{b}"), hyp,
-                 (graph, _is_hole_coloring(graph, (a, b), hole_coloring), budget_ms), violation)
+                 (graph, _hole_colorable(graph, (a, b), hole_coloring), budget_ms), violation)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +361,9 @@ def swap_rims_script(coloring: PartialEdgeColoring,
 # ---------------------------------------------------------------------------
 # whole-graph battery
 
+# kites are checked ascending by role, hub first
+_ROLE_ORDER = attrgetter("hub", "rim1", "rim2", "apex", "tail1", "tail2")
+
 
 def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[VerificationRecord]:
     """Every checker on every structure of one host, deterministic order.
@@ -361,41 +372,48 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
     Each edge is searched once for a coloring of the host minus it; that
     coloring anchors the coloring-based checks and decides hole criticality
     for the degree-counting ones. Skipped records are kept, except those of
-    kites: a kite anchored at the hole is checked only when its head is a
-    Kierstead path of the hole, and its skipped records are dropped, so the
-    flood of hypothesis-failing kite labelings on dense hosts never reaches
-    the output.
+    kites: the kites checked at a hole are built from its Kierstead paths,
+    each path the head (apex, rim1, hub, tail1) of its kites, and their
+    skipped records are dropped, so the flood of hypothesis-failing kite
+    labelings on dense hosts never reaches the output. A search that runs
+    out of budget leaves its claims undecided: the parity census for the
+    full coloring; the degree-counting records of an edge, whose
+    coloring-based checks then do not run.
     """
     records = []
     delta = graph.max_degree()
-    # the cached class decision is the one max-degree search; the checkers reuse it
-    k = delta + 1 if graph.edges and classify_cached(graph, budget_ms) == 2 else delta
-    full = find_coloring(graph, k, budget_ms=budget_ms)
-    if full is not None:
+    k: int | str = "?"
+    try:
+        # the cached class decision is the one max-degree search; the checkers reuse it
+        k = delta + 1 if graph.edges and classify_cached(graph, budget_ms) == 2 else delta
+        full = find_coloring(graph, k, budget_ms=budget_ms)
+    except SearchBudgetExceeded:
+        records.append(VerificationRecord("parity-census", _ids(graph, f"k={k}"), {}, None))
+    else:
         records.append(check_parity(full))
-    anchored_kites: dict = {}
-    for kite in find_short_kites(graph):
-        anchored_kites.setdefault(edge_key(kite.apex, kite.rim1), []).append(kite)
     # the pair records come after every edge's records, in edge order
     pairs = {edge_key(p.u, p.v): p for p in find_full_deficiency_pairs(graph)}
     pair_records = []
     for e in graph.sorted_edges():
-        phi = find_coloring(graph, delta, hole=e, budget_ms=budget_ms)
+        try:
+            phi = find_coloring(graph, delta, hole=e, budget_ms=budget_ms)
+        except SearchBudgetExceeded as exc:
+            phi = exc
         records.append(check_vizing_adjacency(graph, *e, phi, budget_ms))
         if e in pairs:
             pair_records += [check_deficiency_pair(graph, pairs[e], phi, budget_ms),
                              check_single_subdelta(graph, pairs[e], phi, budget_ms)]
-        if phi is None:
+        if not isinstance(phi, PartialEdgeColoring):
             continue
         records.extend(check_multifan(phi, build_maximal_multifan(phi, center), budget_ms)
                        for center in e)
         paths = enumerate_kierstead_paths(phi)
         records.extend(check_kierstead(phi, path, budget_ms) for path in paths)
-        # phi is proper, so a kite's head is one of these paths exactly when
-        # its kierstead_through_rim1 hypothesis holds
-        heads = {path.vertices for path in paths}
-        for kite in anchored_kites.get(e, ()):
-            if (kite.apex, kite.rim1, kite.hub, kite.tail1) in heads:
-                records.extend(rec for rec in check_kite(phi, kite, budget_ms)
-                               if rec.verdict != "skipped")
+        # phi is proper, so any other kite at the hole fails its
+        # kierstead_through_rim1 hypothesis and would only be dropped
+        kites = sorted((kite for path in paths for kite in kites_with_head(graph, path.vertices)),
+                       key=_ROLE_ORDER)
+        for kite in kites:
+            records.extend(rec for rec in check_kite(phi, kite, budget_ms)
+                           if rec.verdict != "skipped")
     return records + pair_records

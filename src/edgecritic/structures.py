@@ -193,25 +193,17 @@ def enumerate_kierstead_paths(coloring: PartialEdgeColoring) -> list[KiersteadPa
     return out
 
 
-def find_short_kites(graph: Graph) -> list[ShortKite]:
-    """All labeled short-kite occurrences, ascending by role tuple."""
-    out = []
-    for hub in range(graph.n):
-        nbrs = sorted(graph.neighbors(hub))
-        for rim1 in nbrs:
-            for rim2 in nbrs:
-                if rim2 == rim1:
-                    continue
-                commons = graph.neighbors(rim1) & graph.neighbors(rim2)
-                for apex in sorted(commons):
-                    if apex == hub:
-                        continue
-                    rest = [w for w in nbrs if w not in (apex, rim1, rim2)]
-                    for tail1 in rest:
-                        for tail2 in rest:
-                            if tail2 != tail1:
-                                out.append(ShortKite(apex, rim1, rim2, hub, tail1, tail2))
-    return out
+def kites_with_head(graph: Graph, head: tuple[int, int, int, int]) -> list[ShortKite]:
+    """The short kites whose (apex, rim1, hub, tail1) is the given path,
+    ascending by (rim2, tail2); none when the head is not a path of the host."""
+    apex, rim1, hub, tail1 = head
+    if (len(set(head)) != 4 or not graph.has_edge(apex, rim1)
+            or not graph.has_edge(rim1, hub) or not graph.has_edge(hub, tail1)):
+        return []
+    spokes = graph.neighbors(hub)
+    return [ShortKite(apex, rim1, rim2, hub, tail1, tail2)
+            for rim2 in sorted((graph.neighbors(apex) & spokes) - {rim1, tail1})
+            for tail2 in sorted(spokes - {apex, rim1, rim2, tail1})]
 
 
 def find_full_deficiency_pairs(graph: Graph) -> list[FullDeficiencyPair]:

@@ -15,6 +15,7 @@ from edgecritic.graphs import (
     vertex_split,
 )
 from edgecritic.solver import classify
+from edgecritic.structures import ShortKite
 from edgecritic.verifier import SweepConfig, plan_instances
 
 
@@ -78,3 +79,26 @@ def corpus_hosts() -> list[Graph]:
     hosts.extend(cycle(k) for k in range(3, 10))
     hosts.append(petersen_minus_vertex())
     return hosts
+
+
+# The whole-graph kite enumerator: the independent reference that
+# `structures.kites_with_head` and the lemma battery are checked against.
+def find_short_kites(graph: Graph) -> list[ShortKite]:
+    """All labeled short-kite occurrences, ascending by role tuple."""
+    out = []
+    for hub in range(graph.n):
+        nbrs = sorted(graph.neighbors(hub))
+        for rim1 in nbrs:
+            for rim2 in nbrs:
+                if rim2 == rim1:
+                    continue
+                commons = graph.neighbors(rim1) & graph.neighbors(rim2)
+                for apex in sorted(commons):
+                    if apex == hub:
+                        continue
+                    rest = [w for w in nbrs if w not in (apex, rim1, rim2)]
+                    for tail1 in rest:
+                        for tail2 in rest:
+                            if tail2 != tail1:
+                                out.append(ShortKite(apex, rim1, rim2, hub, tail1, tail2))
+    return out

@@ -1,5 +1,6 @@
 """CLI surface: output shapes, exit codes, batch input."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import edgecritic.cli as cli
+import edgecritic.lemmas as lemmas
 from conftest import corpus_hosts
 from edgecritic.cli import build_named, main
 from edgecritic.coloring import PartialEdgeColoring
@@ -158,6 +160,37 @@ def test_lemmas_json_over_the_corpus_is_pinned(tmp_path, capsys):
     assert out.count(b"\n") == 7217
     assert hashlib.sha256(out).hexdigest() == \
         "b449ffaab0e349c801e255a77bd17aef2edb8393e120b4f1f972ee81a7e0fe68"
+
+
+def test_lemmas_streams_each_host_and_survives_a_search_out_of_budget(tmp_path, monkeypatch):
+    hosts = tmp_path / "two.g6"
+    hosts.write_text("Bw\nJ~|zz|~^{N_\n")  # a triangle, then a split of K10
+    first = io.StringIO()
+    with contextlib.redirect_stdout(first):
+        assert main(["lemmas", "--json", "--graph6", "Bw"]) == 0
+    printed_before = []
+    out = io.StringIO()
+
+    def battery(graph, budget_ms=None, _battery=cli.lemma_battery):
+        printed_before.append(out.getvalue())
+        return _battery(graph, budget_ms)
+
+    def boom(graph, k, hole=None, budget_ms=None, _find=lemmas.find_coloring):
+        if graph.n == 11 and hole is not None:
+            raise SearchBudgetExceeded("out of time")
+        return _find(graph, k, hole=hole, budget_ms=budget_ms)
+    monkeypatch.setattr(cli, "lemma_battery", battery)
+    monkeypatch.setattr(lemmas, "find_coloring", boom)
+    with contextlib.redirect_stdout(out):
+        assert main(["lemmas", "--json", "--file", str(hosts)]) == 3
+    # the triangle's records were printed before the second battery ran
+    assert printed_before == ["", first.getvalue()]
+    text = out.getvalue()
+    assert text.startswith(first.getvalue())
+    second = [record_from_json_line(ln) for ln in text[len(first.getvalue()):].splitlines()]
+    assert [r.verdict for r in second if r.lemma == "vizing-adjacency"] == ["undecided"] * 46
+    assert {r.lemma for r in second} == {"parity-census", "vizing-adjacency",
+                                         "deficiency-pair-degrees", "single-subdelta"}
 
 
 def test_sweep_m8_log_is_pinned(tmp_path, capsys):

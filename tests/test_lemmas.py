@@ -11,7 +11,8 @@ from hypothesis import given, settings
 
 import edgecritic.lemmas as lemmas
 import edgecritic.solver as solver
-from conftest import class_two_graphs
+import edgecritic.structures as structures
+from conftest import class_two_graphs, corpus_hosts, find_short_kites
 from edgecritic.coloring import ColoringError, PartialEdgeColoring
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import (
@@ -34,7 +35,7 @@ from edgecritic.lemmas import (
     lemma_battery,
     swap_rims_script,
 )
-from edgecritic.records import tally_verdicts
+from edgecritic.records import VerificationRecord, tally_verdicts
 from edgecritic.recolor import (
     ColorEdge,
     RecolorEdge,
@@ -60,7 +61,6 @@ from edgecritic.structures import (
     build_maximal_multifan,
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
-    find_short_kites,
     multifan_violation,
 )
 from edgecritic.verifier import SweepConfig, plan_instances
@@ -190,6 +190,18 @@ def test_degree_counting_checkers_need_evidence_of_the_hole():
         assert rec.verdict == "skipped"
         assert rec.hypotheses["class2"] is True
         assert rec.hypotheses["critical_edge"] is False
+    # a hole search that ran out is no evidence either way
+    ran_out = SearchBudgetExceeded("out of time")
+    for rec in (check_vizing_adjacency(host, 0, 1, ran_out),
+                check_deficiency_pair(host, pair, ran_out),
+                check_single_subdelta(host, pair, ran_out)):
+        assert rec.verdict == "undecided"
+        assert rec.hypotheses["class2"] is True
+        assert "critical_edge" not in rec.hypotheses
+    # on a class-1 host no edge is critical, whatever the search did
+    rec = check_vizing_adjacency(cycle(6), 0, 1, ran_out)
+    assert rec.verdict == "skipped"
+    assert rec.hypotheses == {"class2": False, "critical_edge": False}
 
 
 def test_deficiency_checkers_skip_bad_hypotheses():
@@ -511,11 +523,65 @@ def test_battery_makes_one_max_degree_search_per_host(monkeypatch):
     assert [k for k, hole in searched if hole is None] == [2, 3]
 
 
-def test_battery_raises_when_a_hole_search_runs_out(monkeypatch):
+def test_battery_leaves_an_edge_undecided_when_its_hole_search_runs_out(monkeypatch):
+    g = parse_graph6(r"Fj\|w")  # class 2, with kites and a full-deficiency pair at 0-1
+    want = lemma_battery(g)
+    iid = emit_graph6(g) + " e=0-1"
+    start = next(i for i, r in enumerate(want) if r.instance_id == iid)
+    end = next(i for i, r in enumerate(want)
+               if i > start and r.lemma in ("vizing-adjacency", "deficiency-pair-degrees"))
+    assert end - start > 3  # fans, paths and kites anchored at the hole
+    expect = want[:start] + [VerificationRecord("vizing-adjacency", iid, {"class2": True})]
+    for rec in want[end:]:
+        if rec.instance_id == emit_graph6(g) + " pair=0,1":
+            hyp = {k: v for k, v in rec.hypotheses.items() if k != "critical_edge"}
+            rec = VerificationRecord(rec.lemma, rec.instance_id, hyp)
+        expect.append(rec)
+
     def boom(graph, k, hole=None, budget_ms=None):
-        if hole is not None:
+        if hole == (0, 1):
             raise SearchBudgetExceeded("out of time")
-        return find_coloring(graph, k, budget_ms=budget_ms)
+        return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
     monkeypatch.setattr(lemmas, "find_coloring", boom)
-    with pytest.raises(SearchBudgetExceeded):
-        lemma_battery(cycle(5), budget_ms=1.0)
+    got = lemma_battery(g)
+    assert [r.to_json_line() for r in got] == [r.to_json_line() for r in expect]
+    assert tally_verdicts(got)["undecided"] == 3
+
+
+def test_battery_leaves_parity_undecided_when_the_full_search_runs_out(monkeypatch):
+    g = cycle(5)
+    want = lemma_battery(g)
+
+    def boom(graph, k, hole=None, budget_ms=None):
+        if hole is None:
+            raise SearchBudgetExceeded("out of time")
+        return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
+    monkeypatch.setattr(lemmas, "find_coloring", boom)
+    got = lemma_battery(g)
+    assert got[0].to_json_line() == VerificationRecord("parity-census", "Dhc k=3").to_json_line()
+    assert got[0].verdict == "undecided"
+    assert [r.to_json_line() for r in got[1:]] == [r.to_json_line() for r in want[1:]]
+
+    # with the class decision out of budget too, no claim that needs it is decided
+    def out_of_time(graph, budget_ms=None):
+        raise SearchBudgetExceeded("out of time")
+    monkeypatch.setattr(lemmas, "classify_cached", out_of_time)
+    got = lemma_battery(g)
+    assert got[0].instance_id == "Dhc k=?"
+    assert len(got) == len(want)
+    assert {r.verdict for r in got} == {"undecided", "skipped"}
+
+
+def test_battery_builds_only_the_kites_it_checks(monkeypatch):
+    built = []
+
+    def counted(*roles, _kite=ShortKite):
+        built.append(roles)
+        return _kite(*roles)
+    monkeypatch.setattr(structures, "ShortKite", counted)
+    calls = kite_checker_calls(monkeypatch)
+    for g in corpus_hosts():
+        lemma_battery(g)
+    # every kite built is checked: the battery lists no kite of the host whose
+    # head is not a Kierstead path of the hole
+    assert len(built) == len(calls) == 6714

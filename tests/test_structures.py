@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import class_two_graphs, small_graphs
+from conftest import class_two_graphs, find_short_kites, small_graphs
 from edgecritic.coloring import ColoringError, PartialEdgeColoring
-from edgecritic.graphs import complete, cycle, make_graph, petersen, petersen_minus_vertex
+from edgecritic.graph6 import parse_graph6
+from edgecritic.graphs import (
+    complete,
+    cube,
+    cycle,
+    make_graph,
+    petersen,
+    petersen_minus_vertex,
+)
 from edgecritic.solver import find_coloring
 from edgecritic.structures import (
     FullDeficiencyPair,
@@ -18,9 +26,9 @@ from edgecritic.structures import (
     build_maximal_multifan,
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
-    find_short_kites,
     kierstead_violation,
     kite_violation,
+    kites_with_head,
     multifan_violation,
 )
 
@@ -186,8 +194,28 @@ def test_kite_validators():
     assert kite_violation(g, ShortKite(1, 0, 3, 2, 4, 5)) == "missing edge (2, 4)"
 
 
-def test_find_short_kites_exact():
-    got = find_short_kites(kite_host())
+def four_vertex_paths(g):
+    """Every labelled path a-b-c-d of the host, as a head (apex, rim1, hub, tail1)."""
+    return [(a, b, c, d) for a in range(g.n) for b in g.neighbors(a)
+            for c in g.neighbors(b) for d in g.neighbors(c) if len({a, b, c, d}) == 4]
+
+
+def kites_by_head(g):
+    """The union of `kites_with_head` over every four-vertex path of the host."""
+    return [kite for head in four_vertex_paths(g) for kite in kites_with_head(g, head)]
+
+
+def role_order(kite):
+    return (kite.hub, kite.rim1, kite.rim2, kite.apex, kite.tail1, kite.tail2)
+
+
+def test_kites_with_head_exact():
+    g = kite_host()
+    assert kites_with_head(g, (0, 1, 3, 4)) == [ShortKite(0, 1, 2, 3, 4, 5)]
+    assert kites_with_head(g, (0, 1, 3, 5)) == [ShortKite(0, 1, 2, 3, 5, 4)]
+    assert kites_with_head(g, (0, 2, 3, 4)) == [ShortKite(0, 2, 1, 3, 4, 5)]
+    assert kites_with_head(g, (0, 2, 3, 5)) == [ShortKite(0, 2, 1, 3, 5, 4)]
+    got = sorted(kites_by_head(g), key=role_order)
     assert got == [
         ShortKite(0, 1, 2, 3, 4, 5),
         ShortKite(0, 1, 2, 3, 5, 4),
@@ -196,16 +224,41 @@ def test_find_short_kites_exact():
     ]
     for kite in got:
         assert kite_violation(kite_host(), kite) is None
+    # a head that is not a path of the host heads no kite
+    paths = set(four_vertex_paths(g))
+    for head in itertools.permutations(range(g.n), 4):
+        if head not in paths:
+            assert kites_with_head(g, head) == [], head
+    assert kites_with_head(g, (0, 1, 3, 0)) == []
+
+
+def test_kites_with_head_lists_role_order_within_a_head():
+    g = complete(7)
+    got = kites_with_head(g, (0, 1, 2, 3))
+    assert len(got) == 3 * 2  # rim2 from {4, 5, 6}, tail2 from the other two
+    assert got == sorted(got, key=lambda k: (k.rim2, k.tail2))
+    assert {(k.apex, k.rim1, k.hub, k.tail1) for k in got} == {(0, 1, 2, 3)}
+
+
+@pytest.mark.parametrize("g", [
+    kite_host(), complete(6), cube(), petersen(), cycle(6), complete(5),
+    parse_graph6(r"Fj\|w"), parse_graph6("HY|vzyT"),
+], ids=["kite-host", "k6", "cube", "petersen", "c6", "k5", "split-Fj", "split-HY"])
+def test_kites_with_head_cover_every_labelled_kite(g):
+    # the whole-graph enumerator is the independent reference
+    got = kites_by_head(g)
+    assert sorted(got, key=role_order) == find_short_kites(g)
+    assert len(set(got)) == len(got)
 
 
 def test_no_kites_in_small_or_cubic_hosts():
-    assert find_short_kites(complete(5)) == []  # needs six vertices
-    assert find_short_kites(petersen()) == []   # hub needs degree >= 4
-    assert find_short_kites(cycle(6)) == []
+    for g in (complete(5), petersen(), cycle(6)):  # too few vertices, hub degree < 4
+        assert four_vertex_paths(g)
+        assert kites_by_head(g) == []
 
 
 def test_k6_kite_count():
-    kites = find_short_kites(complete(6))
+    kites = kites_by_head(complete(6))
     assert len(kites) == 720
     assert len(set(kites)) == 720
 
@@ -213,8 +266,10 @@ def test_k6_kite_count():
 @settings(max_examples=50, deadline=None)
 @given(small_graphs(min_n=6, max_n=7))
 def test_found_kites_are_kites(g):
-    for kite in find_short_kites(g):
-        assert kite_violation(g, kite) is None
+    for head in four_vertex_paths(g):
+        for kite in kites_with_head(g, head):
+            assert kite_violation(g, kite) is None
+            assert (kite.apex, kite.rim1, kite.hub, kite.tail1) == head
 
 
 # ------------------------------------------------------------ deficiency pairs
