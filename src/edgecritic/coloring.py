@@ -98,8 +98,10 @@ class PartialEdgeColoring:
     def palette_mask(self) -> int:
         return self._core.full
 
+    # the hot queries read the core's arrays directly
+
     def color_of(self, u: int, v: int) -> int:
-        e = edge_key(u, v)
+        e = (u, v) if u <= v else (v, u)
         if e == self.uncolored:
             return 0
         try:
@@ -111,13 +113,13 @@ class PartialEdgeColoring:
         return self._core.present[v]
 
     def missing_mask(self, v: int) -> int:
-        return self._core.missing(v)
+        return self._core.full & ~self._core.present[v]
 
     def present(self, v: int) -> frozenset[int]:
         return frozenset(self._core.slot[v])
 
     def missing(self, v: int) -> frozenset[int]:
-        return frozenset(_bits(self.missing_mask(v)))
+        return frozenset(_bits(self._core.full & ~self._core.present[v]))
 
     def neighbor_via(self, v: int, c: int) -> int | None:
         return self._core.slot[v].get(c)
@@ -244,16 +246,19 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
     edge, the reached colorings are taken in turn: at each hole end, every
     (alpha, beta) path that starts there (alpha missing) is swapped on a copy
     of the coloring's core, and the result is slid again. Each edge keeps the
-    first coloring that reaches it, the start edge included. Every coloring is
-    built by the validating constructor when its edge is reached, so it is a
-    proper k-coloring whose one uncolored edge is its key.
+    first coloring that reaches it, and the start edge keeps `coloring`
+    itself. Every other coloring is built by the validating constructor when
+    its edge is reached, so each is a proper k-coloring whose one uncolored
+    edge is its key.
     """
     if coloring.uncolored is None:
         raise ColoringError("no uncolored edge")
     graph, k = coloring.graph, coloring.k
     start = coloring.uncolored
-    reached = {start: PartialEdgeColoring(graph, k, coloring.colored_items(), start)}
+    reached = {start: coloring}
     order = [start]
+    # per vertex, how many of its edges no coloring has reached yet
+    unreached = [graph.degree(v) - (v in start) for v in range(graph.n)]
 
     def slide(core, hole):
         x, y = hole
@@ -266,10 +271,8 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
                     del assign[new]
                     reached[new] = PartialEdgeColoring(graph, k, assign, new)
                     order.append(new)
-
-    def open_at(hole):
-        # a slide only ever reaches edges at the ends of the hole it starts from
-        return any(edge_key(p, w) not in reached for p in hole for w in graph.neighbors(p))
+                    unreached[new[0]] -= 1
+                    unreached[new[1]] -= 1
 
     slid = swapped = 0
     while len(reached) < len(graph.edges):
@@ -278,9 +281,10 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
             slid += 1
             slide(reached[hole]._core, hole)
         elif swapped < len(order):
-            hole = order[swapped]
+            hole = x, y = order[swapped]
             swapped += 1
-            if not open_at(hole):
+            # a slide only ever reaches edges at the ends of the hole it starts from
+            if not (unreached[x] or unreached[y]):
                 continue
             core = reached[hole]._core.copy()
             # each swap is undone before the next pair is drawn
@@ -289,7 +293,7 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
                 core.flip(p, b, a)
                 slide(core, hole)
                 core.flip(p, a, b)
-                if not open_at(hole):
+                if not (unreached[x] or unreached[y]):
                     break
         else:
             break

@@ -5,7 +5,8 @@ returns a VerificationRecord. Hypotheses are recorded as named booleans and
 never assumed: a false hypothesis skips the instance instead of asserting
 anything, and a solver-budget exhaustion leaves the conclusion undecided.
 Checkers judge the evidence they are given and make no coloring search of
-their own; the only solver call they make is the cached class decision.
+their own; the only solver call they make is the cached class decision, when
+the caller has not handed it over.
 """
 
 from __future__ import annotations
@@ -72,24 +73,35 @@ def _hole_colorable(graph: Graph, hole, evidence) -> bool | None:
             and _anchored(evidence, hole))
 
 
+def _decide_class(graph: Graph, budget_ms: float | None = None) -> int | SearchBudgetExceeded:
+    """The host's class from the class cache, or the SearchBudgetExceeded of a
+    class search that ran out of budget."""
+    try:
+        return classify_cached(graph, budget_ms)
+    except SearchBudgetExceeded as exc:
+        return exc
+
+
 def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> VerificationRecord:
     """The one road from a checker's evidence to its record.
 
     `hyp` holds the checker's own hypotheses. Once they all hold, `critical`,
-    unless None, is a (graph, colorable, budget_ms) triple that adds the
-    class2 hypothesis (from the class cache) and critical_edge: on a class-2
-    host the hole is critical exactly when the host minus it is max-degree
-    colorable. A class search that runs out of budget leaves the claim
+    unless None, is a (graph, host_class, colorable) triple that adds the
+    class2 hypothesis and critical_edge: on a class-2 host the hole is
+    critical exactly when the host minus it is max-degree colorable.
+    `host_class` is the caller's class decision (None decides it here, with no
+    budget). A class search that ran out of budget leaves the claim
     undecided, and so does a hole search that ran out (colorable None) on a
     class-2 host; a false hypothesis skips it. Otherwise `violation()`
     decides it: a witness dict fails it, None passes it.
     """
     if critical is not None and all(hyp.values()):
-        graph, colorable, budget_ms = critical
-        try:
-            class2 = classify_cached(graph, budget_ms) == 2
-        except SearchBudgetExceeded:
+        graph, host_class, colorable = critical
+        if host_class is None:
+            host_class = _decide_class(graph)
+        if isinstance(host_class, SearchBudgetExceeded):
             return VerificationRecord(name, iid, hyp, None)
+        class2 = host_class == 2
         if class2 and colorable is None:
             return VerificationRecord(name, iid, {**hyp, "class2": True}, None)
         hyp = {**hyp, "class2": class2, "critical_edge": class2 and colorable}
@@ -100,6 +112,9 @@ def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> Ver
 
 
 # ---------------------------------------------------------------------------
+# Checkers that need hole criticality take `host_class`, the caller's class
+# decision: 1, 2, or the SearchBudgetExceeded of a class search that ran out.
+#
 # degree-counting statements; each takes the max-degree coloring of the host
 # minus the checked edge that the caller searched for: None when there is
 # none, the SearchBudgetExceeded when the search ran out
@@ -107,7 +122,8 @@ def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> Ver
 
 def check_vizing_adjacency(graph: Graph, u: int, v: int,
                            hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
-                           budget_ms: float | None = None) -> VerificationRecord:
+                           host_class: int | SearchBudgetExceeded | None = None
+                           ) -> VerificationRecord:
     """A critical edge forces many max-degree neighbors at both endpoints."""
     delta = graph.max_degree()
 
@@ -121,7 +137,7 @@ def check_vizing_adjacency(graph: Graph, u: int, v: int,
         return None
 
     return _gate("vizing-adjacency", _ids(graph, f"e={u}-{v}"), {},
-                 (graph, _hole_colorable(graph, (u, v), hole_coloring), budget_ms), violation)
+                 (graph, host_class, _hole_colorable(graph, (u, v), hole_coloring)), violation)
 
 
 def _pair_hypotheses(graph: Graph, pair: FullDeficiencyPair) -> dict[str, bool]:
@@ -132,7 +148,8 @@ def _pair_hypotheses(graph: Graph, pair: FullDeficiencyPair) -> dict[str, bool]:
 
 def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
                           hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
-                          budget_ms: float | None = None) -> VerificationRecord:
+                          host_class: int | SearchBudgetExceeded | None = None
+                          ) -> VerificationRecord:
     """Degree structure around a critical edge whose ends have full deficiency."""
     a, b = pair.u, pair.v
     delta = graph.max_degree()
@@ -164,12 +181,13 @@ def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
 
     return _gate("deficiency-pair-degrees", _ids(graph, f"pair={a},{b}"),
                  _pair_hypotheses(graph, pair),
-                 (graph, _hole_colorable(graph, (a, b), hole_coloring), budget_ms), violation)
+                 (graph, host_class, _hole_colorable(graph, (a, b), hole_coloring)), violation)
 
 
 def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
                           hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
-                          budget_ms: float | None = None) -> VerificationRecord:
+                          host_class: int | SearchBudgetExceeded | None = None
+                          ) -> VerificationRecord:
     """With max degree at least 3(n-1)/4, at most one outside vertex sits one below it."""
     a, b = pair.u, pair.v
     delta = graph.max_degree()
@@ -182,7 +200,7 @@ def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
         return {"vertices": nearly} if len(nearly) > 1 else None
 
     return _gate("single-subdelta", _ids(graph, f"pair={a},{b}"), hyp,
-                 (graph, _hole_colorable(graph, (a, b), hole_coloring), budget_ms), violation)
+                 (graph, host_class, _hole_colorable(graph, (a, b), hole_coloring)), violation)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +223,7 @@ def check_parity(coloring: PartialEdgeColoring) -> VerificationRecord:
 
 
 def check_multifan(coloring: PartialEdgeColoring, fan: Multifan,
-                   budget_ms: float | None = None) -> VerificationRecord:
+                   host_class: int | SearchBudgetExceeded | None = None) -> VerificationRecord:
     """Multifan vertices are elementary and center/leaf pairs are chain-linked."""
     g = coloring.graph
     r = fan.center
@@ -224,11 +242,11 @@ def check_multifan(coloring: PartialEdgeColoring, fan: Multifan,
         return None
 
     return _gate("multifan-elementary", _ids(g, f"fan={r}:{','.join(map(str, fan.leaves))}"),
-                 hyp, (g, True, budget_ms), violation)
+                 hyp, (g, host_class, True), violation)
 
 
 def check_kierstead(coloring: PartialEdgeColoring, path: KiersteadPath,
-                    budget_ms: float | None = None) -> VerificationRecord:
+                    host_class: int | SearchBudgetExceeded | None = None) -> VerificationRecord:
     """Four-vertex path: low inner degree forces elementarity; tail overlap is at most one."""
     g = coloring.graph
     vs = path.vertices
@@ -245,7 +263,7 @@ def check_kierstead(coloring: PartialEdgeColoring, path: KiersteadPath,
         return {"part": "tail-overlap", "colors": sorted(overlap)} if len(overlap) > 1 else None
 
     return _gate("kierstead-path", _ids(g, "path=" + "-".join(map(str, vs))),
-                 hyp, (g, True, budget_ms), violation)
+                 hyp, (g, host_class, True), violation)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +307,8 @@ def _kite_hypotheses(coloring: PartialEdgeColoring, kite: ShortKite
 
 
 def check_kite(coloring: PartialEdgeColoring, kite: ShortKite,
-               budget_ms: float | None = None) -> tuple[VerificationRecord, VerificationRecord]:
+               host_class: int | SearchBudgetExceeded | None = None
+               ) -> tuple[VerificationRecord, VerificationRecord]:
     """Both short-kite statements on one kite anchored at the hole.
 
     short-kite-degree: under the twin-path hypotheses one kite tail must reach
@@ -299,7 +318,7 @@ def check_kite(coloring: PartialEdgeColoring, kite: ShortKite,
     g = coloring.graph
     iid = _ids(g, "kite=" + ",".join(map(str, kite.vertex_set())))
     kite_hyp, route_hyp, (_, _, delt, eta) = _kite_hypotheses(coloring, kite)
-    critical = (g, True, budget_ms)
+    critical = (g, host_class, True)
 
     def tail_violation():
         dx, dy = g.degree(kite.tail1), g.degree(kite.tail2)
@@ -372,25 +391,31 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
     Each edge is searched once for a coloring of the host minus it; that
     coloring anchors the coloring-based checks and decides hole criticality
     for the degree-counting ones. Skipped records are kept, except those of
-    kites: the kites checked at a hole are built from its Kierstead paths,
-    each path the head (apex, rim1, hub, tail1) of its kites, and their
-    skipped records are dropped, so the flood of hypothesis-failing kite
-    labelings on dense hosts never reaches the output. A search that runs
-    out of budget leaves its claims undecided: the parity census for the
-    full coloring; the degree-counting records of an edge, whose
+    kites: the kites checked at a hole are only those whose two rim paths are
+    Kierstead paths of its coloring, each built from the Kierstead path that
+    heads it (apex, rim1, hub, tail1), and their skipped records are dropped,
+    so the flood of hypothesis-failing kite labelings on dense hosts never
+    reaches the output. A search that runs out of budget leaves its claims
+    undecided and is not retried: the class decision, made once for the
+    host, every claim that needs the class; the full coloring, the parity
+    census; a hole search, the degree-counting records of its edge, whose
     coloring-based checks then do not run.
     """
     records = []
     delta = graph.max_degree()
-    k: int | str = "?"
-    try:
-        # the cached class decision is the one max-degree search; the checkers reuse it
-        k = delta + 1 if graph.edges and classify_cached(graph, budget_ms) == 2 else delta
-        full = find_coloring(graph, k, budget_ms=budget_ms)
-    except SearchBudgetExceeded:
-        records.append(VerificationRecord("parity-census", _ids(graph, f"k={k}"), {}, None))
+    # the class decision is the one max-degree search of the whole host;
+    # every checker is handed its outcome
+    host_class = _decide_class(graph, budget_ms) if graph.edges else 1
+    if isinstance(host_class, SearchBudgetExceeded):
+        records.append(VerificationRecord("parity-census", _ids(graph, "k=?"), {}, None))
     else:
-        records.append(check_parity(full))
+        k = delta + 1 if host_class == 2 else delta
+        try:
+            full = find_coloring(graph, k, budget_ms=budget_ms)
+        except SearchBudgetExceeded:
+            records.append(VerificationRecord("parity-census", _ids(graph, f"k={k}"), {}, None))
+        else:
+            records.append(check_parity(full))
     # the pair records come after every edge's records, in edge order
     pairs = {edge_key(p.u, p.v): p for p in find_full_deficiency_pairs(graph)}
     pair_records = []
@@ -399,21 +424,23 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
             phi = find_coloring(graph, delta, hole=e, budget_ms=budget_ms)
         except SearchBudgetExceeded as exc:
             phi = exc
-        records.append(check_vizing_adjacency(graph, *e, phi, budget_ms))
+        records.append(check_vizing_adjacency(graph, *e, phi, host_class))
         if e in pairs:
-            pair_records += [check_deficiency_pair(graph, pairs[e], phi, budget_ms),
-                             check_single_subdelta(graph, pairs[e], phi, budget_ms)]
+            pair_records += [check_deficiency_pair(graph, pairs[e], phi, host_class),
+                             check_single_subdelta(graph, pairs[e], phi, host_class)]
         if not isinstance(phi, PartialEdgeColoring):
             continue
-        records.extend(check_multifan(phi, build_maximal_multifan(phi, center), budget_ms)
+        records.extend(check_multifan(phi, build_maximal_multifan(phi, center), host_class)
                        for center in e)
         paths = enumerate_kierstead_paths(phi)
-        records.extend(check_kierstead(phi, path, budget_ms) for path in paths)
-        # phi is proper, so any other kite at the hole fails its
-        # kierstead_through_rim1 hypothesis and would only be dropped
-        kites = sorted((kite for path in paths for kite in kites_with_head(graph, path.vertices)),
+        records.extend(check_kierstead(phi, path, host_class) for path in paths)
+        # each path heads the kites whose rim1 path it is; any other kite at
+        # the hole fails a kierstead_through_rim hypothesis, so its records
+        # would only be dropped
+        kites = sorted((kite for path in paths
+                        for kite in kites_with_head(graph, path.vertices, phi)),
                        key=_ROLE_ORDER)
         for kite in kites:
-            records.extend(rec for rec in check_kite(phi, kite, budget_ms)
+            records.extend(rec for rec in check_kite(phi, kite, host_class)
                            if rec.verdict != "skipped")
     return records + pair_records

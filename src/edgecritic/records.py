@@ -15,6 +15,10 @@ class RecordError(ValueError):
     pass
 
 
+# one encoder for every record line; json.dumps would build one per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class VerificationRecord:
     """Outcome of checking one claim on one instance.
@@ -50,7 +54,7 @@ class VerificationRecord:
         }
         if self.witness is not None:
             payload["witness"] = self.witness
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(payload)
 
 
 def record_from_json_line(line: str) -> VerificationRecord:

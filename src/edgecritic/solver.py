@@ -11,6 +11,7 @@ enumeration mode disables that and yields every proper coloring.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 
 from .coloring import MutableColoring, PartialEdgeColoring, propagate_certificates
 from .graphs import Edge, Graph, GraphError, edge_key
@@ -35,31 +36,36 @@ class _Budget:
             raise SearchBudgetExceeded("time budget exceeded")
 
 
-def _search_order(graph: Graph, hole: Edge | None) -> list[Edge]:
-    edges = [e for e in graph.edges if e != hole]
-    edges.sort(key=lambda e: (-(graph.degree(e[0]) + graph.degree(e[1])), e))
-    return edges
+@lru_cache(maxsize=1)
+def _search_plan(graph: Graph) -> tuple[list[Edge], list[list[Edge]]]:
+    """The static edge order (decreasing endpoint degree sum) and, for each
+    edge, the later edges that share an end with it. One plan serves every
+    search of the host, which only reads it; a hole search leaves the hole
+    out of both."""
+    edges = sorted(graph.edges, key=lambda e: (-(graph.degree(e[0]) + graph.degree(e[1])), e))
+    return edges, [[f for f in edges[i + 1:] if f[0] in e or f[1] in e]
+                   for i, e in enumerate(edges)]
 
 
 def _solve(graph: Graph, k: int, hole: Edge | None, budget: _Budget, enumerate_all: bool):
     """Yield full assignments (edge -> color) extending the hole, exhaustively."""
     if hole is not None and hole not in graph.edges:
         raise GraphError(f"hole edge {hole} not in graph")
-    edges = _search_order(graph, hole)
-    m = len(edges)
+    m = len(graph.edges) - (hole is not None)
     cap = graph.n // 2
     if k * cap < m:
         return
     if any(graph.degree(v) - (hole is not None and v in hole) > k for v in range(graph.n)):
         return
+    edges, incident_later = _search_plan(graph)
+    if hole is not None:
+        h = edges.index(hole)
+        edges = edges[:h] + edges[h + 1:]
+        incident_later = ([[f for f in fs if f != hole] for fs in incident_later[:h]]
+                          + incident_later[h + 1:])
     avail = [(1 << (k + 1)) - 2 for _ in range(graph.n)]
     class_size = [0] * (k + 1)
     chosen = [0] * m
-    incident_later = [[] for _ in range(m)]
-    for i, (u, v) in enumerate(edges):
-        for j in range(i + 1, m):
-            if edges[j][0] in (u, v) or edges[j][1] in (u, v):
-                incident_later[i].append(j)
 
     def rec(i, used_max):
         budget.tick()
@@ -81,8 +87,7 @@ def _solve(graph: Graph, k: int, hole: Edge | None, budget: _Budget, enumerate_a
             class_size[c] += 1
             chosen[i] = c
             ok = True
-            for j in incident_later[i]:
-                a, b = edges[j]
+            for a, b in incident_later[i]:
                 if not avail[a] & avail[b]:
                     ok = False
                     break

@@ -193,9 +193,14 @@ def enumerate_kierstead_paths(coloring: PartialEdgeColoring) -> list[KiersteadPa
     return out
 
 
-def kites_with_head(graph: Graph, head: tuple[int, int, int, int]) -> list[ShortKite]:
+def kites_with_head(graph: Graph, head: tuple[int, int, int, int],
+                    coloring: PartialEdgeColoring | None = None) -> list[ShortKite]:
     """The short kites whose (apex, rim1, hub, tail1) is the given path,
-    ascending by (rim2, tail2); none when the head is not a path of the host."""
+    ascending by (rim2, tail2); none when the head is not a path of the host.
+
+    Given a coloring, only the kites whose rim2 path (rim1, apex, rim2, hub,
+    tail2) is a Kierstead path of it are listed, and only these are built.
+    """
     apex, rim1, hub, tail1 = head
     if (len(set(head)) != 4 or not graph.has_edge(apex, rim1)
             or not graph.has_edge(rim1, hub) or not graph.has_edge(hub, tail1)):
@@ -203,7 +208,9 @@ def kites_with_head(graph: Graph, head: tuple[int, int, int, int]) -> list[Short
     spokes = graph.neighbors(hub)
     return [ShortKite(apex, rim1, rim2, hub, tail1, tail2)
             for rim2 in sorted((graph.neighbors(apex) & spokes) - {rim1, tail1})
-            for tail2 in sorted(spokes - {apex, rim1, rim2, tail1})]
+            for tail2 in sorted(spokes - {apex, rim1, rim2, tail1})
+            if coloring is None or kierstead_violation(
+                coloring, KiersteadPath((rim1, apex, rim2, hub, tail2))) is None]
 
 
 def find_full_deficiency_pairs(graph: Graph) -> list[FullDeficiencyPair]:

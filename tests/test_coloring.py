@@ -452,7 +452,7 @@ def test_propagated_certificates_are_hole_colorings(g):
     if phi is None:
         return  # no edge of this host is critical
     certs = propagate_certificates(phi)
-    assert certs[phi.uncolored] == phi
+    assert certs[phi.uncolored] is phi  # the seed is its own certificate
     for e, cert in certs.items():
         assert cert.graph == g and cert.uncolored == e and cert.k == delta
         assert_proper(cert)

@@ -61,6 +61,7 @@ from edgecritic.structures import (
     build_maximal_multifan,
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
+    kites_with_head,
     multifan_violation,
 )
 from edgecritic.verifier import SweepConfig, plan_instances
@@ -103,13 +104,17 @@ def test_vizing_adjacency_skips_class_one():
 
 
 def test_vizing_adjacency_undecided_on_budget(monkeypatch):
-    def boom(graph, budget_ms=None):
-        raise SearchBudgetExceeded("out of time")
-    monkeypatch.setattr(lemmas, "classify_cached", boom)
-    rec = check_vizing_adjacency(cycle(5), 0, 1, None, budget_ms=1.0)
+    # the caller's class search ran out of budget
+    rec = check_vizing_adjacency(cycle(5), 0, 1, None, SearchBudgetExceeded("out of time"))
     assert rec.verdict == "undecided"
     assert rec.hypotheses == {}
     assert rec.conclusion is None
+
+    # left to the checker, the class search runs out the same way
+    def boom(graph, budget_ms=None):
+        raise SearchBudgetExceeded("out of time")
+    monkeypatch.setattr(lemmas, "classify_cached", boom)
+    assert check_vizing_adjacency(cycle(5), 0, 1, None) == rec
 
 
 def test_parity_checker():
@@ -580,8 +585,91 @@ def test_battery_builds_only_the_kites_it_checks(monkeypatch):
         return _kite(*roles)
     monkeypatch.setattr(structures, "ShortKite", counted)
     calls = kite_checker_calls(monkeypatch)
+    total = 0
     for g in corpus_hosts():
-        lemma_battery(g)
+        start = len(calls)
+        records = lemma_battery(g)
+        # every kite checked keeps its short-kite-degree record
+        kept = [r.instance_id for r in records if r.lemma == "short-kite-degree"]
+        assert kept == [emit_graph6(g) + " kite=" + ",".join(map(str, kite.vertex_set()))
+                        for _, kite in calls[start:]], emit_graph6(g)
+        total += len(kept)
     # every kite built is checked: the battery lists no kite of the host whose
-    # head is not a Kierstead path of the hole
-    assert len(built) == len(calls) == 6714
+    # rim paths are not both Kierstead paths of the hole
+    assert len(built) == len(calls) == total == 3094
+
+
+def _role(kite):
+    return (kite.hub, kite.rim1, kite.rim2, kite.apex, kite.tail1, kite.tail2)
+
+
+def admissible_reference(phi):
+    """The kites at the hole of phi that pass both kierstead_through_rim
+    hypotheses, from `kites_with_head` over every four-vertex head that starts
+    with the hole, in role order."""
+    g = phi.graph
+    a, b = phi.uncolored
+    out = []
+    for v0, v1 in ((a, b), (b, a)):
+        for v2 in sorted(g.neighbors(v1)):
+            for v3 in sorted(g.neighbors(v2)):
+                for kite in kites_with_head(g, (v0, v1, v2, v3)):
+                    hyp = KITE_HYPOTHESES(phi, kite)[0]
+                    if hyp["kierstead_through_rim1"] and hyp["kierstead_through_rim2"]:
+                        out.append(kite)
+    return sorted(out, key=_role)
+
+
+def test_battery_checks_exactly_the_admissible_kites(monkeypatch):
+    calls = kite_checker_calls(monkeypatch)
+    colorings = []
+
+    def logged(graph, k, hole=None, budget_ms=None):
+        found = find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
+        if hole is not None and found is not None:
+            colorings.append(found)
+        return found
+    monkeypatch.setattr(lemmas, "find_coloring", logged)
+    checked = 0
+    for g in corpus_hosts() + [parse_graph6(r"Fj\|w"), parse_graph6("HY|vzyT")]:
+        del calls[:], colorings[:]
+        lemma_battery(g)
+        assert colorings
+        at = {}
+        for phi, kite in calls:
+            at.setdefault(id(phi), []).append(kite)
+        for phi in colorings:
+            assert at.pop(id(phi), []) == admissible_reference(phi), (emit_graph6(g), phi.uncolored)
+        assert not at  # every checked kite sits at a hole coloring of the battery
+        checked += len(calls)
+    assert checked > 3094  # the two splits add their kites to the corpus's
+
+
+def test_battery_decides_the_class_once_when_it_runs_out(monkeypatch):
+    g = parse_graph6(r"Fj\|w")  # class 2, every record of it passes
+    want = lemma_battery(g)
+    assert {r.verdict for r in want} == {"pass"}
+    attempts = []
+
+    def out_of_time(graph, budget_ms=None):
+        attempts.append(graph)
+        raise SearchBudgetExceeded("out of time")
+    monkeypatch.setattr(lemmas, "classify_cached", out_of_time)
+    got = lemma_battery(g)
+    assert attempts == [g]
+    # every claim needs the class, so each record is left undecided with the
+    # checker's own hypotheses
+    expect = [VerificationRecord("parity-census", emit_graph6(g) + " k=?")]
+    expect += [VerificationRecord(r.lemma, r.instance_id,
+                                  {k: v for k, v in r.hypotheses.items()
+                                   if k not in ("class2", "critical_edge")})
+               for r in want[1:]]
+    assert [r.to_json_line() for r in got] == [r.to_json_line() for r in expect]
+    assert len(got) == 213
+
+
+def test_battery_builds_one_search_plan_per_host():
+    for g in corpus_hosts():
+        solver._search_plan.cache_clear()
+        lemma_battery(g)
+        assert solver._search_plan.cache_info().misses == 1, emit_graph6(g)

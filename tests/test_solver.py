@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import edgecritic.solver as solver
-from conftest import assert_proper, small_graphs
+from conftest import assert_proper, corpus_hosts, small_graphs
 from edgecritic.graphs import (
     GraphError,
     complete,
@@ -84,6 +84,20 @@ def test_find_coloring_hole():
     assert_proper(col)
     with pytest.raises(GraphError):
         find_coloring(cycle(5), 2, hole=(0, 2))
+
+
+def test_hole_searches_do_not_depend_on_search_order():
+    # the host's search plan is cached and shared by its hole searches; it
+    # carries nothing from one search to the next
+    for g in corpus_hosts():
+        delta = g.max_degree()
+        edges = g.sorted_edges()
+        forward = [find_coloring(g, delta, hole=e) for e in edges]
+        backward = [find_coloring(g, delta, hole=e) for e in reversed(edges)]
+        assert forward == backward[::-1], g
+        for e, found in zip(edges, forward):
+            solver._search_plan.cache_clear()
+            assert find_coloring(g, delta, hole=e) == found, (g, e)
 
 
 def test_find_delta_coloring():

@@ -272,6 +272,23 @@ def test_found_kites_are_kites(g):
             assert (kite.apex, kite.rim1, kite.hub, kite.tail1) == head
 
 
+@pytest.mark.parametrize("g", [parse_graph6(r"Fj\|w"), parse_graph6("HY|vzyT")],
+                         ids=["split-Fj", "split-HY"])
+def test_kites_with_head_keeps_the_kites_whose_rim2_path_is_kierstead(g):
+    kept = 0
+    for e in g.sorted_edges():
+        phi = find_coloring(g, g.max_degree(), hole=e)
+        for head in four_vertex_paths(g):
+            if head[:2] not in (e, e[::-1]):
+                continue
+            want = [k for k in kites_with_head(g, head)
+                    if kierstead_violation(phi, KiersteadPath(
+                        (k.rim1, k.apex, k.rim2, k.hub, k.tail2))) is None]
+            assert kites_with_head(g, head, phi) == want, (e, head)
+            kept += len(want)
+    assert kept > 0
+
+
 # ------------------------------------------------------------ deficiency pairs
 
 def test_full_deficiency_pairs_exact():
