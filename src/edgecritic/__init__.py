@@ -12,16 +12,12 @@ from .coloring import (
     LinkageError,
     PartialEdgeColoring,
     are_linked,
-    chain_ray,
-    color_uncolored,
     coloring_from_text,
     elementary_violation,
     kempe_chain,
     kempe_swap,
     parity_census,
-    ray_swap,
     recolor_edge,
-    slide_uncolored,
     subchain_swap,
 )
 from .enumeration import enumerate_regular_graphs, enumerate_small_graphs
@@ -54,7 +50,6 @@ from .graphs import (
     vertex_split,
 )
 from .lemmas import (
-    build_contradiction_script,
     check_deficiency_pair,
     check_kierstead,
     check_kite,
@@ -63,19 +58,6 @@ from .lemmas import (
     check_single_subdelta,
     check_vizing_adjacency,
     lemma_battery,
-    swap_rims_script,
-)
-from .recolor import (
-    ColorEdge,
-    RecolorEdge,
-    ScriptResult,
-    ScriptStepError,
-    SlideUncolored,
-    SwapChainAt,
-    SwapRay,
-    SwapSubchain,
-    apply_step,
-    execute_script,
 )
 from .records import (
     RecordError,

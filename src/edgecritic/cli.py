@@ -314,7 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     except SearchBudgetExceeded:
         print("error: time budget exhausted before a verdict", file=sys.stderr)
         return 3
-    except (GraphError, Graph6Error, ColoringError, RecordError, OSError) as exc:
+    except (GraphError, Graph6Error, ColoringError, RecordError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

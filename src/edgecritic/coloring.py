@@ -408,22 +408,6 @@ def kempe_chain(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int) ->
     return KempeChain(tuple(vertices), tuple(edges), (alpha, beta), False)
 
 
-def chain_ray(coloring: PartialEdgeColoring, x: int, via: int, alpha: int, beta: int) -> KempeChain:
-    """The alternating segment from x through its neighbor `via` to the end.
-
-    On a cycle component this is everything except x's other chain edge.
-    """
-    _check_chain_args(coloring, x, alpha, beta)
-    first = coloring.color_of(x, via)
-    if first not in (alpha, beta):
-        raise LinkageError(f"edge ({x}, {via}) carries color {first}, not {alpha} or {beta}")
-    second = beta if first == alpha else alpha
-    verts, edges, closed = _walk(coloring._core.slot, x, first, second)
-    if closed:
-        verts, edges = verts, edges[:-1]
-    return KempeChain((x, *verts), tuple(edges), (alpha, beta), False)
-
-
 def _swap_chain_edges(coloring, edges, alpha, beta):
     changes = {}
     for e in edges:
@@ -462,12 +446,6 @@ def subchain_swap(coloring: PartialEdgeColoring, x: int, y: int, alpha: int, bet
     return _swap_chain_edges(coloring, chain.edges[lo:hi], alpha, beta)
 
 
-def ray_swap(coloring: PartialEdgeColoring, x: int, via: int, alpha: int, beta: int) -> PartialEdgeColoring:
-    """Exchange colors on the segment from x through `via` to the component end."""
-    ray = chain_ray(coloring, x, via, alpha, beta)
-    return _swap_chain_edges(coloring, ray.edges, alpha, beta)
-
-
 # ---------------------------------------------------------------------------
 # single-edge operations
 
@@ -475,30 +453,12 @@ def ray_swap(coloring: PartialEdgeColoring, x: int, via: int, alpha: int, beta: 
 def recolor_edge(coloring: PartialEdgeColoring, u: int, v: int, to: int) -> PartialEdgeColoring:
     current = coloring.color_of(u, v)
     if current == 0:
-        raise ColoringError(f"edge ({u}, {v}) is uncolored; use color_uncolored")
+        raise ColoringError(f"edge ({u}, {v}) is the uncolored edge; give it a color with with_changes")
     if not 1 <= to <= coloring.k:
         raise ColoringError(f"color {to} outside palette [1, {coloring.k}]")
     if to == current:
         return coloring
     return coloring.with_changes({(u, v): to})
-
-
-def color_uncolored(coloring: PartialEdgeColoring, c: int) -> PartialEdgeColoring:
-    if coloring.uncolored is None:
-        raise ColoringError("no uncolored edge")
-    if not 1 <= c <= coloring.k:
-        raise ColoringError(f"color {c} outside palette [1, {coloring.k}]")
-    return coloring.with_changes({coloring.uncolored: c})
-
-
-def slide_uncolored(coloring: PartialEdgeColoring, fill: int, new_hole: Edge) -> PartialEdgeColoring:
-    """Color the current hole with `fill` while uncoloring `new_hole` atomically."""
-    if coloring.uncolored is None:
-        raise ColoringError("no uncolored edge")
-    e = edge_key(*new_hole)
-    if coloring.color_of(*e) == 0:
-        raise ColoringError(f"edge {e} is already the uncolored edge")
-    return coloring.with_changes({coloring.uncolored: fill, e: 0})
 
 
 # ---------------------------------------------------------------------------

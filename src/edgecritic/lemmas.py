@@ -15,7 +15,6 @@ from functools import lru_cache
 from operator import attrgetter
 
 from .coloring import (
-    ColoringError,
     PartialEdgeColoring,
     are_linked,
     elementary_violation,
@@ -24,14 +23,6 @@ from .coloring import (
 )
 from .graph6 import emit_graph6
 from .graphs import Graph, distance, edge_key
-from .recolor import (
-    ColorEdge,
-    RecolorEdge,
-    SlideUncolored,
-    Step,
-    SwapRay,
-    SwapSubchain,
-)
 from .records import VerificationRecord
 from .solver import SearchBudgetExceeded, classify_cached, find_coloring
 from .structures import (
@@ -340,41 +331,6 @@ def check_kite(coloring: PartialEdgeColoring, kite: ShortKite,
 
     return (_gate("short-kite-degree", iid, kite_hyp, critical, tail_violation),
             _gate("kite-chain-route", iid, route_hyp, critical, route_violation))
-
-
-def build_contradiction_script(coloring: PartialEdgeColoring,
-                               kite: ShortKite) -> list[Step]:
-    """The five-step rewrite that would finish a full coloring of the host.
-
-    On a genuinely class-2 host the executor must reject it partway; reaching
-    the end would certify the host class 1 and refute the input assumption.
-    """
-    _, hyp, labels = _kite_hypotheses(coloring, kite)
-    bad = [k for k, v in hyp.items() if not v]
-    if bad:
-        raise ColoringError(f"instance not in normalized shape: {', '.join(bad)}")
-    base, gamma, delt, eta = labels
-    a, b = kite.apex, kite.rim1
-    u, x, y = kite.hub, kite.tail1, kite.tail2
-    return [
-        RecolorEdge(edge_key(u, x), gamma, eta),
-        SwapSubchain(u, y, eta, delt),
-        RecolorEdge(edge_key(u, b), delt, base),
-        SwapRay(u, y, base, gamma),
-        ColorEdge(edge_key(a, b), delt),
-    ]
-
-
-def swap_rims_script(coloring: PartialEdgeColoring,
-                     kite: ShortKite) -> tuple[list[Step], ShortKite]:
-    """Move the hole from apex-rim1 to apex-rim2 and exchange the rim roles."""
-    a, b, c = kite.apex, kite.rim1, kite.rim2
-    if coloring.uncolored != edge_key(a, b):
-        raise ColoringError(f"hole is {coloring.uncolored}, not ({a}, {b})")
-    steps: list[Step] = [SlideUncolored(edge_key(a, c))]
-    relabeled = ShortKite(apex=a, rim1=c, rim2=b, hub=kite.hub,
-                          tail1=kite.tail1, tail2=kite.tail2)
-    return steps, relabeled
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,18 @@ def test_batch_from_file(tmp_path, capsys):
     assert "no input graphs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, argv", [
+    ("hosts.g6", "C~\nCé\n", ["lemmas", "--file"]),
+    ("run.jsonl", '{"lemma":"é"}\n', ["theorem1", "--m-max", "4", "--resume", "--log"]),
+], ids=["graph6-file", "resume-log"])
+def test_non_ascii_input_exits_two(tmp_path, capsys, name, text, argv):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'ascii' codec can't decode")
+    assert path.read_bytes() == text.encode("utf-8")
+
+
 def test_usage_and_input_errors(capsys):
     assert main(["chi", "--builder", "nope"]) == 2
     assert "unknown builder" in capsys.readouterr().err

@@ -12,17 +12,13 @@ from edgecritic.coloring import (
     MutableColoring,
     PartialEdgeColoring,
     are_linked,
-    chain_ray,
-    color_uncolored,
     coloring_from_text,
     elementary_violation,
     kempe_chain,
     kempe_swap,
     parity_census,
     propagate_certificates,
-    ray_swap,
     recolor_edge,
-    slide_uncolored,
     subchain_swap,
 )
 from edgecritic.graph6 import parse_graph6
@@ -147,6 +143,10 @@ def test_with_changes_uncolor_and_errors():
         holed.with_changes({(0, 2): 0})
     with pytest.raises(GraphError):
         col.with_changes({(0, 7): 1})
+    before = holed.colored_items()
+    with pytest.raises(ImproperColoringError):
+        holed.with_changes({(0, 1): 2, (1, 2): 0})  # fill 2 clashes with (0,2) at vertex 0
+    assert holed.colored_items() == before  # original untouched
 
 
 # ------------------------------------------------------------ text form
@@ -274,34 +274,6 @@ def test_subchain_swap_cycle():
         subchain_swap(c4_two_colors(), 0, 2, 1, 2)
 
 
-def test_chain_ray_shape():
-    ray = chain_ray(c5_coloring(), 2, 1, 1, 2)
-    assert ray.vertices == (2, 1, 0)
-    assert ray.edges == ((1, 2), (0, 1))
-    assert not ray.is_cycle
-
-
-def test_chain_ray_on_cycle_drops_return_edge():
-    ray = chain_ray(c4_two_colors(), 0, 1, 1, 2)
-    assert ray.vertices == (0, 1, 2, 3)
-    assert ray.edges == ((0, 1), (1, 2), (2, 3))
-
-
-def test_chain_ray_wrong_color():
-    with pytest.raises(LinkageError, match="carries color 3"):
-        chain_ray(c5_coloring(), 0, 4, 1, 2)
-
-
-def test_ray_swap_from_endpoint():
-    col = c5_coloring()
-    assert ray_swap(col, 0, 1, 1, 2) == kempe_swap(col, 0, 1, 2)
-
-
-def test_ray_swap_interior_clash():
-    with pytest.raises(ImproperColoringError):
-        ray_swap(c5_coloring(), 2, 1, 1, 2)
-
-
 # ------------------------------------------------------------ edge ops
 
 def test_recolor_edge():
@@ -318,42 +290,8 @@ def test_recolor_edge():
 def test_recolor_edge_rejects_hole():
     g = make_graph(2, [(0, 1)])
     col = PartialEdgeColoring(g, 1, {}, uncolored=(0, 1))
-    with pytest.raises(ColoringError, match="use color_uncolored"):
+    with pytest.raises(ColoringError, match="is the uncolored edge"):
         recolor_edge(col, 0, 1, 1)
-
-
-def test_color_uncolored():
-    g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    col = PartialEdgeColoring(g, 3, {(0, 2): 2, (1, 2): 3}, uncolored=(0, 1))
-    out = color_uncolored(col, 1)
-    assert out.is_full() and out.color_of(0, 1) == 1
-    with pytest.raises(ColoringError):
-        color_uncolored(out, 1)
-    with pytest.raises(ImproperColoringError):
-        color_uncolored(col, 2)
-
-
-def test_slide_uncolored():
-    g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    col = PartialEdgeColoring(g, 3, {(0, 2): 2, (1, 2): 3}, uncolored=(0, 1))
-    out = slide_uncolored(col, 1, (0, 2))
-    assert out.uncolored == (0, 2)
-    assert out.color_of(0, 1) == 1
-    assert out.missing(0) == frozenset({2, 3})
-
-
-def test_slide_uncolored_errors():
-    col = triangle_coloring()
-    with pytest.raises(ColoringError, match="no uncolored"):
-        slide_uncolored(col, 1, (0, 1))
-    g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    holed = PartialEdgeColoring(g, 3, {(0, 2): 2, (1, 2): 3}, uncolored=(0, 1))
-    with pytest.raises(ColoringError, match="already the uncolored"):
-        slide_uncolored(holed, 1, (1, 0))
-    before = holed.colored_items()
-    with pytest.raises(ImproperColoringError):
-        slide_uncolored(holed, 2, (1, 2))  # fill 2 clashes with (0,2) at vertex 0
-    assert holed.colored_items() == before  # original untouched
 
 
 # ------------------------------------------------------------ census

@@ -2,8 +2,8 @@
 
 The live normalized-kite instance is synthetic: sweep hosts always carry
 exactly two sub-max-degree vertices, while the normalized shape needs three,
-so the chain-route executor paths are driven by a class-1 host built for the
-shape and by corrupted colorings on a genuinely overfull host.
+so the chain-route checks are driven by a class-1 host built for the shape
+and by corrupted colorings on a genuinely overfull host.
 """
 
 import pytest
@@ -13,7 +13,7 @@ import edgecritic.lemmas as lemmas
 import edgecritic.solver as solver
 import edgecritic.structures as structures
 from conftest import class_two_graphs, corpus_hosts, find_short_kites
-from edgecritic.coloring import ColoringError, PartialEdgeColoring
+from edgecritic.coloring import PartialEdgeColoring
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import (
     complete,
@@ -24,7 +24,6 @@ from edgecritic.graphs import (
     vertex_split,
 )
 from edgecritic.lemmas import (
-    build_contradiction_script,
     check_deficiency_pair,
     check_kierstead,
     check_kite,
@@ -33,19 +32,8 @@ from edgecritic.lemmas import (
     check_single_subdelta,
     check_vizing_adjacency,
     lemma_battery,
-    swap_rims_script,
 )
 from edgecritic.records import VerificationRecord, tally_verdicts
-from edgecritic.recolor import (
-    ColorEdge,
-    RecolorEdge,
-    ScriptStepError,
-    SlideUncolored,
-    SwapRay,
-    SwapSubchain,
-    apply_step,
-    execute_script,
-)
 from edgecritic.solver import (
     SearchBudgetExceeded,
     chromatic_index,
@@ -245,56 +233,25 @@ def test_case_one_chain_route_skips_on_class_one_host():
         assert rec.hypotheses[name] is True, name
 
 
-def test_contradiction_script_exact_steps():
-    g, phi = case_one_instance()
-    script = build_contradiction_script(phi, KITE)
-    assert script == [
-        RecolorEdge((3, 4), 2, 4),
-        SwapSubchain(3, 5, 4, 3),
-        RecolorEdge((1, 3), 3, 1),
-        SwapRay(3, 5, 1, 2),
-        ColorEdge((0, 1), 3),
-    ]
-
-
-def test_contradiction_script_aborts_at_first_step():
-    # eta already sits at the hub (its degree equals the palette size), so
-    # the very first recoloring must clash there
-    g, phi = case_one_instance()
-    script = build_contradiction_script(phi, KITE)
-    with pytest.raises(ScriptStepError) as info:
-        execute_script(phi, script)
-    assert info.value.step_index == 0
-    assert "color 4 repeated at vertex 3" in info.value.reason
-
-
-def test_contradiction_script_rejects_unnormalized_input():
+def test_kite_records_skip_off_the_normalized_shape():
     g, phi = case_one_instance()
     swapped_tails = ShortKite(apex=0, rim1=1, rim2=2, hub=3, tail1=5, tail2=4)
-    with pytest.raises(ColoringError, match="rim1_normalized"):
-        build_contradiction_script(phi, swapped_tails)
-    moved = apply_step(phi, SlideUncolored((1, 3)))
-    with pytest.raises(ColoringError, match="anchored_delta_coloring"):
-        build_contradiction_script(moved, KITE)
+    _, route = check_kite(phi, swapped_tails)
+    assert route.verdict == "skipped"
+    assert route.hypotheses["rim1_normalized"] is False
+    # with the hole slid off the kite, neither record is anchored
+    moved = phi.with_changes({(0, 1): 3, (1, 3): 0})
+    for rec in check_kite(moved, KITE):
+        assert rec.verdict == "skipped"
+        assert rec.hypotheses["anchored_delta_coloring"] is False
 
 
 def test_auxiliary_hole_slide_keeps_a_fan():
     g, phi = case_one_instance()
-    moved = apply_step(phi, SlideUncolored((1, 3)))
+    moved = phi.with_changes({(0, 1): 3, (1, 3): 0})
     assert moved.uncolored == (1, 3)
     assert moved.color_of(0, 1) == 3
     assert multifan_violation(moved, Multifan(3, (1, 5))) is None
-
-
-def test_swap_rims_script():
-    g, phi = case_one_instance()
-    steps, relabeled = swap_rims_script(phi, KITE)
-    assert relabeled == ShortKite(apex=0, rim1=2, rim2=1, hub=3, tail1=4, tail2=5)
-    res = execute_script(phi, steps)
-    assert res.final.uncolored == (0, 2)
-    assert res.final.color_of(0, 1) == 1
-    with pytest.raises(ColoringError, match="hole is"):
-        swap_rims_script(res.final, KITE)
 
 
 def off_chain_coloring():
