@@ -4,8 +4,9 @@ Colors are integers in [1, k]; 0 means uncolored. One representation holds a
 coloring: `MutableColoring`, per-vertex slot dicts (color -> neighbor) plus
 present-color bitmasks, where bit c corresponds to color c. A
 `PartialEdgeColoring` is the validated, frozen face of one such core;
-algorithms that edit in place (`vizing_color`, hole propagation) work on a
-core directly and freeze their results through the validating constructor.
+`vizing_color` edits a core in place, hole propagation reads the cores of
+frozen colorings, and both freeze their results through the validating
+constructor.
 """
 
 from __future__ import annotations
@@ -185,14 +186,6 @@ class MutableColoring:
         self.slot: list[dict[int, int]] = [dict() for _ in range(n)]
         self.present = [0] * n
 
-    def copy(self) -> "MutableColoring":
-        new = MutableColoring.__new__(MutableColoring)
-        new.full = self.full
-        new.col = dict(self.col)
-        new.slot = [dict(s) for s in self.slot]
-        new.present = list(self.present)
-        return new
-
     def set(self, u: int, v: int, c: int) -> None:
         self.col[edge_key(u, v)] = c
         self.slot[u][c] = v
@@ -244,12 +237,14 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
     the hole xy with a color missing at x and present at y, and uncolors y's
     edge of that color, which becomes the new hole. When slides reach no new
     edge, the reached colorings are taken in turn: at each hole end, every
-    (alpha, beta) path that starts there (alpha missing) is swapped on a copy
-    of the coloring's core, and the result is slid again. Each edge keeps the
-    first coloring that reaches it, and the start edge keeps `coloring`
-    itself. Every other coloring is built by the validating constructor when
-    its edge is reached, so each is a proper k-coloring whose one uncolored
-    edge is its key.
+    (alpha, beta) path that starts there (alpha missing) is found once and
+    slid from as if its two colors were exchanged. That view is read, never
+    written: of the hole ends, only a path end's present mask and an on-path
+    end's alpha/beta slots differ from the core. Each edge keeps the first
+    coloring that reaches it, and the start edge keeps `coloring` itself.
+    Every other coloring is built by the validating constructor when its edge
+    is reached, so each is a proper k-coloring whose one uncolored edge is its
+    key.
     """
     if coloring.uncolored is None:
         raise ColoringError("no uncolored edge")
@@ -260,14 +255,29 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
     # per vertex, how many of its edges no coloring has reached yet
     unreached = [graph.degree(v) - (v in start) for v in range(graph.n)]
 
-    def slide(core, hole):
+    def slide(core, hole, path=None):
+        # path: (alpha, beta, its vertices, its edges), read as exchanged
         x, y = hole
-        for p, q in ((x, y), (y, x)):
-            for a in _bits(core.missing(p) & core.present[q]):
-                new = edge_key(q, core.slot[q][a])
+        mx, my = core.present[x], core.present[y]
+        if path:
+            a, b, verts, edges = path
+            ab = 1 << a | 1 << b
+            # a path end holds one of the two colors, and the exchange toggles it
+            if x in verts and (mx & ab) != ab:
+                mx ^= ab
+            if y in verts and (my & ab) != ab:
+                my ^= ab
+        for p, q, mp, mq in ((x, y, mx, my), (y, x, my, mx)):
+            for c in _bits(core.full & ~mp & mq):
+                # on the path, q's c edge in the view has the other color in the core
+                d = a + b - c if path and c in (a, b) and q in verts else c
+                new = edge_key(q, core.slot[q][d])
                 if new not in reached:
                     assign = dict(core.col)
-                    assign[hole] = a
+                    if path:
+                        for e in edges:
+                            assign[e] = a + b - assign[e]
+                    assign[hole] = c
                     del assign[new]
                     reached[new] = PartialEdgeColoring(graph, k, assign, new)
                     order.append(new)
@@ -286,13 +296,11 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
             # a slide only ever reaches edges at the ends of the hole it starts from
             if not (unreached[x] or unreached[y]):
                 continue
-            core = reached[hole]._core.copy()
-            # each swap is undone before the next pair is drawn
+            core = reached[hole]._core
             for p, a, b in ((p, a, b) for p in hole for a in _bits(core.missing(p))
                             for b in sorted(core.slot[p])):
-                core.flip(p, b, a)
-                slide(core, hole)
-                core.flip(p, a, b)
+                verts, edges, _ = _walk(core.slot, p, b, a)
+                slide(core, hole, (a, b, (p, *verts), edges))
                 if not (unreached[x] or unreached[y]):
                     break
         else:

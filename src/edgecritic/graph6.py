@@ -45,6 +45,14 @@ def emit_graph6(graph: Graph) -> str:
     return "".join(out)
 
 
+def _describe(ch: str) -> str:
+    """An input character for an error message; a surrogate escape (an
+    undecodable input byte, see PEP 383) is named as the byte it stands for."""
+    if 0xDC80 <= ord(ch) <= 0xDCFF:
+        return f"byte 0x{ord(ch) - 0xDC00:02x}"
+    return f"character {ch!r} (U+{ord(ch):04X})"
+
+
 def parse_graph6(text: str) -> Graph:
     s = text.strip()
     if s.startswith(_HEADER):
@@ -53,7 +61,7 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("empty graph6 string")
     for ch in s:
         if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"byte {ord(ch)} outside graph6 range 63..126")
+            raise Graph6Error(f"{_describe(ch)} outside graph6 range 63..126")
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise Graph6Error("orders above 258047 are not supported")

@@ -374,3 +374,33 @@ def automorphism_generators(graph: Graph) -> list[tuple[int, ...]]:
                 gens.append(p)
                 orbit = _orbit(i, gens)
     return gens
+
+
+def stabiliser_generators(gens: list[tuple[int, ...]], point: int) -> list[tuple[int, ...]]:
+    """Generators of the stabiliser of `point` in the group `gens` generate.
+
+    Schreier's lemma: with t_u an element sending `point` to u, one for each u
+    of its orbit, the products t_p(u)^-1 p t_u over u and the generators p fix
+    `point` and generate its stabiliser. They come deduplicated, in the order
+    found, with the identity dropped.
+    """
+    if not gens:
+        return []
+    identity = tuple(range(len(gens[0])))
+    transversal = {point: identity}
+    queue = [point]
+    for u in queue:
+        for p in gens:
+            if p[u] not in transversal:
+                transversal[p[u]] = tuple(p[i] for i in transversal[u])
+                queue.append(p[u])
+    # listing the positions of a permutation by their images inverts it
+    inverse = {u: sorted(identity, key=t.__getitem__) for u, t in transversal.items()}
+    found: dict[tuple[int, ...], None] = {}
+    for u, t in transversal.items():
+        for p in gens:
+            back = inverse[p[u]]
+            s = tuple(back[p[x]] for x in t)
+            if s != identity:
+                found[s] = None
+    return list(found)

@@ -200,17 +200,23 @@ def kites_with_head(graph: Graph, head: tuple[int, int, int, int],
 
     Given a coloring, only the kites whose rim2 path (rim1, apex, rim2, hub,
     tail2) is a Kierstead path of it are listed, and only these are built.
+    Every prefix of a Kierstead path is one, so a rim2 whose (rim1, apex,
+    rim2, hub) fails rules out every tail2 with one check.
     """
     apex, rim1, hub, tail1 = head
     if (len(set(head)) != 4 or not graph.has_edge(apex, rim1)
             or not graph.has_edge(rim1, hub) or not graph.has_edge(hub, tail1)):
         return []
+
+    def kierstead(*path):
+        return coloring is None or kierstead_violation(coloring, KiersteadPath(path)) is None
+
     spokes = graph.neighbors(hub)
     return [ShortKite(apex, rim1, rim2, hub, tail1, tail2)
             for rim2 in sorted((graph.neighbors(apex) & spokes) - {rim1, tail1})
+            if kierstead(rim1, apex, rim2, hub)
             for tail2 in sorted(spokes - {apex, rim1, rim2, tail1})
-            if coloring is None or kierstead_violation(
-                coloring, KiersteadPath((rim1, apex, rim2, hub, tail2))) is None]
+            if kierstead(rim1, apex, rim2, hub, tail2)]
 
 
 def find_full_deficiency_pairs(graph: Graph) -> list[FullDeficiencyPair]:

@@ -29,6 +29,7 @@ from .graphs import (
     orbit_closure,
     petersen_minus_vertex,
     split_spec,
+    stabiliser_generators,
     vertex_split,
 )
 from .enumeration import enumerate_regular_graphs
@@ -109,7 +110,15 @@ def _normalize_parts(nbrs: frozenset[int], a, b) -> tuple[tuple[int, ...], tuple
 
 
 def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """All (vertex, partition) choices up to base automorphisms, sorted."""
+    """All (vertex, partition) choices up to base automorphisms, sorted.
+
+    Only the least vertex v of each vertex orbit is split, and its choices
+    are closed under generators of v's stabiliser, so no image leaves v. An
+    orbit of choices meets v in one stabiliser orbit, whose least member is
+    the least of the whole orbit. Vertex 0 is the chain's base point: the
+    generators that fix it generate its stabiliser (see
+    `automorphism_generators`). Other vertices take Schreier generators.
+    """
     gens = automorphism_generators(base)
 
     def image(p, split):
@@ -118,11 +127,16 @@ def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ..
                                         [p[w] for w in pa], [p[w] for w in pb]))
 
     seen: set[tuple] = set()
+    vertex_seen: set[int] = set()
     reps = []
     for v in range(base.n):
+        if v in vertex_seen:
+            continue
+        orbit_closure(v, gens, tuple.__getitem__, vertex_seen)
         nbrs = sorted(base.neighbors(v))
         if len(nbrs) < 2:
             continue
+        stab = [p for p in gens if p[0] == 0] if v == 0 else stabiliser_generators(gens, v)
         rest = nbrs[1:]
         # fixing nbrs[0] in part A kills the (A,B)/(B,A) double count
         for pick in range(1 << len(rest)):
@@ -132,7 +146,7 @@ def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ..
                 continue
             key = (v, tuple(a), tuple(b))
             if key not in seen:  # orbits are disjoint: `seen` holds every closed one
-                reps.append(min(orbit_closure(key, gens, image, seen)))
+                reps.append(min(orbit_closure(key, stab, image, seen)))
     return sorted(reps)
 
 

@@ -4,19 +4,28 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
+from edgecritic.coloring import (
+    ColoringError,
+    MutableColoring,
+    PartialEdgeColoring,
+    _bits,
+)
 from edgecritic.enumeration import enumerate_small_graphs
 from edgecritic.graph6 import parse_graph6
 from edgecritic.graphs import (
     Graph,
+    automorphism_generators,
     cycle,
+    edge_key,
     make_graph,
+    orbit_closure,
     petersen_minus_vertex,
     split_spec,
     vertex_split,
 )
 from edgecritic.solver import classify
 from edgecritic.structures import ShortKite
-from edgecritic.verifier import SweepConfig, plan_instances
+from edgecritic.verifier import SweepConfig, _normalize_parts, plan_instances
 
 
 def assert_proper(coloring) -> None:
@@ -102,3 +111,87 @@ def find_short_kites(graph: Graph) -> list[ShortKite]:
                             if tail2 != tail1:
                                 out.append(ShortKite(apex, rim1, rim2, hub, tail1, tail2))
     return out
+
+
+# Hole propagation that swaps each Kempe path at a hole end on a copy of the
+# coloring's core, slides, and swaps it back: the reference that
+# `coloring.propagate_certificates`, which only reads each swap, is checked
+# against.
+def propagate_by_flips(coloring: PartialEdgeColoring) -> dict:
+    """Certificates by breadth-first slides, then flipped Kempe paths."""
+    if coloring.uncolored is None:
+        raise ColoringError("no uncolored edge")
+    graph, k = coloring.graph, coloring.k
+    start = coloring.uncolored
+    reached = {start: coloring}
+    order = [start]
+    unreached = [graph.degree(v) - (v in start) for v in range(graph.n)]
+
+    def slide(core, hole):
+        x, y = hole
+        for p, q in ((x, y), (y, x)):
+            for a in _bits(core.missing(p) & core.present[q]):
+                new = edge_key(q, core.slot[q][a])
+                if new not in reached:
+                    assign = dict(core.col)
+                    assign[hole] = a
+                    del assign[new]
+                    reached[new] = PartialEdgeColoring(graph, k, assign, new)
+                    order.append(new)
+                    unreached[new[0]] -= 1
+                    unreached[new[1]] -= 1
+
+    slid = swapped = 0
+    while len(reached) < len(graph.edges):
+        if slid < len(order):
+            hole = order[slid]
+            slid += 1
+            slide(reached[hole]._core, hole)
+        elif swapped < len(order):
+            hole = x, y = order[swapped]
+            swapped += 1
+            if not (unreached[x] or unreached[y]):
+                continue
+            core = MutableColoring(graph.n, k)
+            for (u, v), c in reached[hole].colored_items():
+                core.set(u, v, c)
+            for p, a, b in ((p, a, b) for p in hole for a in _bits(core.missing(p))
+                            for b in sorted(core.slot[p])):
+                core.flip(p, b, a)
+                slide(core, hole)
+                core.flip(p, a, b)
+                if not (unreached[x] or unreached[y]):
+                    break
+        else:
+            break
+    return dict(sorted(reached.items()))
+
+
+# Split orbits closed under the whole generating set from every vertex: the
+# reference for `verifier._split_orbits`, which splits one vertex per vertex
+# orbit under that vertex's stabiliser.
+def split_orbits_from_every_vertex(base: Graph) -> list:
+    """All (vertex, partition) choices up to base automorphisms, sorted."""
+    gens = automorphism_generators(base)
+
+    def image(p, split):
+        u, pa, pb = split
+        return (p[u], *_normalize_parts(base.neighbors(p[u]),
+                                        [p[w] for w in pa], [p[w] for w in pb]))
+
+    seen: set = set()
+    reps = []
+    for v in range(base.n):
+        nbrs = sorted(base.neighbors(v))
+        if len(nbrs) < 2:
+            continue
+        rest = nbrs[1:]
+        for pick in range(1 << len(rest)):
+            a = [nbrs[0]] + [w for i, w in enumerate(rest) if pick >> i & 1]
+            b = [w for i, w in enumerate(rest) if not pick >> i & 1]
+            if not b:
+                continue
+            key = (v, tuple(a), tuple(b))
+            if key not in seen:
+                reps.append(min(orbit_closure(key, gens, image, seen)))
+    return sorted(reps)

@@ -275,6 +275,18 @@ def test_non_ascii_input_exits_two(tmp_path, capsys, name, text, argv):
     assert path.read_bytes() == text.encode("utf-8")
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"C\xff\n", "byte 0xff outside graph6 range"),
+    ("C\u00e9\n".encode("utf-8"), "character '\u00e9' (U+00E9) outside graph6 range"),
+], ids=["undecodable-byte", "non-ascii-character"])
+def test_graph6_range_error_names_the_input(monkeypatch, capsys, raw, message):
+    # stdin decodes as UTF-8 and keeps undecodable bytes as surrogate escapes
+    stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["lemmas"]) == 2
+    assert capsys.readouterr().err == f"error: {message} 63..126\n"
+
+
 def test_usage_and_input_errors(capsys):
     assert main(["chi", "--builder", "nope"]) == 2
     assert "unknown builder" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_proper, class_two_graphs, small_graphs
+from conftest import assert_proper, class_two_graphs, propagate_by_flips, small_graphs
 from edgecritic.coloring import (
     ColoringError,
     ImproperColoringError,
@@ -31,6 +31,7 @@ from edgecritic.graphs import (
     vertex_split,
 )
 from edgecritic.solver import find_coloring, is_critical_edge, vizing_color
+from edgecritic.verifier import SweepConfig, inherit_split_coloring, plan_instances
 
 
 def triangle_coloring(k=3):
@@ -362,7 +363,7 @@ def assert_same_coloring(a, b):
 
 def test_propagation_leaves_input_and_certificates_unshared():
     # the cubic split with one non-critical edge (3, 4): slides stall here,
-    # so the swap phase flips Kempe paths on its working core
+    # so the swap phase reads Kempe-swapped views of the reached colorings
     g = vertex_split(parse_graph6("G@Umf?"), split_spec(0, (5, 6), (7,)))
     phi = find_coloring(g, 3, hole=(0, 8))
     text = phi.to_text()
@@ -372,6 +373,34 @@ def test_propagation_leaves_input_and_certificates_unshared():
     assert certs[(0, 8)] == phi
     for cert in certs.values():
         assert_same_coloring(cert, coloring_from_text(g, cert.to_text()))
+
+
+def assert_same_certificates(got, want):
+    assert list(got) == list(want)
+    for e in want:
+        assert got[e].to_text() == want[e].to_text()
+        assert_same_coloring(got[e], want[e])
+
+
+def test_propagation_matches_flipping_reference_on_sweep_seeds(monkeypatch):
+    flips = []
+    real_flip = MutableColoring.flip
+
+    def counted_flip(self, *args):
+        flips.append(args)
+        real_flip(self, *args)
+
+    monkeypatch.setattr(MutableColoring, "flip", counted_flip)
+    plan = plan_instances(SweepConfig(m_max=8, mode="conjecture"))
+    assert len(plan) == 107  # every instance of `sweep --m-max 8`
+    for inst in plan:
+        base = parse_graph6(inst.base_graph6)
+        phi = coloring_from_text(base, inst.base_coloring_text)
+        seed = inherit_split_coloring(phi, split_spec(inst.vertex, inst.part_a, inst.part_b))
+        certs = propagate_certificates(seed)
+        assert flips == []  # each Kempe swap is read, never written
+        assert_same_certificates(certs, propagate_by_flips(seed))
+        flips.clear()
 
 
 def test_propagation_needs_a_hole():
@@ -395,6 +424,16 @@ def test_propagated_certificates_are_hole_colorings(g):
         assert cert.graph == g and cert.uncolored == e and cert.k == delta
         assert_proper(cert)
         assert is_critical_edge(g, *e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_two_graphs())
+def test_propagation_matches_flipping_reference_on_class_two_hosts(g):
+    delta = g.max_degree()
+    for e in g.sorted_edges():
+        phi = find_coloring(g, delta, hole=e)
+        if phi is not None:
+            assert_same_certificates(propagate_certificates(phi), propagate_by_flips(phi))
 
 
 @settings(max_examples=60, deadline=None)

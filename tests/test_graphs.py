@@ -25,6 +25,7 @@ from edgecritic.graphs import (
     petersen_minus_vertex,
     prism,
     split_spec,
+    stabiliser_generators,
     vertex_split,
 )
 
@@ -278,6 +279,32 @@ def test_order_ten_group_orders_from_generators_alone():
         gens = automorphism_generators(g)
         assert len(gens) <= 9
         assert _group_order(gens, 10) == size
+
+
+def assert_stabilisers_generated(g):
+    gens = automorphism_generators(g)
+    auts = automorphisms(g)
+    identity = tuple(range(g.n))
+    for v in range(g.n):
+        stab = stabiliser_generators(gens, v)
+        assert identity not in stab and len(set(stab)) == len(stab)
+        assert _closure(stab, g.n) == {p for p in auts if p[v] == v}, v
+
+
+def test_schreier_generators_generate_every_vertex_stabiliser():
+    for m in range(1, 9):
+        for d in range(m):
+            if m * d % 2 == 0:
+                for g in enumerate_regular_graphs(m, d):
+                    assert_stabilisers_generated(g)
+    for g in (petersen_minus_vertex(), complete_bipartite(2, 4), prism()):
+        assert_stabilisers_generated(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(max_n=6))
+def test_schreier_generators_generate_stabilisers_of_small_graphs(g):
+    assert_stabilisers_generated(g)
 
 
 def test_automorphisms_preserve_adjacency():

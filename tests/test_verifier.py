@@ -8,7 +8,7 @@ import pytest
 
 import edgecritic.solver as solver
 import edgecritic.verifier as verifier
-from conftest import assert_proper
+from conftest import assert_proper, split_orbits_from_every_vertex
 from edgecritic.coloring import ColoringError, coloring_from_text, elementary_violation
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.enumeration import enumerate_regular_graphs
@@ -141,6 +141,27 @@ def test_split_orbits_match_full_group_through_order_eight():
                     emit_graph6(base)
                 count += 1
     assert count == 48
+
+
+def test_split_orbits_match_every_vertex_closure_at_order_ten():
+    # d = 3 bases have few automorphisms, so their vertex orbits have
+    # representatives other than 0, which take Schreier generators
+    count = 0
+    for d in (3, 7, 8, 9):
+        for base in enumerate_regular_graphs(10, d):
+            if base.is_connected():
+                assert verifier._split_orbits(base) == split_orbits_from_every_vertex(base), \
+                    emit_graph6(base)
+                count += 1
+    assert count == 19 + 5 + 1 + 1
+
+
+def test_planning_sweep_m8_maps_few_split_choices(monkeypatch):
+    calls = []
+    real = verifier._normalize_parts
+    monkeypatch.setattr(verifier, "_normalize_parts", lambda *a: calls.append(1) or real(*a))
+    assert len(plan_instances(SweepConfig(m_max=8, mode="conjecture"))) == 107
+    assert len(calls) <= 1000
 
 
 def test_order_ten_plan_is_one_split_per_class_and_passes_without_search(monkeypatch):
