@@ -69,13 +69,10 @@ from .records import (
 from .solver import (
     SearchBudgetExceeded,
     chromatic_index,
-    classify,
-    classify_cached,
     critical_edge_report,
     enumerate_colorings,
     find_coloring,
     find_delta_coloring,
-    is_critical_edge,
     vizing_color,
 )
 from .structures import (

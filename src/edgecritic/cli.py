@@ -36,6 +36,7 @@ from .solver import (
     chromatic_index,
     critical_edge_report,
     find_coloring,
+    find_delta_coloring,
 )
 from .verifier import (
     SweepConfig,
@@ -147,10 +148,11 @@ def _cmd_chi(args) -> int:
 def _cmd_color(args) -> int:
     batch = not (args.builder or args.graph6)
     for label, g in _load_graphs(args):
-        k = chromatic_index(g, args.budget_ms)
-        phi = find_coloring(g, k, budget_ms=args.budget_ms)
+        phi = find_delta_coloring(g, args.budget_ms)
+        if phi is None:
+            phi = find_coloring(g, g.max_degree() + 1, budget_ms=args.budget_ms)
         if args.json:
-            print(json.dumps({"graph6": emit_graph6(g), "k": k,
+            print(json.dumps({"graph6": emit_graph6(g), "k": phi.k,
                               "edges": [[u, v, c] for (u, v), c in phi.colored_items()]},
                              sort_keys=True))
         else:

@@ -4,9 +4,9 @@ Each checker evaluates one published statement on one concrete instance and
 returns a VerificationRecord. Hypotheses are recorded as named booleans and
 never assumed: a false hypothesis skips the instance instead of asserting
 anything, and a solver-budget exhaustion leaves the conclusion undecided.
-Checkers judge the evidence they are given and make no coloring search of
-their own; the only solver call they make is the cached class decision, when
-the caller has not handed it over.
+Checkers judge the evidence they are given and make no solver call: the
+caller hands each one the host's class decision and, where the claim needs
+it, the coloring its own search found.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .coloring import (
 from .graph6 import emit_graph6
 from .graphs import Graph, distance, edge_key
 from .records import VerificationRecord
-from .solver import SearchBudgetExceeded, classify_cached, find_coloring
+from .solver import SearchBudgetExceeded, find_coloring, find_delta_coloring
 from .structures import (
     FullDeficiencyPair,
     KiersteadPath,
@@ -64,32 +64,21 @@ def _hole_colorable(graph: Graph, hole, evidence) -> bool | None:
             and _anchored(evidence, hole))
 
 
-def _decide_class(graph: Graph, budget_ms: float | None = None) -> int | SearchBudgetExceeded:
-    """The host's class from the class cache, or the SearchBudgetExceeded of a
-    class search that ran out of budget."""
-    try:
-        return classify_cached(graph, budget_ms)
-    except SearchBudgetExceeded as exc:
-        return exc
-
-
 def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> VerificationRecord:
     """The one road from a checker's evidence to its record.
 
     `hyp` holds the checker's own hypotheses. Once they all hold, `critical`,
-    unless None, is a (graph, host_class, colorable) triple that adds the
-    class2 hypothesis and critical_edge: on a class-2 host the hole is
-    critical exactly when the host minus it is max-degree colorable.
-    `host_class` is the caller's class decision (None decides it here, with no
-    budget). A class search that ran out of budget leaves the claim
-    undecided, and so does a hole search that ran out (colorable None) on a
-    class-2 host; a false hypothesis skips it. Otherwise `violation()`
-    decides it: a witness dict fails it, None passes it.
+    unless None, is a (host_class, colorable) pair that adds the class2
+    hypothesis and critical_edge: on a class-2 host the hole is critical
+    exactly when the host minus it is max-degree colorable. `host_class` is
+    the caller's class decision; the gate makes no search. A class search
+    that ran out of budget leaves the claim undecided, and so does a hole
+    search that ran out (colorable None) on a class-2 host; a false
+    hypothesis skips it. Otherwise `violation()` decides it: a witness dict
+    fails it, None passes it.
     """
     if critical is not None and all(hyp.values()):
-        graph, host_class, colorable = critical
-        if host_class is None:
-            host_class = _decide_class(graph)
+        host_class, colorable = critical
         if isinstance(host_class, SearchBudgetExceeded):
             return VerificationRecord(name, iid, hyp, None)
         class2 = host_class == 2
@@ -113,7 +102,7 @@ def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> Ver
 
 def check_vizing_adjacency(graph: Graph, u: int, v: int,
                            hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
-                           host_class: int | SearchBudgetExceeded | None = None
+                           host_class: int | SearchBudgetExceeded
                            ) -> VerificationRecord:
     """A critical edge forces many max-degree neighbors at both endpoints."""
     delta = graph.max_degree()
@@ -128,7 +117,7 @@ def check_vizing_adjacency(graph: Graph, u: int, v: int,
         return None
 
     return _gate("vizing-adjacency", _ids(graph, f"e={u}-{v}"), {},
-                 (graph, host_class, _hole_colorable(graph, (u, v), hole_coloring)), violation)
+                 (host_class, _hole_colorable(graph, (u, v), hole_coloring)), violation)
 
 
 def _pair_hypotheses(graph: Graph, pair: FullDeficiencyPair) -> dict[str, bool]:
@@ -139,7 +128,7 @@ def _pair_hypotheses(graph: Graph, pair: FullDeficiencyPair) -> dict[str, bool]:
 
 def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
                           hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
-                          host_class: int | SearchBudgetExceeded | None = None
+                          host_class: int | SearchBudgetExceeded
                           ) -> VerificationRecord:
     """Degree structure around a critical edge whose ends have full deficiency."""
     a, b = pair.u, pair.v
@@ -172,12 +161,12 @@ def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
 
     return _gate("deficiency-pair-degrees", _ids(graph, f"pair={a},{b}"),
                  _pair_hypotheses(graph, pair),
-                 (graph, host_class, _hole_colorable(graph, (a, b), hole_coloring)), violation)
+                 (host_class, _hole_colorable(graph, (a, b), hole_coloring)), violation)
 
 
 def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
                           hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
-                          host_class: int | SearchBudgetExceeded | None = None
+                          host_class: int | SearchBudgetExceeded
                           ) -> VerificationRecord:
     """With max degree at least 3(n-1)/4, at most one outside vertex sits one below it."""
     a, b = pair.u, pair.v
@@ -191,12 +180,12 @@ def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
         return {"vertices": nearly} if len(nearly) > 1 else None
 
     return _gate("single-subdelta", _ids(graph, f"pair={a},{b}"), hyp,
-                 (graph, host_class, _hole_colorable(graph, (a, b), hole_coloring)), violation)
+                 (host_class, _hole_colorable(graph, (a, b), hole_coloring)), violation)
 
 
 # ---------------------------------------------------------------------------
 # coloring statements; an anchored coloring is its own evidence of hole
-# criticality, so only the class decision is looked up
+# criticality, so only the host's class is handed over
 
 
 def check_parity(coloring: PartialEdgeColoring) -> VerificationRecord:
@@ -214,7 +203,7 @@ def check_parity(coloring: PartialEdgeColoring) -> VerificationRecord:
 
 
 def check_multifan(coloring: PartialEdgeColoring, fan: Multifan,
-                   host_class: int | SearchBudgetExceeded | None = None) -> VerificationRecord:
+                   host_class: int | SearchBudgetExceeded) -> VerificationRecord:
     """Multifan vertices are elementary and center/leaf pairs are chain-linked."""
     g = coloring.graph
     r = fan.center
@@ -233,11 +222,11 @@ def check_multifan(coloring: PartialEdgeColoring, fan: Multifan,
         return None
 
     return _gate("multifan-elementary", _ids(g, f"fan={r}:{','.join(map(str, fan.leaves))}"),
-                 hyp, (g, host_class, True), violation)
+                 hyp, (host_class, True), violation)
 
 
 def check_kierstead(coloring: PartialEdgeColoring, path: KiersteadPath,
-                    host_class: int | SearchBudgetExceeded | None = None) -> VerificationRecord:
+                    host_class: int | SearchBudgetExceeded) -> VerificationRecord:
     """Four-vertex path: low inner degree forces elementarity; tail overlap is at most one."""
     g = coloring.graph
     vs = path.vertices
@@ -254,7 +243,7 @@ def check_kierstead(coloring: PartialEdgeColoring, path: KiersteadPath,
         return {"part": "tail-overlap", "colors": sorted(overlap)} if len(overlap) > 1 else None
 
     return _gate("kierstead-path", _ids(g, "path=" + "-".join(map(str, vs))),
-                 hyp, (g, host_class, True), violation)
+                 hyp, (host_class, True), violation)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +287,7 @@ def _kite_hypotheses(coloring: PartialEdgeColoring, kite: ShortKite
 
 
 def check_kite(coloring: PartialEdgeColoring, kite: ShortKite,
-               host_class: int | SearchBudgetExceeded | None = None
+               host_class: int | SearchBudgetExceeded
                ) -> tuple[VerificationRecord, VerificationRecord]:
     """Both short-kite statements on one kite anchored at the hole.
 
@@ -309,7 +298,7 @@ def check_kite(coloring: PartialEdgeColoring, kite: ShortKite,
     g = coloring.graph
     iid = _ids(g, "kite=" + ",".join(map(str, kite.vertex_set())))
     kite_hyp, route_hyp, (_, _, delt, eta) = _kite_hypotheses(coloring, kite)
-    critical = (g, host_class, True)
+    critical = (host_class, True)
 
     def tail_violation():
         dx, dy = g.degree(kite.tail1), g.degree(kite.tail2)
@@ -359,17 +348,21 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
     """
     records = []
     delta = graph.max_degree()
-    # the class decision is the one max-degree search of the whole host;
-    # every checker is handed its outcome
-    host_class = _decide_class(graph, budget_ms) if graph.edges else 1
-    if isinstance(host_class, SearchBudgetExceeded):
+    # the one max-degree search of the whole host decides its class, which
+    # every checker is handed; on a class-1 host it is the census coloring too
+    try:
+        full = find_delta_coloring(graph, budget_ms)
+    except SearchBudgetExceeded as exc:
+        host_class = exc
         records.append(VerificationRecord("parity-census", _ids(graph, "k=?"), {}, None))
     else:
-        k = delta + 1 if host_class == 2 else delta
+        host_class = 1 if full is not None else 2
         try:
-            full = find_coloring(graph, k, budget_ms=budget_ms)
+            if full is None:
+                full = find_coloring(graph, delta + 1, budget_ms=budget_ms)
         except SearchBudgetExceeded:
-            records.append(VerificationRecord("parity-census", _ids(graph, f"k={k}"), {}, None))
+            records.append(VerificationRecord("parity-census", _ids(graph, f"k={delta + 1}"),
+                                              {}, None))
         else:
             records.append(check_parity(full))
     # the pair records come after every edge's records, in edge order

@@ -131,49 +131,26 @@ def chromatic_index(graph: Graph, budget_ms: float | None = None) -> int:
     return delta if find_delta_coloring(graph, budget_ms) is not None else delta + 1
 
 
-def classify(graph: Graph, budget_ms: float | None = None) -> int:
-    """1 when the chromatic index equals the maximum degree, else 2."""
-    if not graph.edges:
-        raise GraphError("classification needs at least one edge")
-    return 1 if chromatic_index(graph, budget_ms) == graph.max_degree() else 2
-
-
-_CLASS_CACHE: dict[Graph, int] = {}
-
-
-def classify_cached(graph: Graph, budget_ms: float | None = None) -> int:
-    got = _CLASS_CACHE.get(graph)
-    if got is None:
-        got = classify(graph, budget_ms)
-        _CLASS_CACHE[graph] = got
-    return got
-
-
-def is_critical_edge(graph: Graph, u: int, v: int, budget_ms: float | None = None) -> bool:
-    """True when deleting the edge lowers the chromatic index."""
-    e = edge_key(u, v)
-    if not graph.has_edge(*e):
-        raise GraphError(f"({u}, {v}) is not an edge")
-    if classify_cached(graph, budget_ms) == 2:
-        # for a class 2 host: critical iff the rest is max-degree-colorable
-        return find_coloring(graph, graph.max_degree(), hole=e, budget_ms=budget_ms) is not None
-    # class 1: the chromatic index is the max degree, no search needed for it
-    return chromatic_index(graph.delete_edge(*e), budget_ms) < graph.max_degree()
-
-
 def critical_edge_report(graph: Graph, budget_ms: float | None = None) -> tuple[bool, list[Edge]]:
     """(is the graph edge-critical, list of its critical edges).
 
+    An edge is critical when deleting it lowers the chromatic index.
     Edge-critical means connected, class 2, and every edge critical.
     """
     if not graph.edges:
         return False, []
-    if classify_cached(graph, budget_ms) != 2:
-        crit = [e for e in graph.sorted_edges() if is_critical_edge(graph, *e, budget_ms=budget_ms)]
-        return False, crit
-    # class 2: an edge is critical iff the rest is max-degree-colorable
-    crit = [e for e, cert in hole_colorings(graph, budget_ms=budget_ms) if cert is not None]
-    return graph.is_connected() and len(crit) == graph.edge_count(), crit
+    if find_delta_coloring(graph, budget_ms) is None:
+        # class 2: an edge is critical iff the rest is max-degree-colorable
+        crit = [e for e, cert in hole_colorings(graph, budget_ms=budget_ms) if cert is not None]
+        return graph.is_connected() and len(crit) == graph.edge_count(), crit
+    # class 1: G - e keeps max degree delta, and so chromatic index delta,
+    # unless e covers every max-degree vertex; then it drops iff G - e is
+    # (delta - 1)-colorable
+    delta = graph.max_degree()
+    tops = {v for v in range(graph.n) if graph.degree(v) == delta}
+    crit = [e for e in graph.sorted_edges() if tops <= set(e)
+            and find_coloring(graph, delta - 1, hole=e, budget_ms=budget_ms) is not None]
+    return False, crit
 
 
 def hole_colorings(graph: Graph, seed: PartialEdgeColoring | None = None,

@@ -36,7 +36,6 @@ from .enumeration import enumerate_regular_graphs
 from .records import RecordError, VerificationRecord, read_records
 from .solver import (
     SearchBudgetExceeded,
-    classify_cached,
     enumerate_colorings,
     find_coloring,
     find_delta_coloring,
@@ -297,7 +296,8 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
         from concurrent.futures import ProcessPoolExecutor
     with ((open(log_path, "a" if records else "w", encoding="ascii") if log_path
            else nullcontext()) as sink,
-          (ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext()) as pool):
+          (ProcessPoolExecutor(max_workers=min(config.jobs, len(todo))) if parallel
+           else nullcontext()) as pool):
         stream = (pool.map(check_split_instance, todo, chunksize=1) if parallel
                   else map(check_split_instance, todo))
         for rec in stream:
@@ -322,7 +322,7 @@ def reproduce_nonelementary_path(budget_ms: float | None = None) -> Verification
     name = "nonelementary-kierstead-witness"
     host = petersen_minus_vertex()
     delta = host.max_degree()
-    hyp = {"host_class2": classify_cached(host, budget_ms) == 2}
+    hyp = {"host_class2": find_delta_coloring(host, budget_ms) is None}
     iid = f"{emit_graph6(host)} exhaustive"
     if not all(hyp.values()):
         return VerificationRecord(name, iid, hyp, None)

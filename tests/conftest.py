@@ -23,7 +23,7 @@ from edgecritic.graphs import (
     split_spec,
     vertex_split,
 )
-from edgecritic.solver import classify
+from edgecritic.solver import chromatic_index, find_delta_coloring
 from edgecritic.structures import ShortKite
 from edgecritic.verifier import SweepConfig, _normalize_parts, plan_instances
 
@@ -64,7 +64,7 @@ def small_graphs(draw, min_n=2, max_n=7, min_m=1):
 @lru_cache(maxsize=None)
 def _class_two_pool() -> tuple[Graph, ...]:
     """Every class-2 graph on at most 7 vertices without isolated vertices (50 classes)."""
-    return tuple(g for g in enumerate_small_graphs(21, 7) if classify(g) == 2)
+    return tuple(g for g in enumerate_small_graphs(21, 7) if find_delta_coloring(g) is None)
 
 
 @st.composite
@@ -88,6 +88,14 @@ def corpus_hosts() -> list[Graph]:
     hosts.extend(cycle(k) for k in range(3, 10))
     hosts.append(petersen_minus_vertex())
     return hosts
+
+
+# The definition of a critical edge: the reference that
+# `solver.critical_edge_report`, which decides the class once and then uses
+# hole searches or the degree argument, is checked against.
+def is_critical_by_deletion(graph: Graph, e) -> bool:
+    """Deleting the edge lowers the chromatic index."""
+    return chromatic_index(graph.delete_edge(*e)) < chromatic_index(graph)
 
 
 # The whole-graph kite enumerator: the independent reference that

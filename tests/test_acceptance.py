@@ -24,7 +24,6 @@ from edgecritic.lemmas import lemma_battery
 from edgecritic.records import tally_verdicts
 from edgecritic.solver import (
     chromatic_index,
-    classify_cached,
     critical_edge_report,
     find_coloring,
     find_delta_coloring,
@@ -209,7 +208,7 @@ def test_criterion_7_recoloring_soundness():
 
         instances = 0
         for g in enumerate_small_graphs(8):
-            if not g.is_connected() or classify_cached(g) != 2:
+            if not g.is_connected() or find_delta_coloring(g) is not None:
                 continue
             ok, _ = critical_edge_report(g)
             if not ok:

@@ -12,6 +12,7 @@ import pytest
 
 import edgecritic.cli as cli
 import edgecritic.lemmas as lemmas
+import edgecritic.solver as solver
 from conftest import corpus_hosts
 from edgecritic.cli import build_named, main
 from edgecritic.coloring import PartialEdgeColoring
@@ -75,6 +76,21 @@ def test_color_output_is_a_proper_coloring(capsys):
 
     assert main(["color", "--builder", "c5"]) == 0
     assert capsys.readouterr().out.startswith("k=3 uncolored=none\n")
+
+
+@pytest.mark.parametrize("builder, searched", [("cube", [3]), ("petersen", [3, 4])],
+                         ids=["cube", "petersen"])
+def test_color_searches_at_delta_once(monkeypatch, capsys, builder, searched):
+    # class 1 keeps the coloring of the class decision; class 2 adds one spare color
+    calls = []
+
+    def counting(graph, k, hole, budget, enumerate_all, _solve=solver._solve):
+        calls.append(k)
+        return _solve(graph, k, hole, budget, enumerate_all)
+    monkeypatch.setattr(solver, "_solve", counting)
+    assert main(["color", "--builder", builder]) == 0
+    capsys.readouterr()
+    assert calls == searched
 
 
 def test_critical_lines(capsys):

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_proper, class_two_graphs, propagate_by_flips, small_graphs
+from conftest import (
+    assert_proper,
+    class_two_graphs,
+    is_critical_by_deletion,
+    propagate_by_flips,
+    small_graphs,
+)
 from edgecritic.coloring import (
     ColoringError,
     ImproperColoringError,
@@ -30,7 +36,7 @@ from edgecritic.graphs import (
     split_spec,
     vertex_split,
 )
-from edgecritic.solver import find_coloring, is_critical_edge, vizing_color
+from edgecritic.solver import find_coloring, vizing_color
 from edgecritic.verifier import SweepConfig, inherit_split_coloring, plan_instances
 
 
@@ -423,7 +429,7 @@ def test_propagated_certificates_are_hole_colorings(g):
     for e, cert in certs.items():
         assert cert.graph == g and cert.uncolored == e and cert.k == delta
         assert_proper(cert)
-        assert is_critical_edge(g, *e)
+        assert is_critical_by_deletion(g, e)
 
 
 @settings(max_examples=60, deadline=None)

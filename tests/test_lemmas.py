@@ -36,9 +36,8 @@ from edgecritic.lemmas import (
 from edgecritic.records import VerificationRecord, tally_verdicts
 from edgecritic.solver import (
     SearchBudgetExceeded,
-    chromatic_index,
-    classify_cached,
     find_coloring,
+    find_delta_coloring,
     vizing_color,
 )
 from edgecritic.structures import (
@@ -80,29 +79,23 @@ def overfull_host():
 def test_vizing_adjacency_passes_on_critical_hosts():
     for g in (cycle(5), cycle(7)):
         for e in g.sorted_edges():
-            rec = check_vizing_adjacency(g, *e, find_coloring(g, 2, hole=e))
+            rec = check_vizing_adjacency(g, *e, find_coloring(g, 2, hole=e), 2)
             assert rec.lemma == "vizing-adjacency"
             assert rec.verdict == "pass", (e, rec.witness)
 
 
 def test_vizing_adjacency_skips_class_one():
-    rec = check_vizing_adjacency(cycle(6), 0, 1, find_coloring(cycle(6), 2, hole=(0, 1)))
+    rec = check_vizing_adjacency(cycle(6), 0, 1, find_coloring(cycle(6), 2, hole=(0, 1)), 1)
     assert rec.verdict == "skipped"
     assert rec.hypotheses == {"class2": False, "critical_edge": False}
 
 
-def test_vizing_adjacency_undecided_on_budget(monkeypatch):
+def test_vizing_adjacency_undecided_on_budget():
     # the caller's class search ran out of budget
     rec = check_vizing_adjacency(cycle(5), 0, 1, None, SearchBudgetExceeded("out of time"))
     assert rec.verdict == "undecided"
     assert rec.hypotheses == {}
     assert rec.conclusion is None
-
-    # left to the checker, the class search runs out the same way
-    def boom(graph, budget_ms=None):
-        raise SearchBudgetExceeded("out of time")
-    monkeypatch.setattr(lemmas, "classify_cached", boom)
-    assert check_vizing_adjacency(cycle(5), 0, 1, None) == rec
 
 
 def test_parity_checker():
@@ -122,7 +115,7 @@ def test_parity_checker():
 def test_multifan_passes_on_critical_host():
     phi = find_coloring(cycle(5), 2, hole=(0, 1))
     fan = Multifan(0, (1,))
-    rec = check_multifan(phi, fan)
+    rec = check_multifan(phi, fan, 2)
     assert rec.lemma == "multifan-elementary"
     assert rec.verdict == "pass"
 
@@ -131,14 +124,14 @@ def test_multifan_fails_on_corrupted_coloring():
     bad = PartialEdgeColoring(
         cycle(5), 2, {(0, 4): 2, (1, 2): 2, (2, 3): 1, (3, 4): 2},
         uncolored=(0, 1), validate=False)
-    rec = check_multifan(bad, Multifan(0, (1,)))
+    rec = check_multifan(bad, Multifan(0, (1,)), 2)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "elementary", "u": 0, "v": 1, "color": 1}
 
 
 def test_multifan_skips_when_not_anchored():
     full = vizing_color(cycle(5))  # spare-color palette, no hole
-    rec = check_multifan(full, Multifan(0, (1,)))
+    rec = check_multifan(full, Multifan(0, (1,)), 2)
     assert rec.verdict == "skipped"
     assert rec.hypotheses["anchored_delta_coloring"] is False
 
@@ -148,7 +141,7 @@ def test_kierstead_passes_on_critical_host():
     paths = enumerate_kierstead_paths(phi)
     assert paths
     for p in paths:
-        rec = check_kierstead(phi, p)
+        rec = check_kierstead(phi, p, 2)
         assert rec.lemma == "kierstead-path"
         assert rec.verdict == "pass", (p, rec.witness)
 
@@ -159,7 +152,7 @@ def test_kierstead_tail_overlap_fails_on_corrupted_coloring():
         (0, 2): 1, (1, 3): 3, (1, 5): 2, (1, 6): 4, (2, 3): 4, (2, 6): 3,
         (2, 4): 1, (3, 4): 2, (3, 5): 1, (4, 5): 1, (4, 6): 1, (5, 6): 2},
         uncolored=(0, 1), validate=False)
-    rec = check_kierstead(bad, KiersteadPath((0, 1, 3, 4)))
+    rec = check_kierstead(bad, KiersteadPath((0, 1, 3, 4)), 2)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "tail-overlap", "colors": [3, 4]}
 
@@ -168,41 +161,41 @@ def test_deficiency_checkers_on_split_host():
     host = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
     for pair in (FullDeficiencyPair(0, 1), FullDeficiencyPair(0, 4)):
         phi = find_coloring(host, host.max_degree(), hole=(pair.u, pair.v))
-        assert check_deficiency_pair(host, pair, phi).verdict == "pass"
-        assert check_single_subdelta(host, pair, phi).verdict == "pass"
+        assert check_deficiency_pair(host, pair, phi, 2).verdict == "pass"
+        assert check_single_subdelta(host, pair, phi, 2).verdict == "pass"
 
 
 def test_degree_counting_checkers_need_evidence_of_the_hole():
     host = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
     pair = FullDeficiencyPair(0, 1)
     other_hole = find_coloring(host, host.max_degree(), hole=(0, 4))
-    for rec in (check_vizing_adjacency(host, 0, 1, None),
-                check_vizing_adjacency(host, 0, 1, other_hole),
-                check_deficiency_pair(host, pair, None),
-                check_single_subdelta(host, pair, other_hole)):
+    for rec in (check_vizing_adjacency(host, 0, 1, None, 2),
+                check_vizing_adjacency(host, 0, 1, other_hole, 2),
+                check_deficiency_pair(host, pair, None, 2),
+                check_single_subdelta(host, pair, other_hole, 2)):
         assert rec.verdict == "skipped"
         assert rec.hypotheses["class2"] is True
         assert rec.hypotheses["critical_edge"] is False
     # a hole search that ran out is no evidence either way
     ran_out = SearchBudgetExceeded("out of time")
-    for rec in (check_vizing_adjacency(host, 0, 1, ran_out),
-                check_deficiency_pair(host, pair, ran_out),
-                check_single_subdelta(host, pair, ran_out)):
+    for rec in (check_vizing_adjacency(host, 0, 1, ran_out, 2),
+                check_deficiency_pair(host, pair, ran_out, 2),
+                check_single_subdelta(host, pair, ran_out, 2)):
         assert rec.verdict == "undecided"
         assert rec.hypotheses["class2"] is True
         assert "critical_edge" not in rec.hypotheses
     # on a class-1 host no edge is critical, whatever the search did
-    rec = check_vizing_adjacency(cycle(6), 0, 1, ran_out)
+    rec = check_vizing_adjacency(cycle(6), 0, 1, ran_out, 1)
     assert rec.verdict == "skipped"
     assert rec.hypotheses == {"class2": False, "critical_edge": False}
 
 
 def test_deficiency_checkers_skip_bad_hypotheses():
-    rec = check_deficiency_pair(cycle(5), FullDeficiencyPair(0, 2), None)
+    rec = check_deficiency_pair(cycle(5), FullDeficiencyPair(0, 2), None, 2)
     assert rec.verdict == "skipped"
     assert rec.hypotheses["adjacent"] is False
     rec = check_single_subdelta(cycle(5), FullDeficiencyPair(0, 1),
-                                find_coloring(cycle(5), 2, hole=(0, 1)))
+                                find_coloring(cycle(5), 2, hole=(0, 1)), 2)
     assert rec.verdict == "skipped"
     assert rec.hypotheses["degree_bound"] is False
 
@@ -211,7 +204,7 @@ def test_deficiency_checkers_skip_bad_hypotheses():
 
 def test_case_one_hypotheses_all_hold():
     g, phi = case_one_instance()
-    rec, _ = check_kite(phi, KITE)
+    rec, _ = check_kite(phi, KITE, 1)
     assert rec.lemma == "short-kite-degree"
     # the shape holds but the host is class 1, so the claim is vacuous here
     assert rec.verdict == "skipped"
@@ -224,7 +217,7 @@ def test_case_one_hypotheses_all_hold():
 
 def test_case_one_chain_route_skips_on_class_one_host():
     g, phi = case_one_instance()
-    _, rec = check_kite(phi, KITE)
+    _, rec = check_kite(phi, KITE, 1)
     assert rec.lemma == "kite-chain-route"
     assert rec.verdict == "skipped"
     assert rec.hypotheses["class2"] is False
@@ -236,12 +229,12 @@ def test_case_one_chain_route_skips_on_class_one_host():
 def test_kite_records_skip_off_the_normalized_shape():
     g, phi = case_one_instance()
     swapped_tails = ShortKite(apex=0, rim1=1, rim2=2, hub=3, tail1=5, tail2=4)
-    _, route = check_kite(phi, swapped_tails)
+    _, route = check_kite(phi, swapped_tails, 1)
     assert route.verdict == "skipped"
     assert route.hypotheses["rim1_normalized"] is False
     # with the hole slid off the kite, neither record is anchored
     moved = phi.with_changes({(0, 1): 3, (1, 3): 0})
-    for rec in check_kite(moved, KITE):
+    for rec in check_kite(moved, KITE, 1):
         assert rec.verdict == "skipped"
         assert rec.hypotheses["anchored_delta_coloring"] is False
 
@@ -263,7 +256,7 @@ def off_chain_coloring():
 
 
 def test_chain_route_fails_when_edge_off_chain():
-    _, rec = check_kite(off_chain_coloring(), KITE)
+    _, rec = check_kite(off_chain_coloring(), KITE, 2)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "edge-off-chain", "chain": [5, 4]}
 
@@ -274,7 +267,7 @@ def test_chain_route_fails_on_wrong_order():
         (0, 2): 1, (1, 3): 4, (1, 5): 2, (1, 6): 3, (2, 3): 3, (2, 6): 2,
         (2, 4): 4, (3, 4): 2, (3, 5): 1, (4, 5): 1, (4, 6): 4, (5, 6): 4},
         uncolored=(0, 1), validate=False)
-    _, rec = check_kite(phi, KITE)
+    _, rec = check_kite(phi, KITE, 2)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "order", "chain": [5, 6, 1, 3, 2, 4]}
 
@@ -312,9 +305,9 @@ def kite_checker_calls(monkeypatch):
     """Route the battery's kite checker through a call log."""
     calls = []
 
-    def logged(coloring, kite, budget_ms=None, _check=lemmas.check_kite):
+    def logged(coloring, kite, host_class, _check=lemmas.check_kite):
         calls.append((coloring, kite))
-        return _check(coloring, kite, budget_ms)
+        return _check(coloring, kite, host_class)
     monkeypatch.setattr(lemmas, "check_kite", logged)
     return calls
 
@@ -324,9 +317,11 @@ def test_battery_drops_vacuous_kite_records_by_default(monkeypatch):
     # checked one by one, every kite of this host comes out skipped
     kites = find_short_kites(host)
     assert kites
+    host_class = battery_evidence(host)[0]
     for kite in kites:
         phi = find_coloring(host, host.max_degree(), hole=(kite.apex, kite.rim1))
-        assert [rec.verdict for rec in check_kite(phi, kite)] == ["skipped", "skipped"]
+        assert [rec.verdict for rec in check_kite(phi, kite, host_class)] == ["skipped",
+                                                                             "skipped"]
     calls = kite_checker_calls(monkeypatch)
     lean = lemma_battery(host)
     kite_lemmas = {"short-kite-degree", "kite-chain-route"}
@@ -336,39 +331,50 @@ def test_battery_drops_vacuous_kite_records_by_default(monkeypatch):
 
 
 def battery_evidence(graph):
-    """Every search the battery makes: an optimal coloring of the host and a
-    max-degree coloring (or None) of the host minus each edge."""
-    full = find_coloring(graph, chromatic_index(graph))
+    """Every search the battery makes: the host's class, an optimal coloring
+    of the host, and a max-degree coloring (or None) of the host minus each
+    edge."""
     delta = graph.max_degree()
-    return full, {e: find_coloring(graph, delta, hole=e) for e in graph.sorted_edges()}
+    full = find_delta_coloring(graph)
+    host_class = 1 if full is not None else 2
+    if full is None:
+        full = find_coloring(graph, delta + 1)
+    return host_class, full, {e: find_coloring(graph, delta, hole=e)
+                              for e in graph.sorted_edges()}
 
 
-def reference_battery(graph, full, holes):
+def refuse_search(*args, **kwargs):
+    raise AssertionError("a lemma checker searched for a coloring")
+
+
+def reference_battery(graph, host_class, full, holes):
     """The battery with the full kite loop, on the evidence of
     `battery_evidence`: every kite anchored at the hole goes through the kite
-    checker, and skipped kite records are dropped."""
-    records = []
-    if full is not None:
-        records.append(check_parity(full))
+    checker, and skipped kite records are dropped. Every search is refused,
+    so the checkers judge only what they are handed."""
+    records = [check_parity(full)]
     anchored_kites = {}
     for kite in find_short_kites(graph):
         anchored_kites.setdefault(edge_key(kite.apex, kite.rim1), []).append(kite)
-    for e, phi in holes.items():
-        records.append(check_vizing_adjacency(graph, *e, phi))
-        if phi is None:
-            continue
-        for center in e:
-            records.append(check_multifan(phi, build_maximal_multifan(phi, center)))
-        for path in enumerate_kierstead_paths(phi):
-            records.append(check_kierstead(phi, path))
-        for kite in anchored_kites.get(e, ()):
-            for rec in check_kite(phi, kite):
-                if rec.verdict != "skipped":
-                    records.append(rec)
-    for pair in find_full_deficiency_pairs(graph):
-        phi = holes[(pair.u, pair.v)]
-        records.append(check_deficiency_pair(graph, pair, phi))
-        records.append(check_single_subdelta(graph, pair, phi))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_solve", refuse_search)
+        for e, phi in holes.items():
+            records.append(check_vizing_adjacency(graph, *e, phi, host_class))
+            if phi is None:
+                continue
+            for center in e:
+                records.append(check_multifan(phi, build_maximal_multifan(phi, center),
+                                              host_class))
+            for path in enumerate_kierstead_paths(phi):
+                records.append(check_kierstead(phi, path, host_class))
+            for kite in anchored_kites.get(e, ()):
+                for rec in check_kite(phi, kite, host_class):
+                    if rec.verdict != "skipped":
+                        records.append(rec)
+        for pair in find_full_deficiency_pairs(graph):
+            phi = holes[(pair.u, pair.v)]
+            records.append(check_deficiency_pair(graph, pair, phi, host_class))
+            records.append(check_single_subdelta(graph, pair, phi, host_class))
     return records
 
 
@@ -411,18 +417,12 @@ def test_battery_matches_reference_on_kite_hosts():
 
 def test_checkers_judge_given_evidence_without_searching(monkeypatch):
     host = parse_graph6(r"Fj\|w")  # a theorem-range split with kites and pairs
-    want = [r.to_json_line() for r in lemma_battery(host)]  # warms the class cache
+    want = [r.to_json_line() for r in lemma_battery(host)]
     evidence = battery_evidence(host)
-    corrupted = off_chain_coloring()
-    classify_cached(corrupted.graph)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a lemma checker searched for a coloring")
-    monkeypatch.setattr(lemmas, "find_coloring", refuse)
-    monkeypatch.setattr(solver, "find_coloring", refuse)
+    monkeypatch.setattr(solver, "_solve", refuse_search)
     records = reference_battery(host, *evidence)
     assert [r.to_json_line() for r in records] == want
-    route = check_kite(corrupted, KITE)[1]
+    route = check_kite(off_chain_coloring(), KITE, 2)[1]
     assert route.verdict == "fail"
     # every public checker ran to a verdict on the evidence it was given
     assert {r.lemma for r in records + [route] if r.conclusion is not None} == {
@@ -471,7 +471,6 @@ def test_battery_searches_each_hole_once(monkeypatch):
 
 
 def test_battery_makes_one_max_degree_search_per_host(monkeypatch):
-    g = cycle(5)  # class 2: chi' = delta + 1
     searched = []
 
     def logged(graph, k, hole=None, budget_ms=None):
@@ -479,10 +478,13 @@ def test_battery_makes_one_max_degree_search_per_host(monkeypatch):
         return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
     monkeypatch.setattr(lemmas, "find_coloring", logged)
     monkeypatch.setattr(solver, "find_coloring", logged)
-    monkeypatch.setattr(solver, "_CLASS_CACHE", {})
-    lemma_battery(g)
-    # the class decision is the only search of the whole host at delta colours
-    assert [k for k, hole in searched if hole is None] == [2, 3]
+    # the class decision is the only search of the whole host at delta
+    # colours; a class-2 host (C5) then needs delta + 1, while on a class-1
+    # host (C6) the class decision's coloring is the census coloring
+    for g, want in ((cycle(5), [2, 3]), (cycle(6), [2])):
+        del searched[:]
+        lemma_battery(g)
+        assert [k for k, hole in searched if hole is None] == want, emit_graph6(g)
 
 
 def test_battery_leaves_an_edge_undecided_when_its_hole_search_runs_out(monkeypatch):
@@ -527,7 +529,7 @@ def test_battery_leaves_parity_undecided_when_the_full_search_runs_out(monkeypat
     # with the class decision out of budget too, no claim that needs it is decided
     def out_of_time(graph, budget_ms=None):
         raise SearchBudgetExceeded("out of time")
-    monkeypatch.setattr(lemmas, "classify_cached", out_of_time)
+    monkeypatch.setattr(lemmas, "find_delta_coloring", out_of_time)
     got = lemma_battery(g)
     assert got[0].instance_id == "Dhc k=?"
     assert len(got) == len(want)
@@ -611,7 +613,7 @@ def test_battery_decides_the_class_once_when_it_runs_out(monkeypatch):
     def out_of_time(graph, budget_ms=None):
         attempts.append(graph)
         raise SearchBudgetExceeded("out of time")
-    monkeypatch.setattr(lemmas, "classify_cached", out_of_time)
+    monkeypatch.setattr(lemmas, "find_delta_coloring", out_of_time)
     got = lemma_battery(g)
     assert attempts == [g]
     # every claim needs the class, so each record is left undecided with the

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 import edgecritic.solver as solver
-from conftest import assert_proper, corpus_hosts, small_graphs
+from conftest import (
+    assert_proper,
+    class_two_graphs,
+    corpus_hosts,
+    is_critical_by_deletion,
+    small_graphs,
+)
 from edgecritic.graphs import (
     GraphError,
     complete,
@@ -20,13 +26,10 @@ from edgecritic.graphs import (
 from edgecritic.solver import (
     SearchBudgetExceeded,
     chromatic_index,
-    classify,
-    classify_cached,
     critical_edge_report,
     enumerate_colorings,
     find_coloring,
     find_delta_coloring,
-    is_critical_edge,
     vizing_color,
 )
 
@@ -54,19 +57,6 @@ def test_chromatic_index_known(name):
 
 def test_chromatic_index_edgeless():
     assert chromatic_index(make_graph(3, [])) == 0
-
-
-def test_classify():
-    assert classify(cycle(6)) == 1
-    assert classify(cycle(5)) == 2
-    assert classify(petersen()) == 2
-    with pytest.raises(GraphError):
-        classify(make_graph(2, []))
-
-
-def test_classify_cached_consistent():
-    g = cycle(7)
-    assert classify_cached(g) == classify(g) == classify_cached(g) == 2
 
 
 def test_find_coloring_basic():
@@ -154,14 +144,14 @@ def test_no_budget_means_no_deadline():
 
 def test_critical_edges_of_odd_cycle():
     g = cycle(5)
-    assert all(is_critical_edge(g, u, v) for u, v in g.sorted_edges())
+    assert all(is_critical_by_deletion(g, e) for e in g.sorted_edges())
     ok, crit = critical_edge_report(g)
-    assert ok and len(crit) == 5
+    assert ok and crit == g.sorted_edges()
 
 
 def test_class_one_graph_is_never_critical():
     g = cycle(6)
-    assert not is_critical_edge(g, 0, 1)
+    assert not is_critical_by_deletion(g, (0, 1))
     ok, crit = critical_edge_report(g)
     assert not ok and crit == []
 
@@ -178,37 +168,49 @@ def test_petersen_minus_vertex_is_edge_critical():
     assert ok and len(crit) == g.edge_count() == 12
 
 
+def assert_report_matches_definition(g):
+    ok, crit = critical_edge_report(g)
+    assert crit == [e for e in g.sorted_edges() if is_critical_by_deletion(g, e)]
+    class2 = chromatic_index(g) > g.max_degree()
+    assert ok == (g.is_connected() and class2 and len(crit) == g.edge_count())
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_graphs())
 def test_critical_report_matches_per_edge_decisions(g):
-    # the report certifies most edges by sliding holes; each edge alone agrees
-    ok, crit = critical_edge_report(g)
-    assert crit == [e for e in g.sorted_edges() if is_critical_edge(g, *e)]
-    assert ok == (g.is_connected() and classify(g) == 2 and len(crit) == g.edge_count())
+    # the report slides holes on class-2 hosts and uses the degree argument
+    # on class-1 ones; deleting each edge alone agrees
+    assert_report_matches_definition(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_two_graphs())
+def test_critical_report_matches_definition_on_class_two_hosts(g):
+    assert_report_matches_definition(g)
 
 
 def test_critical_report_on_edgeless_graph():
     assert critical_edge_report(make_graph(3, [])) == (False, [])
 
 
-@pytest.mark.parametrize("g, searches", [(complete(4), 7), (cube(), 13)],
-                         ids=["k4", "cube"])
-def test_class_one_report_searches_each_edge_once(monkeypatch, g, searches):
-    # one class decision, then one search of G - e per edge: chi'(G) = delta is known
+@pytest.mark.parametrize("g, crit, searches", [
+    (complete(4), [], 1),
+    (cube(), [], 1),
+    (complete_bipartite(1, 3), [(0, 1), (0, 2), (0, 3)], 4),
+], ids=["k4", "cube", "k13"])
+def test_class_one_report_searches_each_edge_once(monkeypatch, g, crit, searches):
+    # one class decision; G - e can lose a colour only when e covers every
+    # max-degree vertex, and each such edge gets one (delta - 1)-colour search
     calls = []
 
     def counting(graph, k, hole=None, budget_ms=None):
-        calls.append((graph, k, hole))
+        calls.append((k, hole))
         return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
     monkeypatch.setattr(solver, "find_coloring", counting)
-    monkeypatch.setattr(solver, "_CLASS_CACHE", {})
-    assert critical_edge_report(g) == (False, [])
-    assert len(calls) == searches == g.edge_count() + 1
-
-
-def test_is_critical_edge_rejects_non_edge():
-    with pytest.raises(GraphError):
-        is_critical_edge(cycle(5), 0, 2)
+    assert critical_edge_report(g) == (False, crit)
+    delta = g.max_degree()
+    assert calls == [(delta, None)] + [(delta - 1, e) for e in crit]
+    assert len(calls) == searches
 
 
 # ------------------------------------------------------------ constructive

@@ -27,7 +27,7 @@ from edgecritic.graphs import (
 from edgecritic.records import RecordError, VerificationRecord, read_records
 from edgecritic.solver import (
     SearchBudgetExceeded,
-    classify,
+    chromatic_index,
     find_coloring,
     find_delta_coloring,
     vizing_color,
@@ -347,7 +347,7 @@ def test_split_of_order8_circulant_is_not_critical():
 
     g = vertex_split(base, split_spec(0, (5, 6), (7,)))
     assert emit_graph6(g) == "H@UmbA@"
-    assert is_overfull(g) and classify(g) == 2
+    assert is_overfull(g) and chromatic_index(g) == 4
     assert find_coloring(g, 3, hole=(3, 4)) is None
     # same fact through the deletion route: losing (3, 4) keeps it class 2
     assert find_coloring(g.delete_edge(3, 4), 3) is None
@@ -533,6 +533,31 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert list(read_records(str(log))) == serial
 
 
+def test_sweep_starts_no_more_workers_than_instances(monkeypatch):
+    # a fork-started pool launches all its workers at the first submit
+    import concurrent.futures
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    serial = run_sweep(cubic_m6_config())
+    assert run_sweep(cubic_m6_config(jobs=5000)) == serial
+    assert started == [len(CUBIC_M6_IDS)]
+    assert run_sweep(cubic_m6_config(jobs=2)) == serial
+    assert started == [len(CUBIC_M6_IDS), 2]
+
+
 # ------------------------------------------------------------- 9-vertex hunt
 
 def test_nonelementary_path_witness_is_pinned():
@@ -561,12 +586,12 @@ def test_nonelementary_path_witness_is_pinned():
 
 
 def test_nonelementary_path_skip_and_undecided(monkeypatch):
-    monkeypatch.setattr(verifier, "classify_cached", lambda g, b=None: 1)
+    monkeypatch.setattr(verifier, "find_delta_coloring", lambda g, b=None: vizing_color(g))
     rec = reproduce_nonelementary_path()
     assert rec.verdict == "skipped"
     assert rec.hypotheses == {"host_class2": False}
 
-    monkeypatch.setattr(verifier, "classify_cached", lambda g, b=None: 2)
+    monkeypatch.setattr(verifier, "find_delta_coloring", lambda g, b=None: None)
 
     def boom(*a, **kw):
         raise SearchBudgetExceeded("over budget")
