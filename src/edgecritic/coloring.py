@@ -1,12 +1,16 @@
 """Partial proper edge colorings and Kempe-chain operations.
 
-Colors are integers in [1, k]; 0 means uncolored. One representation holds a
-coloring: `MutableColoring`, per-vertex slot dicts (color -> neighbor) plus
+Colors are integers in [1, k]. One representation holds a coloring:
+`MutableColoring`, per-vertex slot dicts (color -> neighbor) plus
 present-color bitmasks, where bit c corresponds to color c. A
-`PartialEdgeColoring` is the validated, frozen face of one such core;
-`vizing_color` edits a core in place, hole propagation reads the cores of
-frozen colorings, and both freeze their results through the validating
-constructor.
+`PartialEdgeColoring` is the validated, frozen face of one such core. Its
+constructor takes host edges, keyed as in `graph.edges`, and names the hole
+only by `uncolored`; it runs every check on every call. The places that take
+outside input (`with_changes`, `coloring_from_text`, `color_of`) normalise
+edge keys; `color_of` reports the hole as 0, and `with_changes` takes 0 to
+uncolor an edge. `vizing_color` edits a core in place, hole propagation reads
+the cores of frozen colorings, and both freeze their results through the
+validating constructor.
 """
 
 from __future__ import annotations
@@ -38,60 +42,46 @@ def _bits(mask: int):
 class PartialEdgeColoring:
     """A proper edge coloring of a host graph with at most one uncolored edge.
 
-    Every graph edge except the designated hole carries a color in [1, k].
-    The constructor checks that and fills its own MutableColoring, which no
-    method changes: instances are values, and deriving operations return new
-    objects.
+    `assignment` maps every host edge, keyed as in `graph.edges`, to a color
+    in [1, k], except the hole, which only `uncolored` names. The constructor
+    checks all of that on every call (a reversed or foreign key breaks the
+    exact cover) and fills its own MutableColoring, which no method changes:
+    instances are values, and deriving operations return new objects.
     """
 
     __slots__ = ("graph", "k", "uncolored", "_core")
 
-    def __init__(self, graph: Graph, k: int, assignment, uncolored: Edge | None = None,
-                 validate: bool = True):
+    def __init__(self, graph: Graph, k: int, assignment: dict[Edge, int],
+                 uncolored: Edge | None = None):
         if k < 0:
             raise ColoringError(f"palette size {k} is negative")
         self.graph = graph
         self.k = k
-        norm: dict[Edge, int] = {}
-        holes = set()
-        for (u, v), c in dict(assignment).items():
-            e = edge_key(u, v)
-            if c == 0:
-                holes.add(e)
-            else:
-                norm[e] = c
-        if uncolored is not None:
-            holes.add(edge_key(*uncolored))
-        if len(holes) > 1:
-            raise ColoringError(f"more than one uncolored edge: {sorted(holes)}")
-        self.uncolored = next(iter(holes)) if holes else None
+        col = dict(assignment)
+        hole = self.uncolored = None if uncolored is None else edge_key(*uncolored)
+        if hole is not None:
+            if hole not in graph.edges:
+                raise ColoringError(f"uncolored edge {hole} not in host graph")
+            if hole in col:
+                raise ColoringError(f"edge {hole} both colored and uncolored")
+        if len(col) + (hole is not None) != len(graph.edges) or not graph.edges.issuperset(col):
+            raise ColoringError("assignment does not cover the host edge set exactly")
         core = MutableColoring(graph.n, k)
-        core.col = norm
+        core.col = col
         slot, present = core.slot, core.present
-        for (u, v), c in norm.items():
-            if validate:
-                if not 1 <= c <= k:
-                    raise ImproperColoringError(f"color {c} on edge {(u, v)} outside [1, {k}]")
-                if c in slot[u]:
-                    raise ImproperColoringError(f"color {c} repeated at vertex {u}")
-                if c in slot[v]:
-                    raise ImproperColoringError(f"color {c} repeated at vertex {v}")
+        for (u, v), c in col.items():
+            if not 1 <= c <= k:
+                raise ImproperColoringError(f"color {c} on edge {(u, v)} outside [1, {k}]")
+            if c in slot[u]:
+                raise ImproperColoringError(f"color {c} repeated at vertex {u}")
+            if c in slot[v]:
+                raise ImproperColoringError(f"color {c} repeated at vertex {v}")
             # MutableColoring.set, inlined: this loop builds every certificate
             slot[u][c] = v
             slot[v][c] = u
             present[u] |= 1 << c
             present[v] |= 1 << c
         self._core = core
-        if validate:
-            covered = set(norm)
-            if self.uncolored is not None:
-                if self.uncolored not in graph.edges:
-                    raise ColoringError(f"uncolored edge {self.uncolored} not in host graph")
-                if self.uncolored in covered:
-                    raise ColoringError(f"edge {self.uncolored} both colored and uncolored")
-                covered.add(self.uncolored)
-            if covered != graph.edges:
-                raise ColoringError("assignment does not cover the host edge set exactly")
 
     # -- queries ------------------------------------------------------------
 
@@ -172,10 +162,11 @@ class PartialEdgeColoring:
 class MutableColoring:
     """Mutable slot arrays for coloring algorithms that edit in place.
 
-    `col` maps each colored edge to its color, `slot[v]` maps each color at v
-    to the neighbor reached through it, and `present[v]` is v's color bitmask.
-    No validation: callers keep the coloring proper and freeze the result into
-    a PartialEdgeColoring, whose constructor checks it.
+    `col` maps each colored edge, keyed (low, high) as in `graph.edges`, to its
+    color, `slot[v]` maps each color at v to the neighbor reached through it,
+    and `present[v]` is v's color bitmask. No validation: callers keep the
+    coloring proper and freeze the result by passing `col` to the
+    PartialEdgeColoring constructor, which checks it.
     """
 
     __slots__ = ("full", "col", "slot", "present")

@@ -112,11 +112,10 @@ def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ..
     """All (vertex, partition) choices up to base automorphisms, sorted.
 
     Only the least vertex v of each vertex orbit is split, and its choices
-    are closed under generators of v's stabiliser, so no image leaves v. An
+    are closed under Schreier generators of v's stabiliser
+    (`stabiliser_generators`), so no image leaves v. An
     orbit of choices meets v in one stabiliser orbit, whose least member is
-    the least of the whole orbit. Vertex 0 is the chain's base point: the
-    generators that fix it generate its stabiliser (see
-    `automorphism_generators`). Other vertices take Schreier generators.
+    the least of the whole orbit.
     """
     gens = automorphism_generators(base)
 
@@ -135,7 +134,7 @@ def _split_orbits(base: Graph) -> list[tuple[int, tuple[int, ...], tuple[int, ..
         nbrs = sorted(base.neighbors(v))
         if len(nbrs) < 2:
             continue
-        stab = [p for p in gens if p[0] == 0] if v == 0 else stabiliser_generators(gens, v)
+        stab = stabiliser_generators(gens, v)
         rest = nbrs[1:]
         # fixing nbrs[0] in part A kills the (A,B)/(B,A) double count
         for pick in range(1 << len(rest)):
@@ -221,11 +220,12 @@ def check_split_instance(inst: SplitInstance) -> VerificationRecord:
     """
     base = parse_graph6(inst.base_graph6)
     phi = coloring_from_text(base, inst.base_coloring_text)
-    spec = split_spec(inst.vertex, inst.part_a, inst.part_b)
-    g = vertex_split(base, spec)
+    inherited = inherit_split_coloring(
+        phi, split_spec(inst.vertex, inst.part_a, inst.part_b))
+    g = inherited.graph
     delta = g.max_degree()
-    # the carried base coloring certifies class 1 on its own
-    hyp = {"base_class1": phi.is_full() and phi.k == base.max_degree(),
+    # the carried base coloring, full or refused above, certifies class 1
+    hyp = {"base_class1": phi.k == base.max_degree(),
            "base_connected": base.is_connected(),
            "base_regular": base.is_regular()}
     split_edge = (inst.vertex, base.n)
@@ -237,7 +237,6 @@ def check_split_instance(inst: SplitInstance) -> VerificationRecord:
 
     if not is_overfull(g):
         return fail("overfull")
-    inherited = inherit_split_coloring(phi, spec)
     if sorted(inherited.missing(inst.vertex) | inherited.missing(base.n)) != list(
             range(1, delta + 1)) or inherited.missing(inst.vertex) & inherited.missing(base.n):
         return fail("inherited-missing-partition")

@@ -45,6 +45,20 @@ def assert_proper(coloring) -> None:
     assert covered == set(g.edges)
 
 
+def unchecked_coloring(graph: Graph, k: int, assignment: dict, uncolored) -> PartialEdgeColoring:
+    """A PartialEdgeColoring face and its core filled with no checks at all.
+
+    Only for feeding checkers the improper colorings that the validating
+    constructor refuses; `assignment` maps host edges to colors.
+    """
+    core = MutableColoring(graph.n, k)
+    for (u, v), c in assignment.items():
+        core.set(u, v, c)
+    face = object.__new__(PartialEdgeColoring)
+    face.graph, face.k, face.uncolored, face._core = graph, k, uncolored, core
+    return face
+
+
 def random_graph(rng: random.Random, max_n: int = 8, max_m: int = 12) -> Graph:
     n = rng.randint(2, max_n)
     pairs = list(itertools.combinations(range(n), 2))

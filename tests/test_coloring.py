@@ -65,10 +65,10 @@ def test_construction_rejects_negative_palette():
         PartialEdgeColoring(g, -1, {(0, 1): 1})
 
 
-def test_construction_rejects_two_holes():
-    g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(ColoringError, match="more than one uncolored"):
-        PartialEdgeColoring(g, 3, {(0, 1): 0, (1, 2): 0, (0, 2): 1})
+def test_construction_rejects_zero_color():
+    # only `uncolored` names the hole; a 0 in the assignment is a bad color
+    with pytest.raises(ImproperColoringError, match="outside"):
+        PartialEdgeColoring(cycle(4), 2, {(0, 1): 0, (1, 2): 1, (2, 3): 2, (0, 3): 1})
 
 
 def test_construction_rejects_out_of_range_color():
@@ -101,10 +101,11 @@ def test_construction_rejects_partial_cover():
         PartialEdgeColoring(g, 2, {(0, 1): 1})
 
 
-def test_validate_false_accepts_clash():
-    g = make_graph(3, [(0, 1), (1, 2)])
-    col = PartialEdgeColoring(g, 2, {(0, 1): 1, (1, 2): 1}, validate=False)
-    assert col.color_of(0, 1) == col.color_of(1, 2) == 1
+@pytest.mark.parametrize("key", [(1, 0), (0, 2)], ids=["reversed", "foreign"])
+def test_construction_rejects_key_that_is_not_a_host_edge(key):
+    g = make_graph(3, [(0, 1)])
+    with pytest.raises(ColoringError, match="cover"):
+        PartialEdgeColoring(g, 1, {key: 1})
 
 
 # ------------------------------------------------------------ queries
@@ -146,7 +147,7 @@ def test_with_changes_uncolor_and_errors():
     col = triangle_coloring()
     holed = col.with_changes({(0, 1): 0})
     assert holed.uncolored == (0, 1)
-    with pytest.raises(ColoringError):
+    with pytest.raises(ColoringError, match="more than one uncolored"):
         holed.with_changes({(0, 2): 0})
     with pytest.raises(GraphError):
         col.with_changes({(0, 7): 1})
@@ -183,6 +184,12 @@ def test_from_text_errors():
         coloring_from_text(g, "k=1 uncolored=none\n0 1\n")
     with pytest.raises(ColoringError, match="duplicate"):
         coloring_from_text(g, "k=2 uncolored=none\n0 1 1\n1 0 2\n")
+
+
+def test_from_text_rejects_zero_color():
+    # a 0 line is not a second way to name the hole the header denies
+    with pytest.raises(ImproperColoringError):
+        coloring_from_text(cycle(4), "k=2 uncolored=none\n0 1 0\n1 2 1\n2 3 2\n0 3 1\n")
 
 
 # ------------------------------------------------------------ elementary sets

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 import edgecritic.lemmas as lemmas
 import edgecritic.solver as solver
 import edgecritic.structures as structures
-from conftest import class_two_graphs, corpus_hosts, find_short_kites
+from conftest import class_two_graphs, corpus_hosts, find_short_kites, unchecked_coloring
 from edgecritic.coloring import PartialEdgeColoring
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import (
@@ -105,8 +105,7 @@ def test_parity_checker():
     holed = find_coloring(cycle(5), 2, hole=(0, 1))
     assert check_parity(holed).verdict == "skipped"
 
-    flat = PartialEdgeColoring(
-        cycle(5), 3, {e: 1 for e in cycle(5).edges}, validate=False)
+    flat = unchecked_coloring(cycle(5), 3, {e: 1 for e in cycle(5).edges}, None)
     bad = check_parity(flat)
     assert bad.verdict == "fail"
     assert bad.witness == {"color": 1, "missing_at": 0}
@@ -121,9 +120,8 @@ def test_multifan_passes_on_critical_host():
 
 
 def test_multifan_fails_on_corrupted_coloring():
-    bad = PartialEdgeColoring(
-        cycle(5), 2, {(0, 4): 2, (1, 2): 2, (2, 3): 1, (3, 4): 2},
-        uncolored=(0, 1), validate=False)
+    bad = unchecked_coloring(
+        cycle(5), 2, {(0, 4): 2, (1, 2): 2, (2, 3): 1, (3, 4): 2}, (0, 1))
     rec = check_multifan(bad, Multifan(0, (1,)), 2)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "elementary", "u": 0, "v": 1, "color": 1}
@@ -148,10 +146,9 @@ def test_kierstead_passes_on_critical_host():
 
 def test_kierstead_tail_overlap_fails_on_corrupted_coloring():
     h = overfull_host()
-    bad = PartialEdgeColoring(h, 4, {
+    bad = unchecked_coloring(h, 4, {
         (0, 2): 1, (1, 3): 3, (1, 5): 2, (1, 6): 4, (2, 3): 4, (2, 6): 3,
-        (2, 4): 1, (3, 4): 2, (3, 5): 1, (4, 5): 1, (4, 6): 1, (5, 6): 2},
-        uncolored=(0, 1), validate=False)
+        (2, 4): 1, (3, 4): 2, (3, 5): 1, (4, 5): 1, (4, 6): 1, (5, 6): 2}, (0, 1))
     rec = check_kierstead(bad, KiersteadPath((0, 1, 3, 4)), 2)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "tail-overlap", "colors": [3, 4]}
@@ -249,10 +246,9 @@ def test_auxiliary_hole_slide_keeps_a_fan():
 
 def off_chain_coloring():
     """A corrupted coloring of the overfull host whose tail2 chain misses hub-rim1."""
-    return PartialEdgeColoring(overfull_host(), 4, {
+    return unchecked_coloring(overfull_host(), 4, {
         (0, 2): 1, (1, 3): 3, (1, 5): 2, (1, 6): 4, (2, 3): 4, (2, 6): 3,
-        (2, 4): 1, (3, 4): 2, (3, 5): 1, (4, 5): 3, (4, 6): 1, (5, 6): 2},
-        uncolored=(0, 1), validate=False)
+        (2, 4): 1, (3, 4): 2, (3, 5): 1, (4, 5): 3, (4, 6): 1, (5, 6): 2}, (0, 1))
 
 
 def test_chain_route_fails_when_edge_off_chain():
@@ -263,10 +259,9 @@ def test_chain_route_fails_when_edge_off_chain():
 
 def test_chain_route_fails_on_wrong_order():
     h = overfull_host()
-    phi = PartialEdgeColoring(h, 4, {
+    phi = unchecked_coloring(h, 4, {
         (0, 2): 1, (1, 3): 4, (1, 5): 2, (1, 6): 3, (2, 3): 3, (2, 6): 2,
-        (2, 4): 4, (3, 4): 2, (3, 5): 1, (4, 5): 1, (4, 6): 4, (5, 6): 4},
-        uncolored=(0, 1), validate=False)
+        (2, 4): 4, (3, 4): 2, (3, 5): 1, (4, 5): 1, (4, 6): 4, (5, 6): 4}, (0, 1))
     _, rec = check_kite(phi, KITE, 2)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "order", "chain": [5, 6, 1, 3, 2, 4]}

@@ -331,6 +331,24 @@ def test_split_instance_passes_on_k4():
                               "base_regular": True}
 
 
+def test_sweep_m8_builds_each_split_graph_once(monkeypatch):
+    calls = []
+    real = verifier.vertex_split
+    monkeypatch.setattr(verifier, "vertex_split", lambda *a: calls.append(1) or real(*a))
+    assert len(run_sweep(SweepConfig(m_max=8, mode="conjecture"))) == 107
+    assert len(calls) == 107
+
+
+def test_split_instance_refuses_holed_base_coloring_before_overfull_test():
+    base = make_graph(3, [(0, 1), (1, 2)])
+    inst = SplitInstance(instance_id="test v=1 A=0 B=2", base_graph6=emit_graph6(base),
+                         base_coloring_text=find_coloring(base, 2, hole=(0, 1)).to_text(),
+                         vertex=1, part_a=(0,), part_b=(2,),
+                         budget_ms=None, solver_confirm=False)
+    with pytest.raises(ColoringError, match="must be full"):
+        check_split_instance(inst)
+
+
 def test_split_of_order8_circulant_is_not_critical():
     # the one sweep failure: this base admits a split that is overfull and
     # class 2 yet keeps a non-critical edge, so the record must say fail
