@@ -38,7 +38,6 @@ from .graphs import (
     complete_minus_matching,
     cube,
     cycle,
-    distance,
     graph_from_mask,
     is_overfull,
     make_graph,
@@ -76,8 +75,6 @@ from .solver import (
     vizing_color,
 )
 from .structures import (
-    FullDeficiencyPair,
-    KiersteadPath,
     Multifan,
     ShortKite,
     build_maximal_multifan,

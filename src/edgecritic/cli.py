@@ -270,8 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=_cmd_critical)
 
+    # split runs no search, so it takes no budget
     p = sub.add_parser("split", help="split a vertex into an adjacent pair")
-    common(p)
+    _input_flags(p)
+    p.add_argument("--json", action="store_true", help="machine output")
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--part-a", type=_int_list, required=True,
                    help="comma list of neighbors kept on the original id")

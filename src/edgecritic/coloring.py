@@ -6,11 +6,11 @@ present-color bitmasks, where bit c corresponds to color c. A
 `PartialEdgeColoring` is the validated, frozen face of one such core. Its
 constructor takes host edges, keyed as in `graph.edges`, and names the hole
 only by `uncolored`; it runs every check on every call. The places that take
-outside input (`with_changes`, `coloring_from_text`, `color_of`) normalise
-edge keys; `color_of` reports the hole as 0, and `with_changes` takes 0 to
-uncolor an edge. `vizing_color` edits a core in place, hole propagation reads
-the cores of frozen colorings, and both freeze their results through the
-validating constructor.
+outside input (`coloring_from_text`, `color_of`, `recolor_edge`) normalise
+edge keys, and `color_of` reports the hole as 0. `vizing_color` edits a core
+in place; hole propagation, the Kempe swaps and `recolor_edge` copy the `col`
+map of a frozen coloring and change it. All of them freeze their results
+through the validating constructor.
 """
 
 from __future__ import annotations
@@ -120,27 +120,6 @@ class PartialEdgeColoring:
 
     def colored_items(self) -> list[tuple[Edge, int]]:
         return sorted(self._core.col.items())
-
-    # -- derivation ----------------------------------------------------------
-
-    def with_changes(self, changes: dict[Edge, int]) -> "PartialEdgeColoring":
-        """New coloring with the given edge->color updates applied (0 uncolors)."""
-        assign = dict(self._core.col)
-        holes = {self.uncolored} - {None}
-        for e, c in changes.items():
-            e = edge_key(*e)
-            if e not in self.graph.edges:
-                raise GraphError(f"edge {e} not in host graph")
-            if c == 0:
-                assign.pop(e, None)
-                holes.add(e)
-            else:
-                assign[e] = c
-                holes.discard(e)
-        if len(holes) > 1:
-            raise ColoringError(f"more than one uncolored edge: {sorted(holes)}")
-        hole = next(iter(holes)) if holes else None
-        return PartialEdgeColoring(self.graph, self.k, assign, hole)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PartialEdgeColoring)
@@ -408,11 +387,10 @@ def kempe_chain(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int) ->
 
 
 def _swap_chain_edges(coloring, edges, alpha, beta):
-    changes = {}
+    col = dict(coloring._core.col)
     for e in edges:
-        c = coloring.color_of(*e)
-        changes[e] = beta if c == alpha else alpha
-    return coloring.with_changes(changes)
+        col[e] = alpha + beta - col[e]
+    return PartialEdgeColoring(coloring.graph, coloring.k, col, coloring.uncolored)
 
 
 def kempe_swap(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int) -> PartialEdgeColoring:
@@ -452,12 +430,14 @@ def subchain_swap(coloring: PartialEdgeColoring, x: int, y: int, alpha: int, bet
 def recolor_edge(coloring: PartialEdgeColoring, u: int, v: int, to: int) -> PartialEdgeColoring:
     current = coloring.color_of(u, v)
     if current == 0:
-        raise ColoringError(f"edge ({u}, {v}) is the uncolored edge; give it a color with with_changes")
+        raise ColoringError(f"edge ({u}, {v}) is the uncolored edge")
     if not 1 <= to <= coloring.k:
         raise ColoringError(f"color {to} outside palette [1, {coloring.k}]")
     if to == current:
         return coloring
-    return coloring.with_changes({(u, v): to})
+    col = dict(coloring._core.col)
+    col[edge_key(u, v)] = to
+    return PartialEdgeColoring(coloring.graph, coloring.k, col, coloring.uncolored)
 
 
 # ---------------------------------------------------------------------------

@@ -173,36 +173,6 @@ def is_overfull(graph: Graph) -> bool:
     return graph.edge_count() > graph.max_degree() * (graph.n // 2)
 
 
-def distance(graph: Graph, source: int, targets) -> int | None:
-    """BFS distance from source to the nearest vertex of targets; None if unreachable."""
-    tset = set(targets)
-    if not tset:
-        raise GraphError("target set must be nonempty")
-    for t in tset:
-        if not 0 <= t < graph.n:
-            raise GraphError(f"target vertex {t} out of range")
-    if not 0 <= source < graph.n:
-        raise GraphError(f"source vertex {source} out of range")
-    if source in tset:
-        return 0
-    seen = {source}
-    frontier = [source]
-    dist = 0
-    while frontier:
-        dist += 1
-        nxt = []
-        for v in frontier:
-            for w in graph.adj[v]:
-                if w in seen:
-                    continue
-                if w in tset:
-                    return dist
-                seen.add(w)
-                nxt.append(w)
-        frontier = nxt
-    return None
-
-
 # ---------------------------------------------------------------------------
 # builders
 

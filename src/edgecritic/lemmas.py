@@ -22,12 +22,10 @@ from .coloring import (
     parity_census,
 )
 from .graph6 import emit_graph6
-from .graphs import Graph, distance, edge_key
+from .graphs import Edge, Graph, edge_key
 from .records import VerificationRecord
 from .solver import SearchBudgetExceeded, find_coloring, find_delta_coloring
 from .structures import (
-    FullDeficiencyPair,
-    KiersteadPath,
     Multifan,
     ShortKite,
     build_maximal_multifan,
@@ -120,32 +118,34 @@ def check_vizing_adjacency(graph: Graph, u: int, v: int,
                  (host_class, _hole_colorable(graph, (u, v), hole_coloring)), violation)
 
 
-def _pair_hypotheses(graph: Graph, pair: FullDeficiencyPair) -> dict[str, bool]:
-    a, b = pair.u, pair.v
+def _pair_hypotheses(graph: Graph, pair: Edge) -> dict[str, bool]:
+    a, b = pair
     return {"adjacent": graph.has_edge(a, b),
             "full_deficiency": graph.degree(a) + graph.degree(b) == graph.max_degree() + 2}
 
 
-def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
+def check_deficiency_pair(graph: Graph, pair: Edge,
                           hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
                           host_class: int | SearchBudgetExceeded
                           ) -> VerificationRecord:
     """Degree structure around a critical edge whose ends have full deficiency."""
-    a, b = pair.u, pair.v
+    a, b = pair
     delta = graph.max_degree()
 
     def violation():
         both_low = graph.degree(a) < delta and graph.degree(b) < delta
-        ring = (graph.neighbors(a) | graph.neighbors(b)) - {a, b}
-        for x in sorted(ring):
+        # the pair is adjacent, so near holds a and b
+        near = graph.neighbors(a) | graph.neighbors(b)
+        for x in sorted(near - {a, b}):
             if graph.degree(x) != delta:
                 return {"part": "neighbor-degree", "vertex": x, "degree": graph.degree(x)}
-        floor = graph.n - len(graph.neighbors(a) | graph.neighbors(b))
+        two = {w for x in near for w in graph.neighbors(x)} - near
+        floor = graph.n - len(near)
         for x in range(graph.n):
             if x in (a, b):
                 continue
             d = graph.degree(x)
-            at_two = distance(graph, x, {a, b}) == 2
+            at_two = x in two
             if at_two or d >= floor:
                 part = "distance-two" if at_two else "large-degree"
                 if d < delta - 1:
@@ -164,12 +164,12 @@ def check_deficiency_pair(graph: Graph, pair: FullDeficiencyPair,
                  (host_class, _hole_colorable(graph, (a, b), hole_coloring)), violation)
 
 
-def check_single_subdelta(graph: Graph, pair: FullDeficiencyPair,
+def check_single_subdelta(graph: Graph, pair: Edge,
                           hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
                           host_class: int | SearchBudgetExceeded
                           ) -> VerificationRecord:
     """With max degree at least 3(n-1)/4, at most one outside vertex sits one below it."""
-    a, b = pair.u, pair.v
+    a, b = pair
     delta = graph.max_degree()
     hyp = _pair_hypotheses(graph, pair)
     hyp["degree_bound"] = 4 * delta >= 3 * (graph.n - 1)
@@ -225,12 +225,11 @@ def check_multifan(coloring: PartialEdgeColoring, fan: Multifan,
                  hyp, (host_class, True), violation)
 
 
-def check_kierstead(coloring: PartialEdgeColoring, path: KiersteadPath,
+def check_kierstead(coloring: PartialEdgeColoring, vs: tuple[int, ...],
                     host_class: int | SearchBudgetExceeded) -> VerificationRecord:
     """Four-vertex path: low inner degree forces elementarity; tail overlap is at most one."""
     g = coloring.graph
-    vs = path.vertices
-    hyp = {"valid_kierstead_path": kierstead_violation(coloring, path) is None,
+    hyp = {"valid_kierstead_path": kierstead_violation(coloring, vs) is None,
            "four_vertices": len(vs) == 4,
            "anchored_delta_coloring": _anchored(coloring, coloring.uncolored)}
 
@@ -264,10 +263,8 @@ def _kite_hypotheses(coloring: PartialEdgeColoring, kite: ShortKite
     hyp = {"kite_in_graph": kite_violation(coloring.graph, kite) is None,
            "anchored_delta_coloring": _anchored(coloring, (a, b))}
     if all(hyp.values()):
-        hyp["kierstead_through_rim1"] = kierstead_violation(
-            coloring, KiersteadPath((a, b, u, x))) is None
-        hyp["kierstead_through_rim2"] = kierstead_violation(
-            coloring, KiersteadPath((b, a, c, u, y))) is None
+        hyp["kierstead_through_rim1"] = kierstead_violation(coloring, (a, b, u, x)) is None
+        hyp["kierstead_through_rim2"] = kierstead_violation(coloring, (b, a, c, u, y)) is None
         tails = coloring.missing_mask(x) | coloring.missing_mask(y)
         ends = coloring.missing_mask(a) | coloring.missing_mask(b)
         hyp["tail_missing_within_ends"] = tails & ~ends == 0
@@ -366,7 +363,7 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
         else:
             records.append(check_parity(full))
     # the pair records come after every edge's records, in edge order
-    pairs = {edge_key(p.u, p.v): p for p in find_full_deficiency_pairs(graph)}
+    pairs = set(find_full_deficiency_pairs(graph))
     pair_records = []
     for e in graph.sorted_edges():
         try:
@@ -375,8 +372,8 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
             phi = exc
         records.append(check_vizing_adjacency(graph, *e, phi, host_class))
         if e in pairs:
-            pair_records += [check_deficiency_pair(graph, pairs[e], phi, host_class),
-                             check_single_subdelta(graph, pairs[e], phi, host_class)]
+            pair_records += [check_deficiency_pair(graph, e, phi, host_class),
+                             check_single_subdelta(graph, e, phi, host_class)]
         if not isinstance(phi, PartialEdgeColoring):
             continue
         records.extend(check_multifan(phi, build_maximal_multifan(phi, center), host_class)
@@ -387,7 +384,7 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
         # the hole fails a kierstead_through_rim hypothesis, so its records
         # would only be dropped
         kites = sorted((kite for path in paths
-                        for kite in kites_with_head(graph, path.vertices, phi)),
+                        for kite in kites_with_head(graph, path, phi)),
                        key=_ROLE_ORDER)
         for kite in kites:
             records.extend(rec for rec in check_kite(phi, kite, host_class)

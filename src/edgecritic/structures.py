@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import ColoringError, PartialEdgeColoring
-from .graphs import Graph, edge_key
+from .graphs import Edge, Graph, edge_key
 
 
 @dataclass(frozen=True)
@@ -20,14 +20,6 @@ class Multifan:
 
     def vertex_set(self) -> tuple[int, ...]:
         return (self.center, *self.leaves)
-
-
-@dataclass(frozen=True)
-class KiersteadPath:
-    """Path v_0..v_p whose first edge is the hole; each later edge's color is
-    missing at a strictly earlier vertex."""
-
-    vertices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -57,14 +49,6 @@ class ShortKite:
             edge_key(self.hub, self.tail1),
             edge_key(self.hub, self.tail2),
         )
-
-
-@dataclass(frozen=True)
-class FullDeficiencyPair:
-    """Adjacent vertices whose degrees sum to max-degree + 2."""
-
-    u: int
-    v: int
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +81,11 @@ def multifan_violation(coloring: PartialEdgeColoring, fan: Multifan) -> str | No
     return None
 
 
-def kierstead_violation(coloring: PartialEdgeColoring, path: KiersteadPath) -> str | None:
+def kierstead_violation(coloring: PartialEdgeColoring, vs: tuple[int, ...]) -> str | None:
+    """Why vs = v_0..v_p is not a Kierstead path: a path whose first edge is
+    the hole and each of whose later edges has a color missing at a strictly
+    earlier vertex."""
     g = coloring.graph
-    vs = path.vertices
     if coloring.uncolored is None:
         return "no uncolored edge"
     if len(vs) < 2:
@@ -168,7 +154,7 @@ def build_maximal_multifan(coloring: PartialEdgeColoring, center: int) -> Multif
     return Multifan(center, tuple(leaves))
 
 
-def enumerate_kierstead_paths(coloring: PartialEdgeColoring) -> list[KiersteadPath]:
+def enumerate_kierstead_paths(coloring: PartialEdgeColoring) -> list[tuple[int, int, int, int]]:
     """All four-vertex Kierstead paths starting with the hole, both orientations."""
     if coloring.uncolored is None:
         raise ColoringError("no uncolored edge to anchor a Kierstead path")
@@ -189,7 +175,7 @@ def enumerate_kierstead_paths(coloring: PartialEdgeColoring) -> list[KiersteadPa
                     continue
                 c23 = coloring.color_of(v2, v3)
                 if c23 and m01 & (1 << c23):
-                    out.append(KiersteadPath((v0, v1, v2, v3)))
+                    out.append((v0, v1, v2, v3))
     return out
 
 
@@ -209,7 +195,7 @@ def kites_with_head(graph: Graph, head: tuple[int, int, int, int],
         return []
 
     def kierstead(*path):
-        return coloring is None or kierstead_violation(coloring, KiersteadPath(path)) is None
+        return coloring is None or kierstead_violation(coloring, path) is None
 
     spokes = graph.neighbors(hub)
     return [ShortKite(apex, rim1, rim2, hub, tail1, tail2)
@@ -219,8 +205,8 @@ def kites_with_head(graph: Graph, head: tuple[int, int, int, int],
             if kierstead(rim1, apex, rim2, hub, tail2)]
 
 
-def find_full_deficiency_pairs(graph: Graph) -> list[FullDeficiencyPair]:
-    """Adjacent pairs with degree sum max-degree + 2, ascending edge order."""
+def find_full_deficiency_pairs(graph: Graph) -> list[Edge]:
+    """The edges whose ends have degree sum max-degree + 2, ascending."""
     target = graph.max_degree() + 2
-    return [FullDeficiencyPair(u, v) for u, v in graph.sorted_edges()
+    return [(u, v) for u, v in graph.sorted_edges()
             if graph.degree(u) + graph.degree(v) == target]

@@ -56,6 +56,12 @@ class SweepConfig:
     mode "theorem" keeps bases with 4*degree >= 3*order; mode "conjecture"
     keeps 3*degree > order (the threshold read on the base's order); mode
     "custom" keeps exactly the degrees listed.
+
+    The conjecture's threshold Delta > n/3 has two readings. Read on the
+    base's order n, as here, it keeps the cubic base of the fail
+    `G@Umf? v=0 A=5,6 B=7` (3 > 8/3). Read on the split graph's order n + 1,
+    it drops that base (3 > 9/3 fails). The pinned sweep logs rest on the
+    base reading.
     """
 
     m_max: int = 8
@@ -329,20 +335,19 @@ def reproduce_nonelementary_path(budget_ms: float | None = None) -> Verification
         for e in host.sorted_edges():
             for phi in enumerate_colorings(host, delta, hole=e, budget_ms=budget_ms):
                 for path in enumerate_kierstead_paths(phi):
-                    shared = elementary_violation(phi, path.vertices)
+                    shared = elementary_violation(phi, path)
                     if shared is None:
                         continue
                     # independent re-validation before reporting
                     if kierstead_violation(phi, path) is not None:
                         continue
-                    v1, v2 = path.vertices[1], path.vertices[2]
                     witness = {
                         "edge": list(e),
                         "coloring": phi.to_text(),
-                        "path": list(path.vertices),
+                        "path": list(path),
                         "shared_color": shared[2],
                         "shared_between": [shared[0], shared[1]],
-                        "inner_degrees": [host.degree(v1), host.degree(v2)],
+                        "inner_degrees": [host.degree(v) for v in path[1:3]],
                     }
                     return VerificationRecord(name, iid, hyp, True, witness)
     except SearchBudgetExceeded:

@@ -30,7 +30,6 @@ from edgecritic.solver import (
     vizing_color,
 )
 from edgecritic.structures import (
-    KiersteadPath,
     find_full_deficiency_pairs,
     kierstead_violation,
 )
@@ -88,9 +87,9 @@ def test_criterion_3_nonelementary_witness_reproduces():
         phi = coloring_from_text(host, w["coloring"])
         assert_proper(phi)
         assert phi.uncolored == tuple(w["edge"])
-        path = KiersteadPath(tuple(w["path"]))
+        path = tuple(w["path"])
         assert kierstead_violation(phi, path) is None
-        shared = elementary_violation(phi, path.vertices)
+        shared = elementary_violation(phi, path)
         assert shared is not None
         assert shared[2] == w["shared_color"]
         assert sorted(shared[:2]) == sorted(w["shared_between"])
@@ -214,12 +213,10 @@ def test_criterion_7_recoloring_soundness():
             if not ok:
                 continue
             delta = g.max_degree()
-            for pair in find_full_deficiency_pairs(g):
-                if not g.has_edge(pair.u, pair.v):
-                    continue
-                holed = find_coloring(g, delta, hole=(pair.u, pair.v))
+            for u, v in find_full_deficiency_pairs(g):
+                holed = find_coloring(g, delta, hole=(u, v))
                 assert holed is not None
-                ma, mb = holed.missing(pair.u), holed.missing(pair.v)
+                ma, mb = holed.missing(u), holed.missing(v)
                 assert not ma & mb
                 assert len(ma | mb) == delta
                 instances += 1

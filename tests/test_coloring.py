@@ -136,27 +136,6 @@ def test_palette_mask():
     assert triangle_coloring().palette_mask == 0b1110
 
 
-def test_with_changes_roundtrip_equality():
-    col = triangle_coloring()
-    other = col.with_changes({(0, 1): 3, (1, 2): 1}).with_changes({(0, 1): 1, (1, 2): 3})
-    assert other == col
-    assert other is not col
-
-
-def test_with_changes_uncolor_and_errors():
-    col = triangle_coloring()
-    holed = col.with_changes({(0, 1): 0})
-    assert holed.uncolored == (0, 1)
-    with pytest.raises(ColoringError, match="more than one uncolored"):
-        holed.with_changes({(0, 2): 0})
-    with pytest.raises(GraphError):
-        col.with_changes({(0, 7): 1})
-    before = holed.colored_items()
-    with pytest.raises(ImproperColoringError):
-        holed.with_changes({(0, 1): 2, (1, 2): 0})  # fill 2 clashes with (0,2) at vertex 0
-    assert holed.colored_items() == before  # original untouched
-
-
 # ------------------------------------------------------------ text form
 
 def test_to_text_exact():
@@ -256,6 +235,7 @@ def test_kempe_swap_whole_component():
     assert swapped.color_of(0, 1) == 2
     assert swapped.color_of(3, 4) == 1
     assert swapped.color_of(0, 4) == 3  # other colors untouched
+    assert col == c5_coloring()  # the input is a value: the swap leaves it as it was
 
 
 def test_are_linked():
@@ -292,9 +272,12 @@ def test_subchain_swap_cycle():
 
 def test_recolor_edge():
     col = triangle_coloring(k=4)
-    out = recolor_edge(col, 0, 1, 4)
+    out = recolor_edge(col, 1, 0, 4)
     assert out.color_of(0, 1) == 4
+    assert col == triangle_coloring(k=4)
     assert recolor_edge(col, 0, 1, 1) is col  # no-op keeps the object
+    with pytest.raises(GraphError):
+        recolor_edge(col, 0, 7, 1)
     with pytest.raises(ColoringError, match="outside palette"):
         recolor_edge(col, 0, 1, 5)
     with pytest.raises(ImproperColoringError):
@@ -306,6 +289,12 @@ def test_recolor_edge_rejects_hole():
     col = PartialEdgeColoring(g, 1, {}, uncolored=(0, 1))
     with pytest.raises(ColoringError, match="is the uncolored edge"):
         recolor_edge(col, 0, 1, 1)
+    # another edge of a holed coloring takes its new color and the hole stays
+    tri = make_graph(3, [(0, 1), (0, 2), (1, 2)])
+    holed = PartialEdgeColoring(tri, 3, {(0, 2): 2, (1, 2): 3}, uncolored=(0, 1))
+    out = recolor_edge(holed, 2, 0, 1)
+    assert out.uncolored == (0, 1)
+    assert out.colored_items() == [((0, 2), 1), ((1, 2), 3)]
 
 
 # ------------------------------------------------------------ census

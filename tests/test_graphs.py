@@ -16,7 +16,6 @@ from edgecritic.graphs import (
     complete_minus_matching,
     cube,
     cycle,
-    distance,
     edge_key,
     graph_from_mask,
     is_overfull,
@@ -140,16 +139,6 @@ def test_overfull():
     # splitting a regular even-order base always lands overfull
     split = vertex_split(complete(6), split_spec(0, (1, 2), (3, 4, 5)))
     assert is_overfull(split)
-
-
-def test_distance():
-    g = cycle(6)
-    assert distance(g, 0, {0}) == 0
-    assert distance(g, 0, {3}) == 3
-    assert distance(g, 0, {2, 5}) == 1
-    assert distance(make_graph(4, [(0, 1), (2, 3)]), 0, {3}) is None
-    with pytest.raises(GraphError):
-        distance(g, 0, set())
 
 
 def test_canonical_mask_known_values():

@@ -41,8 +41,6 @@ from edgecritic.solver import (
     vizing_color,
 )
 from edgecritic.structures import (
-    FullDeficiencyPair,
-    KiersteadPath,
     Multifan,
     ShortKite,
     build_maximal_multifan,
@@ -149,22 +147,22 @@ def test_kierstead_tail_overlap_fails_on_corrupted_coloring():
     bad = unchecked_coloring(h, 4, {
         (0, 2): 1, (1, 3): 3, (1, 5): 2, (1, 6): 4, (2, 3): 4, (2, 6): 3,
         (2, 4): 1, (3, 4): 2, (3, 5): 1, (4, 5): 1, (4, 6): 1, (5, 6): 2}, (0, 1))
-    rec = check_kierstead(bad, KiersteadPath((0, 1, 3, 4)), 2)
+    rec = check_kierstead(bad, (0, 1, 3, 4), 2)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "tail-overlap", "colors": [3, 4]}
 
 
 def test_deficiency_checkers_on_split_host():
     host = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
-    for pair in (FullDeficiencyPair(0, 1), FullDeficiencyPair(0, 4)):
-        phi = find_coloring(host, host.max_degree(), hole=(pair.u, pair.v))
+    for pair in ((0, 1), (0, 4)):
+        phi = find_coloring(host, host.max_degree(), hole=pair)
         assert check_deficiency_pair(host, pair, phi, 2).verdict == "pass"
         assert check_single_subdelta(host, pair, phi, 2).verdict == "pass"
 
 
 def test_degree_counting_checkers_need_evidence_of_the_hole():
     host = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
-    pair = FullDeficiencyPair(0, 1)
+    pair = (0, 1)
     other_hole = find_coloring(host, host.max_degree(), hole=(0, 4))
     for rec in (check_vizing_adjacency(host, 0, 1, None, 2),
                 check_vizing_adjacency(host, 0, 1, other_hole, 2),
@@ -188,13 +186,41 @@ def test_degree_counting_checkers_need_evidence_of_the_hole():
 
 
 def test_deficiency_checkers_skip_bad_hypotheses():
-    rec = check_deficiency_pair(cycle(5), FullDeficiencyPair(0, 2), None, 2)
+    rec = check_deficiency_pair(cycle(5), (0, 2), None, 2)
     assert rec.verdict == "skipped"
     assert rec.hypotheses["adjacent"] is False
-    rec = check_single_subdelta(cycle(5), FullDeficiencyPair(0, 1),
+    rec = check_single_subdelta(cycle(5), (0, 1),
                                 find_coloring(cycle(5), 2, hole=(0, 1)), 2)
     assert rec.verdict == "skipped"
     assert rec.hypotheses["degree_bound"] is False
+
+
+@pytest.mark.parametrize("edges, pair, witness", [
+    # the path 2-1-0-3: the pair's neighbor 2 is below max degree
+    ([(0, 1), (0, 3), (1, 2)], (0, 1),
+     {"part": "neighbor-degree", "vertex": 2, "degree": 1}),
+    # a diamond with tips 0 and 3 and a pendant vertex 4 at 0, two steps from 1-3
+    ([(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3)], (1, 3),
+     {"part": "distance-two", "vertex": 4, "degree": 1}),
+    # K4 on 1..4, vertex 0 joined to 1 and 2, a pendant vertex 5 at 0; both
+    # pair ends are below max degree 4, so 0 at distance two must reach it
+    ([(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], (3, 4),
+     {"part": "distance-two-strong", "vertex": 0, "degree": 3}),
+    # K3,3 on {0, 1, 2} | {3, 4, 5} with its edge 0-5 moved to a new vertex 6:
+    # odd order, and 6 is the one vertex off the pair below max degree
+    ([(0, 3), (0, 4), (0, 6), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)], (1, 5),
+     {"part": "odd-order-lonely-vertex", "vertex": 6}),
+], ids=["neighbor-degree", "distance-two", "distance-two-strong", "odd-order-lonely-vertex"])
+def test_deficiency_pair_violation_witnesses(edges, pair, witness):
+    # the checker judges the evidence it is given: called class 2 and handed a
+    # max-degree coloring of the host minus the pair, the pair is critical
+    host = make_graph(max(map(max, edges)) + 1, edges)
+    phi = find_coloring(host, host.max_degree(), hole=pair)
+    rec = check_deficiency_pair(host, pair, phi, 2)
+    assert rec.hypotheses == {"adjacent": True, "full_deficiency": True,
+                              "class2": True, "critical_edge": True}
+    assert rec.verdict == "fail"
+    assert rec.witness == witness
 
 
 # ------------------------------------------------------------ normalized kite
@@ -223,6 +249,14 @@ def test_case_one_chain_route_skips_on_class_one_host():
         assert rec.hypotheses[name] is True, name
 
 
+def slid_off_the_kite(phi):
+    """phi with its hole 0-1 colored 3 and the edge 1-3 uncolored in its place."""
+    assign = dict(phi.colored_items())
+    assign[(0, 1)] = 3
+    del assign[(1, 3)]
+    return PartialEdgeColoring(phi.graph, phi.k, assign, (1, 3))
+
+
 def test_kite_records_skip_off_the_normalized_shape():
     g, phi = case_one_instance()
     swapped_tails = ShortKite(apex=0, rim1=1, rim2=2, hub=3, tail1=5, tail2=4)
@@ -230,7 +264,7 @@ def test_kite_records_skip_off_the_normalized_shape():
     assert route.verdict == "skipped"
     assert route.hypotheses["rim1_normalized"] is False
     # with the hole slid off the kite, neither record is anchored
-    moved = phi.with_changes({(0, 1): 3, (1, 3): 0})
+    moved = slid_off_the_kite(phi)
     for rec in check_kite(moved, KITE, 1):
         assert rec.verdict == "skipped"
         assert rec.hypotheses["anchored_delta_coloring"] is False
@@ -238,7 +272,7 @@ def test_kite_records_skip_off_the_normalized_shape():
 
 def test_auxiliary_hole_slide_keeps_a_fan():
     g, phi = case_one_instance()
-    moved = phi.with_changes({(0, 1): 3, (1, 3): 0})
+    moved = slid_off_the_kite(phi)
     assert moved.uncolored == (1, 3)
     assert moved.color_of(0, 1) == 3
     assert multifan_violation(moved, Multifan(3, (1, 5))) is None
@@ -367,7 +401,7 @@ def reference_battery(graph, host_class, full, holes):
                     if rec.verdict != "skipped":
                         records.append(rec)
         for pair in find_full_deficiency_pairs(graph):
-            phi = holes[(pair.u, pair.v)]
+            phi = holes[pair]
             records.append(check_deficiency_pair(graph, pair, phi, host_class))
             records.append(check_single_subdelta(graph, pair, phi, host_class))
     return records
@@ -382,7 +416,7 @@ def assert_battery_matches_reference(graph):
     # the reference shares the id helper, so check the ids on their own
     assert all(r.instance_id.startswith(emit_graph6(graph) + " ") for r in records)
     for phi, kite in calls:
-        heads = {p.vertices for p in enumerate_kierstead_paths(phi)}
+        heads = set(enumerate_kierstead_paths(phi))
         assert (kite.apex, kite.rim1, kite.hub, kite.tail1) in heads, kite
     return calls
 

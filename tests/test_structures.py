@@ -19,8 +19,6 @@ from edgecritic.graphs import (
 )
 from edgecritic.solver import find_coloring
 from edgecritic.structures import (
-    FullDeficiencyPair,
-    KiersteadPath,
     Multifan,
     ShortKite,
     build_maximal_multifan,
@@ -108,27 +106,26 @@ def test_build_maximal_multifan_is_valid_and_maximal(g, data):
 def test_kierstead_path_on_a_path_host():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     col = PartialEdgeColoring(g, 2, {(1, 2): 1, (2, 3): 2}, uncolored=(0, 1))
-    path = KiersteadPath((0, 1, 2, 3))
+    path = (0, 1, 2, 3)
     assert kierstead_violation(col, path) is None
 
 
 def test_kierstead_reason_strings():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     col = PartialEdgeColoring(g, 2, {(1, 2): 1, (2, 3): 2}, uncolored=(0, 1))
-    assert kierstead_violation(col.with_changes({(0, 1): 2}), KiersteadPath((0, 1))) \
-        == "no uncolored edge"
-    assert kierstead_violation(col, KiersteadPath((0,))) == "too short"
-    assert kierstead_violation(col, KiersteadPath((0, 1, 0))) == "vertices repeat"
-    assert kierstead_violation(col, KiersteadPath((1, 2, 3))) \
-        == "first edge is not the uncolored edge"
-    assert kierstead_violation(col, KiersteadPath((0, 1, 3))) == "missing edge (1, 3)"
+    full = PartialEdgeColoring(g, 2, {(0, 1): 2, (1, 2): 1, (2, 3): 2})
+    assert kierstead_violation(full, (0, 1)) == "no uncolored edge"
+    assert kierstead_violation(col, (0,)) == "too short"
+    assert kierstead_violation(col, (0, 1, 0)) == "vertices repeat"
+    assert kierstead_violation(col, (1, 2, 3)) == "first edge is not the uncolored edge"
+    assert kierstead_violation(col, (0, 1, 3)) == "missing edge (1, 3)"
 
 
 def test_kierstead_color_must_be_missing_earlier():
     g = make_graph(5, [(0, 1), (0, 4), (1, 2), (2, 3)])
     col = PartialEdgeColoring(
         g, 2, {(0, 4): 1, (1, 2): 1, (2, 3): 2}, uncolored=(0, 1))
-    assert kierstead_violation(col, KiersteadPath((0, 1, 2, 3))) \
+    assert kierstead_violation(col, (0, 1, 2, 3)) \
         == "color 1 of edge (1, 2) not missing at any earlier vertex"
 
 
@@ -146,7 +143,7 @@ def test_enumerate_kierstead_paths_both_orientations():
     col = PartialEdgeColoring(g, 3, {(1, 2): 1, (2, 3): 3, (0, 3): 2},
                               uncolored=(0, 1))
     got = enumerate_kierstead_paths(col)
-    assert got == [KiersteadPath((0, 1, 2, 3)), KiersteadPath((1, 0, 3, 2))]
+    assert got == [(0, 1, 2, 3), (1, 0, 3, 2)]
     for p in got:
         assert kierstead_violation(col, p) is None
 
@@ -159,7 +156,7 @@ def test_enumerated_kierstead_paths_validate(g, data):
     paths = enumerate_kierstead_paths(col)
     assert len(set(paths)) == len(paths)
     for p in paths:
-        assert len(p.vertices) == 4
+        assert len(p) == 4
         assert kierstead_violation(col, p) is None, kierstead_violation(col, p)
 
 
@@ -174,8 +171,8 @@ def test_enumerated_kierstead_paths_are_every_four_vertex_path(g):
         if col is None:
             continue
         brute = sorted(vs for vs in itertools.permutations(range(g.n), 4)
-                       if kierstead_violation(col, KiersteadPath(vs)) is None)
-        assert sorted(p.vertices for p in enumerate_kierstead_paths(col)) == brute
+                       if kierstead_violation(col, vs) is None)
+        assert sorted(enumerate_kierstead_paths(col)) == brute
 
 
 # ------------------------------------------------------------ short kites
@@ -282,8 +279,8 @@ def test_kites_with_head_keeps_the_kites_whose_rim2_path_is_kierstead(g):
             if head[:2] not in (e, e[::-1]):
                 continue
             want = [k for k in kites_with_head(g, head)
-                    if kierstead_violation(phi, KiersteadPath(
-                        (k.rim1, k.apex, k.rim2, k.hub, k.tail2))) is None]
+                    if kierstead_violation(
+                        phi, (k.rim1, k.apex, k.rim2, k.hub, k.tail2)) is None]
             assert kites_with_head(g, head, phi) == want, (e, head)
             kept += len(want)
     assert kept > 0
@@ -294,12 +291,12 @@ def test_kites_with_head_keeps_the_kites_whose_rim2_path_is_kierstead(g):
 def test_full_deficiency_pairs_exact():
     got = find_full_deficiency_pairs(petersen_minus_vertex())
     assert got == [
-        FullDeficiencyPair(0, 4),
-        FullDeficiencyPair(1, 6),
-        FullDeficiencyPair(2, 7),
-        FullDeficiencyPair(3, 4),
-        FullDeficiencyPair(5, 7),
-        FullDeficiencyPair(6, 8),
+        (0, 4),
+        (1, 6),
+        (2, 7),
+        (3, 4),
+        (5, 7),
+        (6, 8),
     ]
 
 

@@ -32,7 +32,7 @@ from edgecritic.solver import (
     find_delta_coloring,
     vizing_color,
 )
-from edgecritic.structures import KiersteadPath, kierstead_violation
+from edgecritic.structures import kierstead_violation
 from edgecritic.verifier import (
     SplitInstance,
     SweepConfig,
@@ -597,9 +597,9 @@ def test_nonelementary_path_witness_is_pinned():
     phi = coloring_from_text(host, w["coloring"])
     assert_proper(phi)
     assert phi.uncolored == tuple(w["edge"])
-    path = KiersteadPath(tuple(w["path"]))
+    path = tuple(w["path"])
     assert kierstead_violation(phi, path) is None
-    assert elementary_violation(phi, path.vertices) == (4, 6, 2)
+    assert elementary_violation(phi, path) == (4, 6, 2)
     assert [host.degree(v) for v in w["path"][1:3]] == w["inner_degrees"]
 
 
