@@ -140,18 +140,14 @@ def check_deficiency_pair(graph: Graph, pair: Edge,
             if graph.degree(x) != delta:
                 return {"part": "neighbor-degree", "vertex": x, "degree": graph.degree(x)}
         two = {w for x in near for w in graph.neighbors(x)} - near
-        floor = graph.n - len(near)
-        for x in range(graph.n):
-            if x in (a, b):
-                continue
+        # no "d(x) >= n - |near|" clause: x at distance >= 3 has x and its
+        # neighbours outside near, so d(x) + 1 <= n - |near|
+        for x in sorted(two):
             d = graph.degree(x)
-            at_two = x in two
-            if at_two or d >= floor:
-                part = "distance-two" if at_two else "large-degree"
-                if d < delta - 1:
-                    return {"part": part, "vertex": x, "degree": d}
-                if both_low and d != delta:
-                    return {"part": part + "-strong", "vertex": x, "degree": d}
+            if d < delta - 1:
+                return {"part": "distance-two", "vertex": x, "degree": d}
+            if both_low and d != delta:
+                return {"part": "distance-two-strong", "vertex": x, "degree": d}
         if graph.n % 2 == 1:
             low = [x for x in range(graph.n)
                    if x not in (a, b) and graph.degree(x) < delta]

@@ -14,6 +14,7 @@ import edgecritic.solver as solver
 import edgecritic.structures as structures
 from conftest import class_two_graphs, corpus_hosts, find_short_kites, unchecked_coloring
 from edgecritic.coloring import PartialEdgeColoring
+from edgecritic.enumeration import enumerate_small_graphs
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import (
     complete,
@@ -221,6 +222,21 @@ def test_deficiency_pair_violation_witnesses(edges, pair, witness):
                               "class2": True, "critical_edge": True}
     assert rec.verdict == "fail"
     assert rec.witness == witness
+
+
+def test_no_vertex_beyond_distance_two_reaches_the_deficiency_floor():
+    # why check_deficiency_pair has no "d(x) >= n - |N(a) | N(b)|" clause:
+    # only distance-two vertices could ever meet it
+    pairs = 0
+    for g in enumerate_small_graphs(9, 7):
+        for a, b in find_full_deficiency_pairs(g):
+            near = g.neighbors(a) | g.neighbors(b)
+            two = {w for x in near for w in g.neighbors(x)} - near
+            floor = g.n - len(near)
+            assert all(g.degree(x) < floor for x in set(g.vertices()) - near - two), \
+                (emit_graph6(g), a, b)
+            pairs += 1
+    assert pairs == 1072
 
 
 # ------------------------------------------------------------ normalized kite
