@@ -30,7 +30,6 @@ from .graphs import (
     Edge,
     Graph,
     GraphError,
-    SplitSpec,
     automorphisms,
     canonical_mask,
     complete,
@@ -44,8 +43,6 @@ from .graphs import (
     petersen,
     petersen_minus_vertex,
     prism,
-    split_spec,
-    validate_split,
     vertex_split,
 )
 from .lemmas import (
@@ -75,7 +72,6 @@ from .solver import (
     vizing_color,
 )
 from .structures import (
-    Multifan,
     ShortKite,
     build_maximal_multifan,
     enumerate_kierstead_paths,

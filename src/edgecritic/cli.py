@@ -26,7 +26,6 @@ from .graphs import (
     petersen,
     petersen_minus_vertex,
     prism,
-    split_spec,
     vertex_split,
 )
 from .lemmas import lemma_battery
@@ -186,8 +185,7 @@ def _cmd_split(args) -> int:
     if not 0 <= args.vertex < g.n:
         raise GraphError(f"vertex {args.vertex} out of range 0..{g.n - 1}")
     part_b = tuple(sorted(g.neighbors(args.vertex) - set(args.part_a)))
-    spec = split_spec(args.vertex, args.part_a, part_b)
-    split = vertex_split(g, spec)
+    split = vertex_split(g, args.vertex, args.part_a, part_b)
     payload = {
         "graph6": emit_graph6(split),
         "n": split.n,

@@ -121,39 +121,22 @@ def _upper_pairs(n: int) -> tuple[Edge, ...]:
 # splitting
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """A bipartition of one vertex's neighborhood; both parts must be nonempty."""
+def vertex_split(graph: Graph, v: int, part_a, part_b) -> Graph:
+    """Replace v by two adjacent vertices whose neighborhoods are the parts A, B.
 
-    vertex: int
-    part_a: frozenset[int]
-    part_b: frozenset[int]
-
-
-def split_spec(vertex: int, part_a, part_b) -> SplitSpec:
-    return SplitSpec(vertex, frozenset(part_a), frozenset(part_b))
-
-
-def validate_split(graph: Graph, spec: SplitSpec) -> None:
-    v = spec.vertex
+    The first half keeps the id v; the second half gets id n. The result has
+    one more vertex and exactly one more edge. Both parts must be nonempty and
+    partition N(v).
+    """
+    a, b = frozenset(part_a), frozenset(part_b)
     if not 0 <= v < graph.n:
         raise GraphError(f"split vertex {v} out of range")
-    if not spec.part_a or not spec.part_b:
+    if not a or not b:
         raise GraphError("both split parts must be nonempty")
-    if spec.part_a & spec.part_b:
-        raise GraphError(f"split parts overlap: {sorted(spec.part_a & spec.part_b)}")
-    if spec.part_a | spec.part_b != graph.neighbors(v):
+    if a & b:
+        raise GraphError(f"split parts overlap: {sorted(a & b)}")
+    if a | b != graph.neighbors(v):
         raise GraphError("split parts must partition the neighborhood exactly")
-
-
-def vertex_split(graph: Graph, spec: SplitSpec) -> Graph:
-    """Replace spec.vertex by two adjacent vertices whose neighborhoods are the parts.
-
-    The first half keeps the original vertex id; the second half gets id n.
-    The result has one more vertex and exactly one more edge.
-    """
-    validate_split(graph, spec)
-    v = spec.vertex
     twin = graph.n
     edges = []
     for u, w in graph.edges:
@@ -161,7 +144,7 @@ def vertex_split(graph: Graph, spec: SplitSpec) -> Graph:
             edges.append((u, w))
             continue
         other = w if u == v else u
-        edges.append((v, other) if other in spec.part_a else (twin, other))
+        edges.append((v, other) if other in a else (twin, other))
     edges.append((v, twin))
     return make_graph(graph.n + 1, edges)
 

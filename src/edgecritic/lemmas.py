@@ -26,7 +26,6 @@ from .graphs import Edge, Graph, edge_key
 from .records import VerificationRecord
 from .solver import SearchBudgetExceeded, find_coloring, find_delta_coloring
 from .structures import (
-    Multifan,
     ShortKite,
     build_maximal_multifan,
     enumerate_kierstead_paths,
@@ -198,26 +197,27 @@ def check_parity(coloring: PartialEdgeColoring) -> VerificationRecord:
                  {"full_coloring": coloring.is_full()}, None, violation)
 
 
-def check_multifan(coloring: PartialEdgeColoring, fan: Multifan,
+def check_multifan(coloring: PartialEdgeColoring, fan: tuple[int, ...],
                    host_class: int | SearchBudgetExceeded) -> VerificationRecord:
-    """Multifan vertices are elementary and center/leaf pairs are chain-linked."""
+    """The multifan fan = (r, s_1, ..., s_p), whose (r, s_1) is the hole, is
+    elementary and r is chain-linked to each leaf."""
     g = coloring.graph
-    r = fan.center
+    r, *leaves = fan
     hyp = {"valid_multifan": multifan_violation(coloring, fan) is None,
            "anchored_delta_coloring": _anchored(coloring, coloring.uncolored)}
 
     def violation():
-        bad = elementary_violation(coloring, fan.vertex_set())
+        bad = elementary_violation(coloring, fan)
         if bad is not None:
             return {"part": "elementary", "u": bad[0], "v": bad[1], "color": bad[2]}
         for alpha in sorted(coloring.missing(r)):
-            for s in fan.leaves:
+            for s in leaves:
                 for beta in sorted(coloring.missing(s)):
                     if beta != alpha and not are_linked(coloring, r, s, alpha, beta):
                         return {"part": "linked", "leaf": s, "alpha": alpha, "beta": beta}
         return None
 
-    return _gate("multifan-elementary", _ids(g, f"fan={r}:{','.join(map(str, fan.leaves))}"),
+    return _gate("multifan-elementary", _ids(g, f"fan={r}:{','.join(map(str, leaves))}"),
                  hyp, (host_class, True), violation)
 
 

@@ -9,20 +9,6 @@ from .graphs import Edge, Graph, edge_key
 
 
 @dataclass(frozen=True)
-class Multifan:
-    """Center vertex plus leaf sequence s_1..s_p; (center, s_1) is the hole.
-
-    Each later spoke's color must be missing at an earlier leaf.
-    """
-
-    center: int
-    leaves: tuple[int, ...]
-
-    def vertex_set(self) -> tuple[int, ...]:
-        return (self.center, *self.leaves)
-
-
-@dataclass(frozen=True)
 class ShortKite:
     """Four-cycle apex-rim1-hub-rim2 plus two pendant edges at the hub.
 
@@ -55,16 +41,17 @@ class ShortKite:
 # validators (each returns a reason string, or None when valid)
 
 
-def multifan_violation(coloring: PartialEdgeColoring, fan: Multifan) -> str | None:
+def multifan_violation(coloring: PartialEdgeColoring, fan: tuple[int, ...]) -> str | None:
+    """Why fan = (r, s_1, ..., s_p) is not a multifan at center r: (r, s_1) must
+    be the hole and each later spoke's color missing at an earlier leaf."""
     g = coloring.graph
-    r = fan.center
-    leaves = fan.leaves
     if coloring.uncolored is None:
         return "no uncolored edge"
-    if not leaves:
+    if len(fan) < 2:
         return "empty leaf sequence"
-    if len(set(leaves)) != len(leaves) or r in leaves:
+    if len(set(fan)) != len(fan):
         return "vertices repeat"
+    r, *leaves = fan
     if edge_key(r, leaves[0]) != coloring.uncolored:
         return "first spoke is not the uncolored edge"
     union = 0
@@ -123,8 +110,8 @@ def kite_violation(graph: Graph, kite: ShortKite) -> str | None:
 # builders and enumerators
 
 
-def build_maximal_multifan(coloring: PartialEdgeColoring, center: int) -> Multifan:
-    """Greedy maximal multifan at one endpoint of the hole.
+def build_maximal_multifan(coloring: PartialEdgeColoring, center: int) -> tuple[int, ...]:
+    """Greedy maximal multifan (center, s_1, ..., s_p) at one endpoint of the hole.
 
     Scans candidate spokes by ascending leaf id and admits the first whose
     color is missing somewhere in the current fan, restarting until stable.
@@ -135,7 +122,7 @@ def build_maximal_multifan(coloring: PartialEdgeColoring, center: int) -> Multif
         raise ColoringError(f"vertex {center} is not an endpoint of the uncolored edge")
     a, b = coloring.uncolored
     first = b if center == a else a
-    leaves = [first]
+    fan = [center, first]
     chosen = {first, center}
     union = coloring.missing_mask(first)
     grew = True
@@ -146,12 +133,12 @@ def build_maximal_multifan(coloring: PartialEdgeColoring, center: int) -> Multif
                 continue
             c = coloring.color_of(center, w)
             if c and union & (1 << c):
-                leaves.append(w)
+                fan.append(w)
                 chosen.add(w)
                 union |= coloring.missing_mask(w)
                 grew = True
                 break
-    return Multifan(center, tuple(leaves))
+    return tuple(fan)
 
 
 def enumerate_kierstead_paths(coloring: PartialEdgeColoring) -> list[tuple[int, int, int, int]]:

@@ -24,12 +24,10 @@ from .graph6 import emit_graph6, parse_graph6
 from .graphs import (
     Graph,
     GraphError,
-    SplitSpec,
     automorphism_generators,
     is_overfull,
     orbit_closure,
     petersen_minus_vertex,
-    split_spec,
     stabiliser_generators,
     vertex_split,
 )
@@ -198,9 +196,10 @@ def plan_instances(config: SweepConfig) -> list[SplitInstance]:
 # per-instance work
 
 
-def inherit_split_coloring(base_coloring: PartialEdgeColoring,
-                           spec: SplitSpec) -> PartialEdgeColoring:
-    """Carry a full coloring of the base over the split; the new edge is the hole.
+def inherit_split_coloring(base_coloring: PartialEdgeColoring, v: int,
+                           part_a, part_b) -> PartialEdgeColoring:
+    """Carry a full coloring of the base over the split (v, A, B); the new edge
+    is the hole.
 
     This certifies the split edge critical without any search: the result is a
     proper max-degree coloring of the split graph minus its new edge.
@@ -208,14 +207,14 @@ def inherit_split_coloring(base_coloring: PartialEdgeColoring,
     if not base_coloring.is_full():
         raise ColoringError("base coloring must be full")
     base = base_coloring.graph
-    split = vertex_split(base, spec)
-    v, twin = spec.vertex, base.n
+    split = vertex_split(base, v, part_a, part_b)
+    twin = base.n
     assign = {}
     for (p, q), c in base_coloring.colored_items():
         if p == v:
-            p = v if q in spec.part_a else twin
+            p = v if q in part_a else twin
         if q == v:
-            q = v if p in spec.part_a else twin
+            q = v if p in part_a else twin
         assign[(p, q) if p < q else (q, p)] = c
     return PartialEdgeColoring(split, base_coloring.k, assign, (v, twin))
 
@@ -231,8 +230,7 @@ def check_split_instance(inst: SplitInstance) -> VerificationRecord:
     """
     base = parse_graph6(inst.base_graph6)
     phi = coloring_from_text(base, inst.base_coloring_text)
-    inherited = inherit_split_coloring(
-        phi, split_spec(inst.vertex, inst.part_a, inst.part_b))
+    inherited = inherit_split_coloring(phi, inst.vertex, inst.part_a, inst.part_b)
     g = inherited.graph
     delta = g.max_degree()
     # the carried base coloring, full or refused above, certifies class 1

@@ -20,7 +20,6 @@ from edgecritic.graphs import (
     make_graph,
     orbit_closure,
     petersen_minus_vertex,
-    split_spec,
     vertex_split,
 )
 from edgecritic.solver import chromatic_index, find_delta_coloring
@@ -98,7 +97,7 @@ def corpus_hosts() -> list[Graph]:
     for cfg in (SweepConfig(), SweepConfig(m_max=8, mode="custom", degrees=(3,))):
         for inst in plan_instances(cfg):
             base = parse_graph6(inst.base_graph6)
-            hosts.append(vertex_split(base, split_spec(inst.vertex, inst.part_a, inst.part_b)))
+            hosts.append(vertex_split(base, inst.vertex, inst.part_a, inst.part_b))
     hosts.extend(cycle(k) for k in range(3, 10))
     hosts.append(petersen_minus_vertex())
     return hosts

@@ -9,7 +9,7 @@ import pytest
 
 import edgecritic.certcheck as certcheck
 from edgecritic.certcheck import split_certificate_violation
-from edgecritic.graphs import complete, split_spec
+from edgecritic.graphs import complete
 from edgecritic.solver import find_delta_coloring
 from edgecritic.verifier import inherit_split_coloring
 
@@ -22,7 +22,7 @@ SPLITS = {
 def certificate(name):
     """(base_n, base_edges, v, A, B, assign) of a split and its inherited coloring."""
     base, v, a, b = SPLITS[name]
-    inherited = inherit_split_coloring(find_delta_coloring(base), split_spec(v, a, b))
+    inherited = inherit_split_coloring(find_delta_coloring(base), v, a, b)
     return base.n, sorted(base.edges), v, a, b, dict(inherited.colored_items())
 
 

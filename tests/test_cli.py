@@ -138,6 +138,10 @@ def test_split_wants_one_graph(tmp_path, capsys):
      "not a comma list of integers: '1,x'"),
     (["split", "--builder", "c4", "--vertex", "0", "--part-a", "1", "--budget-ms", "60000"],
      "unrecognized arguments: --budget-ms 60000"),
+    (["split", "--builder", "c4", "--vertex", "0", "--part-a", "2"],
+     "split parts must partition the neighborhood exactly"),
+    (["split", "--builder", "c4", "--vertex", "0", "--part-a", "1,3"],
+     "both split parts must be nonempty"),
     (["sweep", "--degrees", "3,x"], "not a comma list of integers: '3,x'"),
     (["chi", "--builder", "petersen", "--budget-ms", "-5"],
      "not a finite budget above 0 ms: '-5'"),
@@ -148,8 +152,9 @@ def test_split_wants_one_graph(tmp_path, capsys):
     (["theorem1", "--budget-ms", "inf"], "not a finite budget above 0 ms: 'inf'"),
     (["lemmas", "--builder", "c5", "--budget-ms", "ten"],
      "not a finite budget above 0 ms: 'ten'"),
-], ids=["vertex-high", "vertex-negative", "part-a", "split-budget", "degrees", "budget-negative",
-        "budget-zero", "budget-nan", "budget-inf", "budget-word"])
+], ids=["vertex-high", "vertex-negative", "part-a", "split-budget", "split-not-partition",
+        "split-b-empty", "degrees", "budget-negative", "budget-zero", "budget-nan", "budget-inf",
+        "budget-word"])
 def test_bad_flag_values_exit_two(capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err

@@ -33,7 +33,6 @@ from edgecritic.graphs import (
     cycle,
     make_graph,
     petersen_minus_vertex,
-    split_spec,
     vertex_split,
 )
 from edgecritic.solver import find_coloring, vizing_color
@@ -366,7 +365,7 @@ def assert_same_coloring(a, b):
 def test_propagation_leaves_input_and_certificates_unshared():
     # the cubic split with one non-critical edge (3, 4): slides stall here,
     # so the swap phase reads Kempe-swapped views of the reached colorings
-    g = vertex_split(parse_graph6("G@Umf?"), split_spec(0, (5, 6), (7,)))
+    g = vertex_split(parse_graph6("G@Umf?"), 0, (5, 6), (7,))
     phi = find_coloring(g, 3, hole=(0, 8))
     text = phi.to_text()
     certs = propagate_certificates(phi)
@@ -398,7 +397,7 @@ def test_propagation_matches_flipping_reference_on_sweep_seeds(monkeypatch):
     for inst in plan:
         base = parse_graph6(inst.base_graph6)
         phi = coloring_from_text(base, inst.base_coloring_text)
-        seed = inherit_split_coloring(phi, split_spec(inst.vertex, inst.part_a, inst.part_b))
+        seed = inherit_split_coloring(phi, inst.vertex, inst.part_a, inst.part_b)
         certs = propagate_certificates(seed)
         assert flips == []  # each Kempe swap is read, never written
         assert_same_certificates(certs, propagate_by_flips(seed))

@@ -23,7 +23,6 @@ from edgecritic.graphs import (
     petersen,
     petersen_minus_vertex,
     prism,
-    split_spec,
     stabiliser_generators,
     vertex_split,
 )
@@ -101,7 +100,7 @@ def test_named_builders():
 
 def test_vertex_split_c4_gives_c5():
     g = cycle(4)
-    split = vertex_split(g, split_spec(0, (1,), (3,)))
+    split = vertex_split(g, 0, (1,), (3,))
     assert split.n == 5
     assert split.edge_count() == 5
     assert split.has_edge(0, 4)  # the new pair is adjacent
@@ -111,7 +110,7 @@ def test_vertex_split_c4_gives_c5():
 
 def test_vertex_split_moves_part_b_to_twin():
     g = complete(4)
-    split = vertex_split(g, split_spec(0, (1,), (2, 3)))
+    split = vertex_split(g, 0, (1,), (2, 3))
     assert split.n == 5
     assert split.neighbors(0) == frozenset({1, 4})
     assert split.neighbors(4) == frozenset({0, 2, 3})
@@ -121,13 +120,13 @@ def test_vertex_split_moves_part_b_to_twin():
 def test_split_validation():
     g = complete(4)
     with pytest.raises(GraphError):
-        vertex_split(g, split_spec(0, (), (1, 2, 3)))
+        vertex_split(g, 0, (), (1, 2, 3))
     with pytest.raises(GraphError):
-        vertex_split(g, split_spec(0, (1, 2), (2, 3)))
+        vertex_split(g, 0, (1, 2), (2, 3))
     with pytest.raises(GraphError):
-        vertex_split(g, split_spec(0, (1,), (2,)))  # 3 left out
+        vertex_split(g, 0, (1,), (2,))  # 3 left out
     with pytest.raises(GraphError):
-        vertex_split(g, split_spec(9, (1,), (2, 3)))
+        vertex_split(g, 9, (1,), (2, 3))
 
 
 def test_overfull():
@@ -137,7 +136,7 @@ def test_overfull():
     assert is_overfull(complete(5))
     assert not is_overfull(make_graph(3, []))
     # splitting a regular even-order base always lands overfull
-    split = vertex_split(complete(6), split_spec(0, (1, 2), (3, 4, 5)))
+    split = vertex_split(complete(6), 0, (1, 2), (3, 4, 5))
     assert is_overfull(split)
 
 
@@ -312,7 +311,7 @@ def test_split_preserves_other_degrees():
         if len(nbrs) < 2:
             continue
         cut = rng.randint(1, len(nbrs) - 1)
-        split = vertex_split(base, split_spec(v, nbrs[:cut], nbrs[cut:]))
+        split = vertex_split(base, v, nbrs[:cut], nbrs[cut:])
         for w in range(base.n):
             if w != v:
                 assert split.degree(w) == base.degree(w)

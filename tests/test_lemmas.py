@@ -21,7 +21,6 @@ from edgecritic.graphs import (
     cycle,
     edge_key,
     make_graph,
-    split_spec,
     vertex_split,
 )
 from edgecritic.lemmas import (
@@ -42,7 +41,6 @@ from edgecritic.solver import (
     vizing_color,
 )
 from edgecritic.structures import (
-    Multifan,
     ShortKite,
     build_maximal_multifan,
     enumerate_kierstead_paths,
@@ -112,7 +110,7 @@ def test_parity_checker():
 
 def test_multifan_passes_on_critical_host():
     phi = find_coloring(cycle(5), 2, hole=(0, 1))
-    fan = Multifan(0, (1,))
+    fan = (0, 1)
     rec = check_multifan(phi, fan, 2)
     assert rec.lemma == "multifan-elementary"
     assert rec.verdict == "pass"
@@ -121,14 +119,14 @@ def test_multifan_passes_on_critical_host():
 def test_multifan_fails_on_corrupted_coloring():
     bad = unchecked_coloring(
         cycle(5), 2, {(0, 4): 2, (1, 2): 2, (2, 3): 1, (3, 4): 2}, (0, 1))
-    rec = check_multifan(bad, Multifan(0, (1,)), 2)
+    rec = check_multifan(bad, (0, 1), 2)
     assert rec.verdict == "fail"
     assert rec.witness == {"part": "elementary", "u": 0, "v": 1, "color": 1}
 
 
 def test_multifan_skips_when_not_anchored():
     full = vizing_color(cycle(5))  # spare-color palette, no hole
-    rec = check_multifan(full, Multifan(0, (1,)), 2)
+    rec = check_multifan(full, (0, 1), 2)
     assert rec.verdict == "skipped"
     assert rec.hypotheses["anchored_delta_coloring"] is False
 
@@ -154,7 +152,7 @@ def test_kierstead_tail_overlap_fails_on_corrupted_coloring():
 
 
 def test_deficiency_checkers_on_split_host():
-    host = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
+    host = vertex_split(complete(4), 0, (1,), (2, 3))
     for pair in ((0, 1), (0, 4)):
         phi = find_coloring(host, host.max_degree(), hole=pair)
         assert check_deficiency_pair(host, pair, phi, 2).verdict == "pass"
@@ -162,7 +160,7 @@ def test_deficiency_checkers_on_split_host():
 
 
 def test_degree_counting_checkers_need_evidence_of_the_hole():
-    host = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
+    host = vertex_split(complete(4), 0, (1,), (2, 3))
     pair = (0, 1)
     other_hole = find_coloring(host, host.max_degree(), hole=(0, 4))
     for rec in (check_vizing_adjacency(host, 0, 1, None, 2),
@@ -291,7 +289,7 @@ def test_auxiliary_hole_slide_keeps_a_fan():
     moved = slid_off_the_kite(phi)
     assert moved.uncolored == (1, 3)
     assert moved.color_of(0, 1) == 3
-    assert multifan_violation(moved, Multifan(3, (1, 5))) is None
+    assert multifan_violation(moved, (3, 1, 5)) is None
 
 
 def off_chain_coloring():
@@ -439,7 +437,7 @@ def assert_battery_matches_reference(graph):
 
 def theorem_range_splits():
     return [vertex_split(parse_graph6(inst.base_graph6),
-                         split_spec(inst.vertex, inst.part_a, inst.part_b))
+                         inst.vertex, inst.part_a, inst.part_b)
             for inst in plan_instances(SweepConfig())]
 
 
@@ -495,7 +493,7 @@ def test_battery_computes_kite_hypotheses_once_per_kite(monkeypatch):
 
 
 def test_battery_searches_each_hole_once(monkeypatch):
-    g = vertex_split(complete(4), split_spec(0, (1,), (2, 3)))
+    g = vertex_split(complete(4), 0, (1,), (2, 3))
     assert find_full_deficiency_pairs(g)  # the pair records need hole searches too
     searched = []
 

@@ -19,7 +19,6 @@ from edgecritic.graphs import (
 )
 from edgecritic.solver import find_coloring
 from edgecritic.structures import (
-    Multifan,
     ShortKite,
     build_maximal_multifan,
     enumerate_kierstead_paths,
@@ -45,33 +44,32 @@ def full_triangle():
 
 def test_multifan_on_triangle():
     col = holed_triangle()
-    fan = Multifan(0, (1, 2))
-    assert multifan_violation(col, fan) is None
-    assert fan.vertex_set() == (0, 1, 2)
+    assert multifan_violation(col, (0, 1, 2)) is None
 
 
 def test_multifan_reason_strings():
     col = holed_triangle()
-    assert multifan_violation(full_triangle(), Multifan(0, (1,))) == "no uncolored edge"
-    assert multifan_violation(col, Multifan(0, ())) == "empty leaf sequence"
-    assert multifan_violation(col, Multifan(0, (1, 1))) == "vertices repeat"
-    assert multifan_violation(col, Multifan(0, (2, 1))) == "first spoke is not the uncolored edge"
+    assert multifan_violation(full_triangle(), (0, 1)) == "no uncolored edge"
+    assert multifan_violation(col, (0,)) == "empty leaf sequence"
+    assert multifan_violation(col, (0, 1, 1)) == "vertices repeat"
+    assert multifan_violation(col, (0, 1, 0)) == "vertices repeat"
+    assert multifan_violation(col, (0, 2, 1)) == "first spoke is not the uncolored edge"
     g4 = make_graph(4, [(0, 1), (0, 2), (1, 3)])
     col4 = PartialEdgeColoring(g4, 2, {(0, 2): 1, (1, 3): 1}, uncolored=(0, 1))
-    assert multifan_violation(col4, Multifan(0, (1, 3))) == "missing spoke (0, 3)"
+    assert multifan_violation(col4, (0, 1, 3)) == "missing spoke (0, 3)"
 
 
 def test_multifan_spoke_color_must_be_missing_earlier():
     g = make_graph(4, [(0, 1), (0, 2), (1, 3)])
     col = PartialEdgeColoring(g, 2, {(0, 2): 1, (1, 3): 1}, uncolored=(0, 1))
     # color 1 is present at leaf 1, so spoke (0,2) has no earlier sponsor
-    assert multifan_violation(col, Multifan(0, (1, 2))) \
+    assert multifan_violation(col, (0, 1, 2)) \
         == "color 1 of spoke (0, 2) not missing at any earlier leaf"
 
 
 def test_build_maximal_multifan_triangle():
     fan = build_maximal_multifan(holed_triangle(), 0)
-    assert fan == Multifan(0, (1, 2))
+    assert fan == (0, 1, 2)
 
 
 def test_build_maximal_multifan_errors():
@@ -92,10 +90,10 @@ def test_build_maximal_multifan_is_valid_and_maximal(g, data):
     assert multifan_violation(col, fan) is None
     # maximality: no admissible spoke remains outside the fan
     union = 0
-    for s in fan.leaves:
+    for s in fan[1:]:
         union |= col.missing_mask(s)
     for w in col.graph.neighbors(center):
-        if w in fan.leaves:
+        if w in fan[1:]:
             continue
         c = col.color_of(center, w)
         assert not (c and union & (1 << c))

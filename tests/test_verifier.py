@@ -21,7 +21,6 @@ from edgecritic.graphs import (
     is_overfull,
     make_graph,
     petersen_minus_vertex,
-    split_spec,
     vertex_split,
 )
 from edgecritic.records import RecordError, VerificationRecord, read_records
@@ -170,7 +169,7 @@ def test_order_ten_plan_is_one_split_per_class_and_passes_without_search(monkeyp
     assert [p.instance_id for p in plan[:11]] == THEOREM_IDS
     order_ten = plan[11:]
     reps = [canonical_mask(vertex_split(parse_graph6(inst.base_graph6),
-                                        split_spec(inst.vertex, inst.part_a, inst.part_b)))
+                                        inst.vertex, inst.part_a, inst.part_b))
             for inst in order_ten]
     assert len(set(reps)) == len(reps) == 12
     # oracle: every unreduced split is isomorphic to exactly one representative
@@ -182,7 +181,7 @@ def test_order_ten_plan_is_one_split_per_class_and_passes_without_search(monkeyp
                 for more in itertools.combinations(rest, r):
                     a = (least, *more)
                     b = tuple(w for w in rest if w not in more)
-                    g = vertex_split(base, split_spec(v, a, b))
+                    g = vertex_split(base, v, a, b)
                     assert reps.count(canonical_mask(g)) == 1, (emit_graph6(base), v, a)
                     unreduced += 1
     assert unreduced == 3820
@@ -276,7 +275,7 @@ def test_plan_covers_every_split_up_to_isomorphism():
     by_base: dict[str, list] = {}
     for inst in plan:
         base = parse_graph6(inst.base_graph6)
-        g = vertex_split(base, split_spec(inst.vertex, inst.part_a, inst.part_b))
+        g = vertex_split(base, inst.vertex, inst.part_a, inst.part_b)
         by_base.setdefault(inst.base_graph6, []).append(
             nx.Graph(sorted(g.edges)))
     for g6, reps in by_base.items():
@@ -286,7 +285,7 @@ def test_plan_covers_every_split_up_to_isomorphism():
             for r in range(1, len(nbrs)):
                 for a in itertools.combinations(nbrs, r):
                     b = tuple(w for w in nbrs if w not in a)
-                    g = vertex_split(base, split_spec(v, a, b))
+                    g = vertex_split(base, v, a, b)
                     gx = nx.Graph(sorted(g.edges))
                     assert any(nx.is_isomorphic(gx, rep) for rep in reps), \
                         (g6, v, a)
@@ -297,9 +296,8 @@ def test_plan_covers_every_split_up_to_isomorphism():
 def test_inherit_split_coloring():
     base = complete(4)
     phi = find_delta_coloring(base)
-    spec = split_spec(0, (1,), (2, 3))
-    inherited = inherit_split_coloring(phi, spec)
-    assert inherited.graph == vertex_split(base, spec)
+    inherited = inherit_split_coloring(phi, 0, (1,), (2, 3))
+    assert inherited.graph == vertex_split(base, 0, (1,), (2, 3))
     assert inherited.uncolored == (0, 4)
     assert_proper(inherited)
     assert not inherited.missing(0) & inherited.missing(4)
@@ -309,7 +307,7 @@ def test_inherit_split_coloring():
 def test_inherit_requires_full_base_coloring():
     holed = find_coloring(complete(4), 3, hole=(0, 1))
     with pytest.raises(ColoringError, match="must be full"):
-        inherit_split_coloring(holed, split_spec(0, (1,), (2, 3)))
+        inherit_split_coloring(holed, 0, (1,), (2, 3))
 
 
 def test_split_instance_passes_on_k4():
@@ -353,7 +351,7 @@ def test_split_of_order8_circulant_is_not_critical():
     assert rec.witness == {"check": "edge-critical", "graph6": "H@UmbA@",
                            "edge": [3, 4]}
 
-    g = vertex_split(base, split_spec(0, (5, 6), (7,)))
+    g = vertex_split(base, 0, (5, 6), (7,))
     assert emit_graph6(g) == "H@UmbA@"
     assert is_overfull(g) and chromatic_index(g) == 4
     assert find_coloring(g, 3, hole=(3, 4)) is None
@@ -370,7 +368,7 @@ def test_split_of_order8_circulant_is_not_critical():
 def search_only_record(inst):
     """The record of a planned split with every edge decided by its own search."""
     base = parse_graph6(inst.base_graph6)
-    g = vertex_split(base, split_spec(inst.vertex, inst.part_a, inst.part_b))
+    g = vertex_split(base, inst.vertex, inst.part_a, inst.part_b)
     hyp = {"base_class1": True, "base_connected": True, "base_regular": True}
     for e in g.sorted_edges():
         if find_coloring(g, g.max_degree(), hole=e) is None:
@@ -425,8 +423,7 @@ def test_split_instance_fail_and_undecided_on_solver_outcomes(monkeypatch):
     # a proper coloring of the other split, (v, B, A): the coloring core
     # accepts it, but certcheck rebuilds the split from (v, A, B) and refuses it
     real = verifier.inherit_split_coloring
-    monkeypatch.setattr(verifier, "inherit_split_coloring", lambda phi, spec: real(
-        phi, split_spec(spec.vertex, spec.part_b, spec.part_a)))
+    monkeypatch.setattr(verifier, "inherit_split_coloring", lambda phi, v, a, b: real(phi, v, b, a))
     rec = check_split_instance(k4_instance())
     assert rec.verdict == "fail"
     assert rec.witness["check"] == "split-edge-certificate"
