@@ -8,7 +8,6 @@ splits of regular class-1 graphs.
 from .coloring import (
     ColoringError,
     ImproperColoringError,
-    KempeChain,
     LinkageError,
     PartialEdgeColoring,
     are_linked,
@@ -72,7 +71,6 @@ from .solver import (
     vizing_color,
 )
 from .structures import (
-    ShortKite,
     build_maximal_multifan,
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,

@@ -15,8 +15,6 @@ through the validating constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Edge, Graph, GraphError, edge_key
 
 
@@ -85,12 +83,6 @@ class PartialEdgeColoring:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def palette_mask(self) -> int:
-        return self._core.full
-
-    # the hot queries read the core's arrays directly
-
     def color_of(self, u: int, v: int) -> int:
         e = (u, v) if u <= v else (v, u)
         if e == self.uncolored:
@@ -100,20 +92,11 @@ class PartialEdgeColoring:
         except KeyError:
             raise GraphError(f"edge {e} not in host graph") from None
 
-    def present_mask(self, v: int) -> int:
-        return self._core.present[v]
-
     def missing_mask(self, v: int) -> int:
         return self._core.full & ~self._core.present[v]
 
-    def present(self, v: int) -> frozenset[int]:
-        return frozenset(self._core.slot[v])
-
     def missing(self, v: int) -> frozenset[int]:
         return frozenset(_bits(self._core.full & ~self._core.present[v]))
-
-    def neighbor_via(self, v: int, c: int) -> int | None:
-        return self._core.slot[v].get(c)
 
     def is_full(self) -> bool:
         return self.uncolored is None
@@ -283,20 +266,24 @@ def coloring_from_text(graph: Graph, text: str) -> PartialEdgeColoring:
     if not lines:
         raise ColoringError("empty coloring text")
     head = lines[0].split()
+    bad_header = ColoringError(f"bad header: {lines[0]!r}")
     if len(head) != 2 or not head[0].startswith("k=") or not head[1].startswith("uncolored="):
-        raise ColoringError(f"bad header: {lines[0]!r}")
-    k = int(head[0][2:])
+        raise bad_header
     hole_text = head[1].split("=", 1)[1]
     hole = None
-    if hole_text != "none":
-        a, b = hole_text.split(",")
-        hole = edge_key(int(a), int(b))
+    try:
+        k = int(head[0][2:])
+        if hole_text != "none":
+            a, b = hole_text.split(",")
+            hole = edge_key(int(a), int(b))
+    except ValueError:
+        raise bad_header from None
     assign = {}
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ColoringError(f"bad coloring line: {ln!r}")
-        u, v, c = (int(p) for p in parts)
+        try:
+            u, v, c = map(int, ln.split())
+        except ValueError:
+            raise ColoringError(f"bad coloring line: {ln!r}") from None
         e = edge_key(u, v)
         if e in assign:
             raise ColoringError(f"duplicate edge line for {e}")
@@ -322,19 +309,6 @@ def elementary_violation(coloring: PartialEdgeColoring, vertices) -> tuple[int, 
 
 # ---------------------------------------------------------------------------
 # Kempe chains
-
-
-@dataclass(frozen=True)
-class KempeChain:
-    """A maximal two-color alternating component: a path or an even cycle.
-
-    For a cycle, vertices[0] is the walk start and edges close back to it.
-    """
-
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
-    colors: tuple[int, int]
-    is_cycle: bool
 
 
 def _check_chain_args(coloring, x, alpha, beta):
@@ -363,27 +337,27 @@ def _walk(slot, start, first_color, second_color):
     return verts, edges, False
 
 
-def kempe_chain(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int) -> KempeChain:
-    """The maximal (alpha, beta)-component through x.
+def kempe_chain(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int
+                ) -> tuple[tuple[int, ...], tuple[Edge, ...], bool]:
+    """The maximal (alpha, beta)-component through x, a path or an even cycle,
+    as (vertices, edges, is_cycle).
 
     Paths are listed from x when x is an endpoint, otherwise from the
-    smaller-id endpoint. Cycles are listed from x along its alpha edge.
+    smaller-id endpoint. Cycles are listed from x along its alpha edge, and
+    their edges close back to x.
     """
     _check_chain_args(coloring, x, alpha, beta)
     slot = coloring._core.slot
     va, ea, closed = _walk(slot, x, alpha, beta)
     if closed:
-        return KempeChain((x, *va), tuple(ea), (alpha, beta), True)
+        return (x, *va), tuple(ea), True
     vb, eb, _ = _walk(slot, x, beta, alpha)
     vertices = (*reversed(vb), x, *va)
     edges = (*reversed(eb), *ea)
-    if vb and va and vertices[0] > vertices[-1]:
-        vertices = tuple(reversed(vertices))
-        edges = tuple(reversed(edges))
-    elif vb and not va:
-        vertices = tuple(reversed(vertices))
-        edges = tuple(reversed(edges))
-    return KempeChain(tuple(vertices), tuple(edges), (alpha, beta), False)
+    if vb and (not va or vertices[0] > vertices[-1]):
+        vertices = vertices[::-1]
+        edges = edges[::-1]
+    return vertices, edges, False
 
 
 def _swap_chain_edges(coloring, edges, alpha, beta):
@@ -395,14 +369,14 @@ def _swap_chain_edges(coloring, edges, alpha, beta):
 
 def kempe_swap(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int) -> PartialEdgeColoring:
     """Exchange the two colors on the whole component through x."""
-    chain = kempe_chain(coloring, x, alpha, beta)
-    return _swap_chain_edges(coloring, chain.edges, alpha, beta)
+    _, edges, _ = kempe_chain(coloring, x, alpha, beta)
+    return _swap_chain_edges(coloring, edges, alpha, beta)
 
 
 def are_linked(coloring: PartialEdgeColoring, x: int, y: int, alpha: int, beta: int) -> bool:
     """True when x and y lie on one (alpha, beta)-path component."""
-    chain = kempe_chain(coloring, x, alpha, beta)
-    return not chain.is_cycle and y in chain.vertices
+    vertices, _, is_cycle = kempe_chain(coloring, x, alpha, beta)
+    return not is_cycle and y in vertices
 
 
 def subchain_swap(coloring: PartialEdgeColoring, x: int, y: int, alpha: int, beta: int) -> PartialEdgeColoring:
@@ -412,15 +386,13 @@ def subchain_swap(coloring: PartialEdgeColoring, x: int, y: int, alpha: int, bet
     cycle, and ImproperColoringError when a segment boundary vertex is interior
     to the full chain (the untouched chain edge would clash).
     """
-    chain = kempe_chain(coloring, x, alpha, beta)
-    if chain.is_cycle:
+    vertices, edges, is_cycle = kempe_chain(coloring, x, alpha, beta)
+    if is_cycle:
         raise LinkageError(f"({alpha}, {beta})-component through {x} is a cycle")
-    if y not in chain.vertices:
+    if y not in vertices:
         raise LinkageError(f"vertices {x} and {y} are not ({alpha}, {beta})-linked")
-    ix = chain.vertices.index(x)
-    iy = chain.vertices.index(y)
-    lo, hi = min(ix, iy), max(ix, iy)
-    return _swap_chain_edges(coloring, chain.edges[lo:hi], alpha, beta)
+    lo, hi = sorted((vertices.index(x), vertices.index(y)))
+    return _swap_chain_edges(coloring, edges[lo:hi], alpha, beta)
 
 
 # ---------------------------------------------------------------------------

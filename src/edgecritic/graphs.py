@@ -49,12 +49,6 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(a) for a in self.adj))
-
-    def vertices(self) -> range:
-        return range(self.n)
-
     def delete_edge(self, u: int, v: int) -> Graph:
         e = edge_key(u, v)
         if e not in self.edges:

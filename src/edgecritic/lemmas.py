@@ -12,7 +12,7 @@ it, the coloring its own search found.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import attrgetter
+from operator import itemgetter
 
 from .coloring import (
     PartialEdgeColoring,
@@ -26,7 +26,6 @@ from .graphs import Edge, Graph, edge_key
 from .records import VerificationRecord
 from .solver import SearchBudgetExceeded, find_coloring, find_delta_coloring
 from .structures import (
-    ShortKite,
     build_maximal_multifan,
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
@@ -245,7 +244,7 @@ def check_kierstead(coloring: PartialEdgeColoring, vs: tuple[int, ...],
 # short-kite statements
 
 
-def _kite_hypotheses(coloring: PartialEdgeColoring, kite: ShortKite
+def _kite_hypotheses(coloring: PartialEdgeColoring, kite: tuple[int, ...]
                      ) -> tuple[dict[str, bool], dict[str, bool], tuple[int, int, int, int]]:
     """The short-kite hypotheses, the case-one hypotheses that extend them,
     and the case-one (base, gamma, delta, eta) color labels.
@@ -254,8 +253,7 @@ def _kite_hypotheses(coloring: PartialEdgeColoring, kite: ShortKite
     sits on apex-rim2 and hub-tail2; both tails miss the same single color;
     the four named colors are distinct and all missing at the apex.
     """
-    a, b, c = kite.apex, kite.rim1, kite.rim2
-    u, x, y = kite.hub, kite.tail1, kite.tail2
+    a, b, c, u, x, y = kite
     hyp = {"kite_in_graph": kite_violation(coloring.graph, kite) is None,
            "anchored_delta_coloring": _anchored(coloring, (a, b))}
     if all(hyp.values()):
@@ -279,33 +277,33 @@ def _kite_hypotheses(coloring: PartialEdgeColoring, kite: ShortKite
     return kite_hyp, hyp, labels
 
 
-def check_kite(coloring: PartialEdgeColoring, kite: ShortKite,
+def check_kite(coloring: PartialEdgeColoring, kite: tuple[int, ...],
                host_class: int | SearchBudgetExceeded
                ) -> tuple[VerificationRecord, VerificationRecord]:
-    """Both short-kite statements on one kite anchored at the hole.
+    """Both short-kite statements on one kite (apex, rim1, rim2, hub, tail1,
+    tail2) anchored at the hole (apex, rim1).
 
     short-kite-degree: under the twin-path hypotheses one kite tail must reach
     max degree. kite-chain-route: in the normalized shape, the two-color chain
     from tail2 crosses the hub-rim1 edge, hub first.
     """
     g = coloring.graph
-    iid = _ids(g, "kite=" + ",".join(map(str, kite.vertex_set())))
+    _, b, _, u, x, y = kite
+    iid = _ids(g, "kite=" + ",".join(map(str, kite)))
     kite_hyp, route_hyp, (_, _, delt, eta) = _kite_hypotheses(coloring, kite)
     critical = (host_class, True)
 
     def tail_violation():
-        dx, dy = g.degree(kite.tail1), g.degree(kite.tail2)
+        dx, dy = g.degree(x), g.degree(y)
         if max(dx, dy) != g.max_degree():
             return {"tail_degrees": [dx, dy], "max_degree": g.max_degree()}
         return None
 
     def route_violation():
-        u, b = kite.hub, kite.rim1
-        chain = kempe_chain(coloring, kite.tail2, eta, delt)
-        vs = chain.vertices
-        if chain.is_cycle or vs[0] != kite.tail2:
-            return {"part": "chain-shape", "is_cycle": chain.is_cycle}
-        if edge_key(u, b) not in chain.edges:
+        vs, edges, is_cycle = kempe_chain(coloring, y, eta, delt)
+        if is_cycle or vs[0] != y:
+            return {"part": "chain-shape", "is_cycle": is_cycle}
+        if edge_key(u, b) not in edges:
             return {"part": "edge-off-chain", "chain": list(vs)}
         if vs.index(u) > vs.index(b):
             return {"part": "order", "chain": list(vs)}
@@ -319,7 +317,7 @@ def check_kite(coloring: PartialEdgeColoring, kite: ShortKite,
 # whole-graph battery
 
 # kites are checked ascending by role, hub first
-_ROLE_ORDER = attrgetter("hub", "rim1", "rim2", "apex", "tail1", "tail2")
+_ROLE_ORDER = itemgetter(3, 1, 2, 0, 4, 5)
 
 
 def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[VerificationRecord]:

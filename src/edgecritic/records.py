@@ -68,12 +68,21 @@ def record_from_json_line(line: str) -> VerificationRecord:
         rec = VerificationRecord(
             lemma=payload["lemma"],
             instance_id=payload["instance_id"],
-            hypotheses=dict(payload["hypotheses"]),
+            hypotheses=payload["hypotheses"],
             conclusion=payload["conclusion"],
             witness=payload.get("witness"),
         )
     except KeyError as exc:
         raise RecordError(f"record line missing key {exc}") from exc
+    if not (isinstance(rec.lemma, str) and isinstance(rec.instance_id, str)):
+        raise RecordError("record lemma and instance_id must be strings")
+    hyp = rec.hypotheses
+    if not (isinstance(hyp, dict) and all(type(h) is bool for h in hyp.values())):
+        raise RecordError("record hypotheses must be an object of booleans")
+    if not (rec.conclusion is None or type(rec.conclusion) is bool):
+        raise RecordError("record conclusion must be true, false or null")
+    if not (rec.witness is None or isinstance(rec.witness, dict)):
+        raise RecordError("record witness must be an object or null")
     stated = payload.get("verdict")
     if stated is not None and stated != rec.verdict:
         raise RecordError(f"stored verdict {stated!r} disagrees with fields")

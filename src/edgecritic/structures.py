@@ -2,39 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import ColoringError, PartialEdgeColoring
 from .graphs import Edge, Graph, edge_key
-
-
-@dataclass(frozen=True)
-class ShortKite:
-    """Four-cycle apex-rim1-hub-rim2 plus two pendant edges at the hub.
-
-    Six distinct vertices; edges: (apex, rim1), (rim1, hub), (hub, rim2),
-    (rim2, apex), (hub, tail1), (hub, tail2).
-    """
-
-    apex: int
-    rim1: int
-    rim2: int
-    hub: int
-    tail1: int
-    tail2: int
-
-    def vertex_set(self) -> tuple[int, ...]:
-        return (self.apex, self.rim1, self.rim2, self.hub, self.tail1, self.tail2)
-
-    def edge_set(self) -> tuple[tuple[int, int], ...]:
-        return (
-            edge_key(self.apex, self.rim1),
-            edge_key(self.rim1, self.hub),
-            edge_key(self.hub, self.rim2),
-            edge_key(self.rim2, self.apex),
-            edge_key(self.hub, self.tail1),
-            edge_key(self.hub, self.tail2),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +65,16 @@ def kierstead_violation(coloring: PartialEdgeColoring, vs: tuple[int, ...]) -> s
     return None
 
 
-def kite_violation(graph: Graph, kite: ShortKite) -> str | None:
-    vs = kite.vertex_set()
-    if len(set(vs)) != 6:
+def kite_violation(graph: Graph, kite: tuple[int, ...]) -> str | None:
+    """Why kite = (apex, rim1, rim2, hub, tail1, tail2) is not a short kite of
+    the host: six distinct vertices, the four-cycle apex-rim1-hub-rim2 and
+    the pendant edges hub-tail1 and hub-tail2."""
+    if len(set(kite)) != 6:
         return "vertices repeat"
-    for u, v in kite.edge_set():
-        if not graph.has_edge(u, v):
-            return f"missing edge ({u}, {v})"
+    a, b, c, u, x, y = kite
+    for p, q in ((a, b), (b, u), (u, c), (c, a), (u, x), (u, y)):
+        if not graph.has_edge(p, q):
+            return f"missing edge {edge_key(p, q)}"
     return None
 
 
@@ -167,9 +139,11 @@ def enumerate_kierstead_paths(coloring: PartialEdgeColoring) -> list[tuple[int, 
 
 
 def kites_with_head(graph: Graph, head: tuple[int, int, int, int],
-                    coloring: PartialEdgeColoring | None = None) -> list[ShortKite]:
-    """The short kites whose (apex, rim1, hub, tail1) is the given path,
-    ascending by (rim2, tail2); none when the head is not a path of the host.
+                    coloring: PartialEdgeColoring | None = None
+                    ) -> list[tuple[int, int, int, int, int, int]]:
+    """The short kites (apex, rim1, rim2, hub, tail1, tail2) whose
+    (apex, rim1, hub, tail1) is the given path, ascending by (rim2, tail2);
+    none when the head is not a path of the host.
 
     Given a coloring, only the kites whose rim2 path (rim1, apex, rim2, hub,
     tail2) is a Kierstead path of it are listed, and only these are built.
@@ -185,7 +159,7 @@ def kites_with_head(graph: Graph, head: tuple[int, int, int, int],
         return coloring is None or kierstead_violation(coloring, path) is None
 
     spokes = graph.neighbors(hub)
-    return [ShortKite(apex, rim1, rim2, hub, tail1, tail2)
+    return [(apex, rim1, rim2, hub, tail1, tail2)
             for rim2 in sorted((graph.neighbors(apex) & spokes) - {rim1, tail1})
             if kierstead(rim1, apex, rim2, hub)
             for tail2 in sorted(spokes - {apex, rim1, rim2, tail1})

@@ -23,7 +23,6 @@ from edgecritic.graphs import (
     vertex_split,
 )
 from edgecritic.solver import chromatic_index, find_delta_coloring
-from edgecritic.structures import ShortKite
 from edgecritic.verifier import SweepConfig, _normalize_parts, plan_instances
 
 
@@ -113,8 +112,9 @@ def is_critical_by_deletion(graph: Graph, e) -> bool:
 
 # The whole-graph kite enumerator: the independent reference that
 # `structures.kites_with_head` and the lemma battery are checked against.
-def find_short_kites(graph: Graph) -> list[ShortKite]:
-    """All labeled short-kite occurrences, ascending by role tuple."""
+def find_short_kites(graph: Graph) -> list[tuple[int, ...]]:
+    """All labeled short kites (apex, rim1, rim2, hub, tail1, tail2),
+    ascending by role tuple (hub, rim1, rim2, apex, tail1, tail2)."""
     out = []
     for hub in range(graph.n):
         nbrs = sorted(graph.neighbors(hub))
@@ -130,7 +130,7 @@ def find_short_kites(graph: Graph) -> list[ShortKite]:
                     for tail1 in rest:
                         for tail2 in rest:
                             if tail2 != tail1:
-                                out.append(ShortKite(apex, rim1, rim2, hub, tail1, tail2))
+                                out.append((apex, rim1, rim2, hub, tail1, tail2))
     return out
 
 

@@ -340,3 +340,25 @@ def test_sweep_log_wiring(tmp_path, capsys):
     assert main(["theorem1", "--m-max", "4", "--log", str(log), "--resume"]) == 0
     capsys.readouterr()
     assert log.read_bytes() == first
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("hypotheses", 5, "hypotheses must be an object of booleans"),
+    ("hypotheses", "ab", "hypotheses must be an object of booleans"),
+    ("hypotheses", [["base_class1", True]], "hypotheses must be an object of booleans"),
+    ("conclusion", "yes", "conclusion must be true, false or null"),
+], ids=["hypotheses-int", "hypotheses-string", "hypotheses-pairs", "conclusion-string"])
+def test_resume_refuses_mistyped_record_fields(tmp_path, capsys, field, value, message):
+    log = tmp_path / "run.jsonl"
+    assert main(["theorem1", "--m-max", "4", "--log", str(log)]) == 0
+    capsys.readouterr()
+    payload = json.loads(log.read_text())
+    payload[field] = value
+    # without a stored verdict to contradict, only the field types can refuse the line
+    del payload["verdict"]
+    text = json.dumps(payload) + "\n"
+    log.write_text(text)
+    assert main(["theorem1", "--m-max", "4", "--log", str(log), "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert log.read_text() == text

@@ -113,10 +113,8 @@ def test_color_queries():
     col = triangle_coloring()
     assert col.color_of(1, 0) == 1
     assert col.is_full()
-    assert col.present(0) == frozenset({1, 2})
+    assert col._core.slot[0] == {1: 1, 2: 2}
     assert col.missing(0) == frozenset({3})
-    assert col.neighbor_via(0, 2) == 2
-    assert col.neighbor_via(0, 3) is None
     with pytest.raises(GraphError):
         col.color_of(0, 5)
 
@@ -132,7 +130,7 @@ def test_hole_queries():
 
 
 def test_palette_mask():
-    assert triangle_coloring().palette_mask == 0b1110
+    assert triangle_coloring()._core.full == 0b1110
 
 
 # ------------------------------------------------------------ text form
@@ -164,6 +162,22 @@ def test_from_text_errors():
         coloring_from_text(g, "k=2 uncolored=none\n0 1 1\n1 0 2\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("k=x uncolored=none\n0 1 1\n", "bad header: 'k=x uncolored=none'"),
+    ("k=2 uncolored=a,b\n", "bad header: 'k=2 uncolored=a,b'"),
+    ("k=2 uncolored=1,2,3\n", "bad header: 'k=2 uncolored=1,2,3'"),
+    ("k=2 uncolored=0\n", "bad header: 'k=2 uncolored=0'"),
+    ("k=2 uncolored=none\n0 1 y\n", "bad coloring line: '0 1 y'"),
+    ("k=2 uncolored=none\n0 1 1 1\n", "bad coloring line: '0 1 1 1'"),
+], ids=["k-not-int", "hole-not-int", "hole-three-parts", "hole-one-part",
+        "color-not-int", "line-four-fields"])
+def test_from_text_names_the_bad_header_or_line(text, message):
+    # the text can come from outside, e.g. an instance's base_coloring_text
+    with pytest.raises(ColoringError) as info:
+        coloring_from_text(make_graph(2, [(0, 1)]), text)
+    assert str(info.value) == message
+
+
 def test_from_text_rejects_zero_color():
     # a 0 line is not a second way to name the hole the header denies
     with pytest.raises(ImproperColoringError):
@@ -187,34 +201,24 @@ def test_elementary_violation_first_witness():
 # ------------------------------------------------------------ chains
 
 def test_kempe_chain_from_endpoint():
-    chain = kempe_chain(c5_coloring(), 0, 1, 2)
-    assert chain.vertices == (0, 1, 2, 3, 4)
-    assert chain.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
-    assert chain.colors == (1, 2)
-    assert not chain.is_cycle
+    assert kempe_chain(c5_coloring(), 0, 1, 2) == (
+        (0, 1, 2, 3, 4), ((0, 1), (1, 2), (2, 3), (3, 4)), False)
 
 
 def test_kempe_chain_from_interior_starts_at_small_endpoint():
-    chain = kempe_chain(c5_coloring(), 2, 1, 2)
-    assert chain.vertices == (0, 1, 2, 3, 4)
-    assert chain.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+    assert kempe_chain(c5_coloring(), 2, 1, 2) == (
+        (0, 1, 2, 3, 4), ((0, 1), (1, 2), (2, 3), (3, 4)), False)
 
 
 def test_kempe_chain_short_path():
     # the (1,3)-component through 1 is just 1-0-4
-    chain = kempe_chain(c5_coloring(), 1, 1, 3)
-    assert chain.vertices == (1, 0, 4)
-    assert chain.edges == ((0, 1), (0, 4))
+    assert kempe_chain(c5_coloring(), 1, 1, 3) == ((1, 0, 4), ((0, 1), (0, 4)), False)
 
 
 def test_kempe_chain_cycle_orientation():
     col = c4_two_colors()
-    chain = kempe_chain(col, 0, 1, 2)
-    assert chain.is_cycle
-    assert chain.vertices == (0, 1, 2, 3)
-    assert chain.edges == ((0, 1), (1, 2), (2, 3), (0, 3))
-    flipped = kempe_chain(col, 0, 2, 1)
-    assert flipped.vertices == (0, 3, 2, 1)
+    assert kempe_chain(col, 0, 1, 2) == ((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3), (0, 3)), True)
+    assert kempe_chain(col, 0, 2, 1)[0] == (0, 3, 2, 1)
 
 
 def test_kempe_chain_argument_errors():
@@ -336,7 +340,7 @@ def test_mutable_core_flip_matches_kempe_swap():
     assert core.col == dict(swapped.colored_items())
     for v in range(5):
         assert core.missing(v) == swapped.missing_mask(v)
-        assert core.slot[v] == {c: swapped.neighbor_via(v, c) for c in swapped.present(v)}
+        assert core.slot[v] == swapped._core.slot[v]
     core.flip(0, 2, 1)
     assert core.col == dict(start.colored_items())
     with pytest.raises(LinkageError, match="not a path end"):
@@ -357,9 +361,8 @@ def test_propagation_from_one_hole_reaches_every_edge():
 def assert_same_coloring(a, b):
     assert a == b
     for v in range(a.graph.n):
-        assert a.present_mask(v) == b.present_mask(v)
-        assert {c: a.neighbor_via(v, c) for c in a.present(v)} == \
-            {c: b.neighbor_via(v, c) for c in b.present(v)}
+        assert a._core.present[v] == b._core.present[v]
+        assert a._core.slot[v] == b._core.slot[v]
 
 
 def test_propagation_leaves_input_and_certificates_unshared():
@@ -467,9 +470,9 @@ def test_subchain_full_segment_matches_component_swap(g, data):
     x = data.draw(st.integers(0, g.n - 1))
     alpha = data.draw(st.integers(1, col.k))
     beta = data.draw(st.integers(1, col.k).filter(lambda c: c != alpha))
-    chain = kempe_chain(col, x, alpha, beta)
-    if chain.is_cycle or len(chain.vertices) < 2:
+    vertices, _, is_cycle = kempe_chain(col, x, alpha, beta)
+    if is_cycle or len(vertices) < 2:
         return
-    a, b = chain.vertices[0], chain.vertices[-1]
+    a, b = vertices[0], vertices[-1]
     out = subchain_swap(col, a, b, alpha, beta)
     assert out == kempe_swap(col, x, alpha, beta)

@@ -30,6 +30,10 @@ from edgecritic.graphs import (
 from conftest import small_graphs
 
 
+def degree_sequence(g):
+    return tuple(sorted(g.degree(v) for v in range(g.n)))
+
+
 def test_edge_key_orders_endpoints():
     assert edge_key(3, 1) == (1, 3)
     assert edge_key(1, 3) == (1, 3)
@@ -45,7 +49,7 @@ def test_make_graph_basics():
     assert g.neighbors(1) == frozenset({0, 2})
     assert g.has_edge(2, 1)
     assert not g.has_edge(0, 2)
-    assert g.degree_sequence() == (0, 1, 1, 2)
+    assert degree_sequence(g) == (0, 1, 1, 2)
     assert g.sorted_edges() == [(0, 1), (1, 2)]
 
 
@@ -84,14 +88,14 @@ def test_mask_roundtrip():
 
 def test_named_builders():
     assert petersen().n == 10
-    assert petersen().degree_sequence() == (3,) * 10
+    assert degree_sequence(petersen()) == (3,) * 10
     p = petersen_minus_vertex()
     assert (p.n, p.edge_count()) == (9, 12)
-    assert sorted(p.degree_sequence()) == [2, 2, 2] + [3] * 6
-    assert prism().degree_sequence() == (3,) * 6
-    assert cube().degree_sequence() == (3,) * 8
+    assert sorted(degree_sequence(p)) == [2, 2, 2] + [3] * 6
+    assert degree_sequence(prism()) == (3,) * 6
+    assert degree_sequence(cube()) == (3,) * 8
     assert complete_bipartite(3, 3).edge_count() == 9
-    assert complete_minus_matching(8).degree_sequence() == (6,) * 8
+    assert degree_sequence(complete_minus_matching(8)) == (6,) * 8
     with pytest.raises(GraphError):
         complete_minus_matching(7)
     with pytest.raises(GraphError):
@@ -104,7 +108,7 @@ def test_vertex_split_c4_gives_c5():
     assert split.n == 5
     assert split.edge_count() == 5
     assert split.has_edge(0, 4)  # the new pair is adjacent
-    assert split.degree_sequence() == (2, 2, 2, 2, 2)
+    assert degree_sequence(split) == (2, 2, 2, 2, 2)
     assert split.is_connected()
 
 
@@ -146,7 +150,7 @@ def test_canonical_mask_known_values():
     g2 = make_graph(4, [(3, 2), (2, 0), (0, 1)])
     assert canonical_mask(g1) == canonical_mask(g2)
     assert canonical_mask(g1) != canonical_mask(cycle(4))
-    assert graph_from_mask(4, canonical_mask(g1)).degree_sequence() == g1.degree_sequence()
+    assert degree_sequence(graph_from_mask(4, canonical_mask(g1))) == degree_sequence(g1)
 
 
 def _relabel(g, perm):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 
 import edgecritic.lemmas as lemmas
 import edgecritic.solver as solver
-import edgecritic.structures as structures
 from conftest import class_two_graphs, corpus_hosts, find_short_kites, unchecked_coloring
 from edgecritic.coloring import PartialEdgeColoring
 from edgecritic.enumeration import enumerate_small_graphs
@@ -41,7 +40,6 @@ from edgecritic.solver import (
     vizing_color,
 )
 from edgecritic.structures import (
-    ShortKite,
     build_maximal_multifan,
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
@@ -50,7 +48,7 @@ from edgecritic.structures import (
 )
 from edgecritic.verifier import SweepConfig, plan_instances
 
-KITE = ShortKite(apex=0, rim1=1, rim2=2, hub=3, tail1=4, tail2=5)
+KITE = (0, 1, 2, 3, 4, 5)  # (apex, rim1, rim2, hub, tail1, tail2)
 
 
 def case_one_instance():
@@ -231,7 +229,7 @@ def test_no_vertex_beyond_distance_two_reaches_the_deficiency_floor():
             near = g.neighbors(a) | g.neighbors(b)
             two = {w for x in near for w in g.neighbors(x)} - near
             floor = g.n - len(near)
-            assert all(g.degree(x) < floor for x in set(g.vertices()) - near - two), \
+            assert all(g.degree(x) < floor for x in set(range(g.n)) - near - two), \
                 (emit_graph6(g), a, b)
             pairs += 1
     assert pairs == 1072
@@ -273,7 +271,7 @@ def slid_off_the_kite(phi):
 
 def test_kite_records_skip_off_the_normalized_shape():
     g, phi = case_one_instance()
-    swapped_tails = ShortKite(apex=0, rim1=1, rim2=2, hub=3, tail1=5, tail2=4)
+    swapped_tails = (0, 1, 2, 3, 5, 4)
     _, route = check_kite(phi, swapped_tails, 1)
     assert route.verdict == "skipped"
     assert route.hypotheses["rim1_normalized"] is False
@@ -362,7 +360,7 @@ def test_battery_drops_vacuous_kite_records_by_default(monkeypatch):
     assert kites
     host_class = battery_evidence(host)[0]
     for kite in kites:
-        phi = find_coloring(host, host.max_degree(), hole=(kite.apex, kite.rim1))
+        phi = find_coloring(host, host.max_degree(), hole=kite[:2])
         assert [rec.verdict for rec in check_kite(phi, kite, host_class)] == ["skipped",
                                                                              "skipped"]
     calls = kite_checker_calls(monkeypatch)
@@ -398,7 +396,7 @@ def reference_battery(graph, host_class, full, holes):
     records = [check_parity(full)]
     anchored_kites = {}
     for kite in find_short_kites(graph):
-        anchored_kites.setdefault(edge_key(kite.apex, kite.rim1), []).append(kite)
+        anchored_kites.setdefault(edge_key(*kite[:2]), []).append(kite)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_solve", refuse_search)
         for e, phi in holes.items():
@@ -431,7 +429,7 @@ def assert_battery_matches_reference(graph):
     assert all(r.instance_id.startswith(emit_graph6(graph) + " ") for r in records)
     for phi, kite in calls:
         heads = set(enumerate_kierstead_paths(phi))
-        assert (kite.apex, kite.rim1, kite.hub, kite.tail1) in heads, kite
+        assert (kite[0], kite[1], kite[3], kite[4]) in heads, kite
     return calls
 
 
@@ -582,10 +580,11 @@ def test_battery_leaves_parity_undecided_when_the_full_search_runs_out(monkeypat
 def test_battery_builds_only_the_kites_it_checks(monkeypatch):
     built = []
 
-    def counted(*roles, _kite=ShortKite):
-        built.append(roles)
-        return _kite(*roles)
-    monkeypatch.setattr(structures, "ShortKite", counted)
+    def counted(*args, _real=lemmas.kites_with_head):
+        kites = _real(*args)
+        built.extend(kites)
+        return kites
+    monkeypatch.setattr(lemmas, "kites_with_head", counted)
     calls = kite_checker_calls(monkeypatch)
     total = 0
     for g in corpus_hosts():
@@ -593,7 +592,7 @@ def test_battery_builds_only_the_kites_it_checks(monkeypatch):
         records = lemma_battery(g)
         # every kite checked keeps its short-kite-degree record
         kept = [r.instance_id for r in records if r.lemma == "short-kite-degree"]
-        assert kept == [emit_graph6(g) + " kite=" + ",".join(map(str, kite.vertex_set()))
+        assert kept == [emit_graph6(g) + " kite=" + ",".join(map(str, kite))
                         for _, kite in calls[start:]], emit_graph6(g)
         total += len(kept)
     # every kite built is checked: the battery lists no kite of the host whose
@@ -602,7 +601,8 @@ def test_battery_builds_only_the_kites_it_checks(monkeypatch):
 
 
 def _role(kite):
-    return (kite.hub, kite.rim1, kite.rim2, kite.apex, kite.tail1, kite.tail2)
+    apex, rim1, rim2, hub, tail1, tail2 = kite
+    return (hub, rim1, rim2, apex, tail1, tail2)
 
 
 def admissible_reference(phi):

@@ -1,5 +1,7 @@
 """Verification records: verdict table, exact line format, file round trips."""
 
+import json
+
 import pytest
 
 from edgecritic.records import (
@@ -52,6 +54,24 @@ def test_parse_rejects_garbage():
         record_from_json_line("[1,2]")
     with pytest.raises(RecordError, match="missing key 'lemma'"):
         record_from_json_line('{"instance_id":"x","hypotheses":{},"conclusion":null}')
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lemma", 5, "lemma and instance_id must be strings"),
+    ("instance_id", None, "lemma and instance_id must be strings"),
+    ("hypotheses", [["h", True]], "hypotheses must be an object of booleans"),
+    ("hypotheses", {"h": 1}, "hypotheses must be an object of booleans"),
+    ("conclusion", 1, "conclusion must be true, false or null"),
+    ("conclusion", "yes", "conclusion must be true, false or null"),
+    ("witness", "x", "witness must be an object or null"),
+    ("witness", [0, 1], "witness must be an object or null"),
+], ids=["lemma-int", "id-null", "hypotheses-pairs", "hypothesis-int",
+        "conclusion-int", "conclusion-string", "witness-string", "witness-list"])
+def test_parse_rejects_mistyped_fields(field, value, message):
+    payload = {"lemma": "L", "instance_id": "x", "hypotheses": {"h": True},
+               "conclusion": None, field: value}
+    with pytest.raises(RecordError, match=message):
+        record_from_json_line(json.dumps(payload))
 
 
 def test_parse_rejects_stale_verdict():

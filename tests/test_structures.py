@@ -19,7 +19,6 @@ from edgecritic.graphs import (
 )
 from edgecritic.solver import find_coloring
 from edgecritic.structures import (
-    ShortKite,
     build_maximal_multifan,
     enumerate_kierstead_paths,
     find_full_deficiency_pairs,
@@ -182,11 +181,12 @@ def kite_host():
 
 def test_kite_validators():
     g = kite_host()
-    kite = ShortKite(apex=0, rim1=1, rim2=2, hub=3, tail1=4, tail2=5)
-    assert kite_violation(g, kite) is None
-    assert kite.edge_set() == ((0, 1), (1, 3), (2, 3), (0, 2), (3, 4), (3, 5))
-    assert kite_violation(g, ShortKite(0, 1, 2, 3, 4, 4)) == "vertices repeat"
-    assert kite_violation(g, ShortKite(1, 0, 3, 2, 4, 5)) == "missing edge (2, 4)"
+    # (apex, rim1, rim2, hub, tail1, tail2)
+    assert kite_violation(g, (0, 1, 2, 3, 4, 5)) is None
+    assert kite_violation(g, (0, 1, 2, 3, 4, 4)) == "vertices repeat"
+    assert kite_violation(g, (1, 0, 3, 2, 4, 5)) == "missing edge (2, 4)"
+    # the missing edge is named low end first
+    assert kite_violation(g, (4, 1, 2, 3, 0, 5)) == "missing edge (1, 4)"
 
 
 def four_vertex_paths(g):
@@ -201,21 +201,22 @@ def kites_by_head(g):
 
 
 def role_order(kite):
-    return (kite.hub, kite.rim1, kite.rim2, kite.apex, kite.tail1, kite.tail2)
+    apex, rim1, rim2, hub, tail1, tail2 = kite
+    return (hub, rim1, rim2, apex, tail1, tail2)
 
 
 def test_kites_with_head_exact():
     g = kite_host()
-    assert kites_with_head(g, (0, 1, 3, 4)) == [ShortKite(0, 1, 2, 3, 4, 5)]
-    assert kites_with_head(g, (0, 1, 3, 5)) == [ShortKite(0, 1, 2, 3, 5, 4)]
-    assert kites_with_head(g, (0, 2, 3, 4)) == [ShortKite(0, 2, 1, 3, 4, 5)]
-    assert kites_with_head(g, (0, 2, 3, 5)) == [ShortKite(0, 2, 1, 3, 5, 4)]
+    assert kites_with_head(g, (0, 1, 3, 4)) == [(0, 1, 2, 3, 4, 5)]
+    assert kites_with_head(g, (0, 1, 3, 5)) == [(0, 1, 2, 3, 5, 4)]
+    assert kites_with_head(g, (0, 2, 3, 4)) == [(0, 2, 1, 3, 4, 5)]
+    assert kites_with_head(g, (0, 2, 3, 5)) == [(0, 2, 1, 3, 5, 4)]
     got = sorted(kites_by_head(g), key=role_order)
     assert got == [
-        ShortKite(0, 1, 2, 3, 4, 5),
-        ShortKite(0, 1, 2, 3, 5, 4),
-        ShortKite(0, 2, 1, 3, 4, 5),
-        ShortKite(0, 2, 1, 3, 5, 4),
+        (0, 1, 2, 3, 4, 5),
+        (0, 1, 2, 3, 5, 4),
+        (0, 2, 1, 3, 4, 5),
+        (0, 2, 1, 3, 5, 4),
     ]
     for kite in got:
         assert kite_violation(kite_host(), kite) is None
@@ -231,8 +232,8 @@ def test_kites_with_head_lists_role_order_within_a_head():
     g = complete(7)
     got = kites_with_head(g, (0, 1, 2, 3))
     assert len(got) == 3 * 2  # rim2 from {4, 5, 6}, tail2 from the other two
-    assert got == sorted(got, key=lambda k: (k.rim2, k.tail2))
-    assert {(k.apex, k.rim1, k.hub, k.tail1) for k in got} == {(0, 1, 2, 3)}
+    assert got == sorted(got, key=lambda k: (k[2], k[5]))  # (rim2, tail2)
+    assert {(k[0], k[1], k[3], k[4]) for k in got} == {(0, 1, 2, 3)}
 
 
 @pytest.mark.parametrize("g", [
@@ -264,7 +265,7 @@ def test_found_kites_are_kites(g):
     for head in four_vertex_paths(g):
         for kite in kites_with_head(g, head):
             assert kite_violation(g, kite) is None
-            assert (kite.apex, kite.rim1, kite.hub, kite.tail1) == head
+            assert (kite[0], kite[1], kite[3], kite[4]) == head
 
 
 @pytest.mark.parametrize("g", [parse_graph6(r"Fj\|w"), parse_graph6("HY|vzyT")],
@@ -278,7 +279,7 @@ def test_kites_with_head_keeps_the_kites_whose_rim2_path_is_kierstead(g):
                 continue
             want = [k for k in kites_with_head(g, head)
                     if kierstead_violation(
-                        phi, (k.rim1, k.apex, k.rim2, k.hub, k.tail2)) is None]
+                        phi, (k[1], k[0], k[2], k[3], k[5])) is None]
             assert kites_with_head(g, head, phi) == want, (e, head)
             kept += len(want)
     assert kept > 0
