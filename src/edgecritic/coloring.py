@@ -278,6 +278,8 @@ def coloring_from_text(graph: Graph, text: str) -> PartialEdgeColoring:
             hole = edge_key(int(a), int(b))
     except ValueError:
         raise bad_header from None
+    if k > graph.max_degree() + 1:  # Vizing's bound; the palette mask grows with k
+        raise ColoringError(f"palette above max degree + 1: {lines[0]!r}")
     assign = {}
     for ln in lines[1:]:
         try:

@@ -29,8 +29,7 @@ def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
     breadth-first search over canonical masks, started from a circulant,
     reaches every class. An automorphism of g maps each switch s of g to a
     switch of g whose graph is the relabelled graph of s, with the same
-    canonical mask, so one switch per Aut(g)-orbit is canonicalised. Above
-    degree (m-1)/2 the classes are the complements of those of degree m-1-d.
+    canonical mask, so one switch per Aut(g)-orbit is canonicalised.
     """
     if m < 1:
         raise GraphError(f"order must be positive, got {m}")
@@ -38,11 +37,6 @@ def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
         raise GraphError(f"degree {d} out of range for order {m}")
     if (m * d) % 2:
         raise GraphError(f"parity violation: m*d = {m * d} is odd")
-    if 2 * d > m - 1:
-        full = (1 << m * (m - 1) // 2) - 1
-        seen = {canonical_mask(graph_from_mask(m, full ^ g.triangle_mask()))
-                for g in enumerate_regular_graphs(m, m - 1 - d)}
-        return tuple(graph_from_mask(m, mask) for mask in sorted(seen))
     # i ~ i +- 1..d//2, plus the antipode when d is odd
     offsets = [*range(1, d // 2 + 1), *([m // 2] if d % 2 else [])]
     seen = {canonical_mask(make_graph(m, [(i, (i + k) % m) for i in range(m) for k in offsets]))}

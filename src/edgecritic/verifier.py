@@ -164,7 +164,8 @@ def _instance_id(base_g6: str, v: int, a: tuple[int, ...], b: tuple[int, ...]) -
 
 
 def plan_instances(config: SweepConfig) -> list[SplitInstance]:
-    """Deterministic work list: every split of every base in range, deduped."""
+    """Deterministic work list: every split of every base in range, deduped.
+    Base colourings are searched without a budget, so no machine changes it."""
     config.validate()
     plan: list[SplitInstance] = []
     for m in range(4, config.m_max + 1, 2):
@@ -174,7 +175,7 @@ def plan_instances(config: SweepConfig) -> list[SplitInstance]:
             for base in enumerate_regular_graphs(m, d):
                 if not base.is_connected():
                     continue
-                phi = find_delta_coloring(base, config.budget_ms)
+                phi = find_delta_coloring(base)
                 if phi is None:  # class 2
                     continue
                 g6 = emit_graph6(base)

@@ -169,8 +169,9 @@ def test_from_text_errors():
     ("k=2 uncolored=0\n", "bad header: 'k=2 uncolored=0'"),
     ("k=2 uncolored=none\n0 1 y\n", "bad coloring line: '0 1 y'"),
     ("k=2 uncolored=none\n0 1 1 1\n", "bad coloring line: '0 1 1 1'"),
+    ("k=3 uncolored=none\n0 1 1\n", "palette above max degree + 1: 'k=3 uncolored=none'"),
 ], ids=["k-not-int", "hole-not-int", "hole-three-parts", "hole-one-part",
-        "color-not-int", "line-four-fields"])
+        "color-not-int", "line-four-fields", "palette-above-vizing"])
 def test_from_text_names_the_bad_header_or_line(text, message):
     # the text can come from outside, e.g. an instance's base_coloring_text
     with pytest.raises(ColoringError) as info:

@@ -60,14 +60,14 @@ def test_brute_force_oracle(n, d):
 
 
 def test_complement_duality():
-    # complementing a d-regular graph on n vertices gives (n-1-d)-regular
-    for n in (4, 6, 8):
-        for d in range(1, n - 1):
-            if (n * d) % 2:
-                continue
-            a = len(enumerate_regular_graphs(n, d))
-            b = len(enumerate_regular_graphs(n, n - 1 - d))
-            assert a == b
+    # complementing a d-regular graph on n vertices gives (n-1-d)-regular;
+    # both sides come from their own switch search
+    pairs = [(n, d) for n in (4, 6, 8) for d in range(1, n - 1) if (n * d) % 2 == 0]
+    for n, d in pairs + [(10, 3), (10, 6), (10, 2), (10, 7)]:
+        full = (1 << n * (n - 1) // 2) - 1
+        complements = {canonical_mask(_from_mask(n, full ^ g.triangle_mask()))
+                       for g in enumerate_regular_graphs(n, d)}
+        assert complements == {g.triangle_mask() for g in enumerate_regular_graphs(n, n - 1 - d)}
 
 
 def test_parity_violation_raises():
@@ -99,8 +99,8 @@ def test_results_sorted_deterministic():
 
 
 def test_switch_closure_canonicalises_one_switch_per_automorphism_orbit(monkeypatch):
-    # one call for the starting circulant, one per switch orbit of each class,
-    # one per complemented class: the graphs fix these counts, not the code
+    # one call for the starting circulant and one per switch orbit of each
+    # class: the graphs fix these counts, not the code
     calls = []
 
     def counted(g):
@@ -117,7 +117,7 @@ def test_switch_closure_canonicalises_one_switch_per_automorphism_orbit(monkeypa
         for d in range(m):
             if m * d % 2 == 0 and 3 * d > m:
                 enumerate_regular_graphs(m, d)
-    assert len(calls) == 82
+    assert len(calls) == 106
 
 
 # ------------------------------------------------------- large orders
@@ -150,6 +150,28 @@ def test_order_ten_classes_pairwise_non_isomorphic(d):
         graphs.append(h)
     for a, b in itertools.combinations(graphs, 2):
         assert not nx.is_isomorphic(a, b)
+
+
+# d-regular graphs near the complete graph, by their sparse complements: an
+# (m-3)-regular graph is the complement of a disjoint union of cycles, one class
+# per partition of m into parts >= 3; an (m-2)-regular one is K_m minus a
+# perfect matching
+DENSE_COUNTS = {
+    (12, 9): 9, (14, 11): 13, (16, 13): 21,
+    (12, 10): 1, (12, 11): 1, (14, 12): 1, (14, 13): 1,
+}
+
+
+@pytest.mark.parametrize("m,d", sorted(DENSE_COUNTS))
+def test_dense_counts_match_partitions_into_cycles(m, d):
+    graphs = enumerate_regular_graphs(m, d)
+    assert len(graphs) == DENSE_COUNTS[(m, d)]
+    assert all(g.n == m and g.is_regular() and g.max_degree() == d for g in graphs)
+
+
+def test_order_twelve_degree_eight_matches_oeis_a005638():
+    # complements of the 94 cubic graphs on 12 vertices (OEIS A005638)
+    assert len(enumerate_regular_graphs(12, 8)) == 94
 
 
 def _labeled_regular(m: int, d: int):

@@ -254,6 +254,24 @@ def test_cubic_plan_is_pinned():
     assert "G@Umf? v=0 A=5,6 B=7" in {p.instance_id for p in wide}
 
 
+def test_plan_ignores_the_check_budget(monkeypatch):
+    # the base searches run without a budget, so the plan is the same on every
+    # machine and `budget_ms` bounds only the checks' searches
+    real = verifier.find_delta_coloring
+
+    def no_budget(graph, budget_ms=None):
+        if budget_ms is not None:
+            raise SearchBudgetExceeded("over budget")
+        return real(graph)
+
+    monkeypatch.setattr(verifier, "find_delta_coloring", no_budget)
+    tight = plan_instances(SweepConfig(m_max=8, budget_ms=1.0))
+    free = plan_instances(SweepConfig(m_max=8, budget_ms=None))
+    assert [(p.instance_id, p.base_coloring_text) for p in tight] == \
+        [(p.instance_id, p.base_coloring_text) for p in free]
+    assert {p.budget_ms for p in tight} == {1.0}
+
+
 def test_planned_instances_are_well_formed():
     for inst in plan_instances(SweepConfig()):
         base = parse_graph6(inst.base_graph6)
