@@ -233,8 +233,12 @@ def check_kierstead(coloring: PartialEdgeColoring, vs: tuple[int, ...],
             bad = elementary_violation(coloring, vs)
             if bad is not None:
                 return {"part": "elementary", "u": bad[0], "v": bad[1], "color": bad[2]}
-        overlap = coloring.missing(vs[3]) & (coloring.missing(vs[0]) | coloring.missing(vs[1]))
-        return {"part": "tail-overlap", "colors": sorted(overlap)} if len(overlap) > 1 else None
+        miss = coloring.missing_mask
+        overlap = miss(vs[3]) & (miss(vs[0]) | miss(vs[1]))
+        if overlap & (overlap - 1):
+            return {"part": "tail-overlap",
+                    "colors": [c for c in sorted(coloring.missing(vs[3])) if overlap >> c & 1]}
+        return None
 
     return _gate("kierstead-path", _ids(g, "path=" + "-".join(map(str, vs))),
                  hyp, (host_class, True), violation)
@@ -254,26 +258,26 @@ def _kite_hypotheses(coloring: PartialEdgeColoring, kite: tuple[int, ...]
     the four named colors are distinct and all missing at the apex.
     """
     a, b, c, u, x, y = kite
+    miss = coloring.missing_mask
     hyp = {"kite_in_graph": kite_violation(coloring.graph, kite) is None,
            "anchored_delta_coloring": _anchored(coloring, (a, b))}
     if all(hyp.values()):
         hyp["kierstead_through_rim1"] = kierstead_violation(coloring, (a, b, u, x)) is None
         hyp["kierstead_through_rim2"] = kierstead_violation(coloring, (b, a, c, u, y)) is None
-        tails = coloring.missing_mask(x) | coloring.missing_mask(y)
-        ends = coloring.missing_mask(a) | coloring.missing_mask(b)
-        hyp["tail_missing_within_ends"] = tails & ~ends == 0
+        hyp["tail_missing_within_ends"] = (miss(x) | miss(y)) & ~(miss(a) | miss(b)) == 0
     kite_hyp = dict(hyp)
     if all(hyp.values()):
-        mb, mx, my = (sorted(coloring.missing(v)) for v in (b, x, y))
-        hyp["tails_share_one_missing"] = mx == my and len(mx) == 1
-        hyp["rim1_normalized"] = (len(mb) == 1
-                                  and coloring.color_of(a, c) == mb[0]
-                                  and coloring.color_of(u, y) == mb[0])
+        mb, mx, my = miss(b), miss(x), miss(y)
+        hyp["tails_share_one_missing"] = mx == my and mx.bit_count() == 1
+        # a color c is the one color missing at rim1 when 1 << c == mb
+        hyp["rim1_normalized"] = (1 << coloring.color_of(a, c) == mb
+                                  == 1 << coloring.color_of(u, y))
     labels = (0, 0, 0, 0)
     if all(hyp.values()):
-        labels = (mb[0], coloring.color_of(u, x), coloring.color_of(b, u), mx[0])
+        labels = (mb.bit_length() - 1, coloring.color_of(u, x), coloring.color_of(b, u),
+                  mx.bit_length() - 1)
         hyp["four_distinct_colors"] = len(set(labels)) == 4
-        hyp["labels_missing_at_apex"] = set(labels[1:]) <= coloring.missing(a)
+        hyp["labels_missing_at_apex"] = all(miss(a) >> color & 1 for color in labels[1:])
     return kite_hyp, hyp, labels
 
 

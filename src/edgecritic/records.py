@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator
 
 
@@ -15,8 +17,15 @@ class RecordError(ValueError):
     pass
 
 
-# one encoder for every record line; json.dumps would build one per call
+# one encoder for every witness; json.dumps would build one per call
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+@lru_cache(maxsize=256)
+def _hypotheses_json(items: tuple[tuple[str, bool], ...]) -> str:
+    """The encoded hypotheses object; a few distinct ones repeat over a whole log."""
+    return _ENCODER.encode(dict(items))
 
 
 @dataclass(frozen=True)
@@ -45,16 +54,13 @@ class VerificationRecord:
         return "undecided"
 
     def to_json_line(self) -> str:
-        payload: dict[str, Any] = {
-            "lemma": self.lemma,
-            "instance_id": self.instance_id,
-            "hypotheses": self.hypotheses,
-            "conclusion": self.conclusion,
-            "verdict": self.verdict,
-        }
-        if self.witness is not None:
-            payload["witness"] = self.witness
-        return _ENCODER.encode(payload)
+        """The record as one JSON object, keys sorted, no spaces, ASCII only."""
+        witness = "" if self.witness is None else ',"witness":' + _ENCODER.encode(self.witness)
+        return (f'{{"conclusion":{_LITERALS[self.conclusion]}'
+                f',"hypotheses":{_hypotheses_json(tuple(self.hypotheses.items()))}'
+                f',"instance_id":{encode_basestring_ascii(self.instance_id)}'
+                f',"lemma":{encode_basestring_ascii(self.lemma)}'
+                f',"verdict":"{self.verdict}"{witness}}}')
 
 
 def record_from_json_line(line: str) -> VerificationRecord:

@@ -2,10 +2,13 @@
 
 The decision search is exhaustive backtracking over a static edge order
 (decreasing endpoint degree sum). Candidate colors are bitmask intersections
-of endpoint availability; a color class is never allowed past floor(n/2)
-edges, which refutes overfull hosts at the root. When deciding or finding,
-color symmetry is broken by introducing at most one fresh color per step;
-enumeration mode disables that and yields every proper coloring.
+of endpoint availability. A color class is a matching of at most floor(n/2)
+edges, which refutes overfull hosts at the root; inside the search,
+properness alone keeps each class within that cap, because a class of
+floor(n/2) edges leaves no two vertices that both miss its color. When
+deciding or finding, color symmetry is broken by introducing at most one
+fresh color per step; enumeration mode disables that and yields every proper
+coloring.
 """
 
 from __future__ import annotations
@@ -21,21 +24,6 @@ class SearchBudgetExceeded(Exception):
     """The time budget ran out before the search reached a verdict."""
 
 
-class _Budget:
-    __slots__ = ("deadline", "ticks")
-
-    def __init__(self, budget_ms):
-        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-        self.ticks = 0
-
-    def tick(self):
-        if self.deadline is None:
-            return
-        self.ticks += 1
-        if self.ticks % 512 == 0 and time.monotonic() > self.deadline:
-            raise SearchBudgetExceeded("time budget exceeded")
-
-
 @lru_cache(maxsize=1)
 def _search_plan(graph: Graph) -> tuple[list[Edge], list[list[Edge]]]:
     """The static edge order (decreasing endpoint degree sum) and, for each
@@ -47,15 +35,22 @@ def _search_plan(graph: Graph) -> tuple[list[Edge], list[list[Edge]]]:
                    for i, e in enumerate(edges)]
 
 
-def _solve(graph: Graph, k: int, hole: Edge | None, budget: _Budget, enumerate_all: bool):
-    """Yield full assignments (edge -> color) extending the hole, exhaustively."""
+def _solve(graph: Graph, k: int, hole: Edge | None, budget: float | None, enumerate_all: bool):
+    """Yield full assignments (edge -> color) extending the hole, exhaustively.
+
+    One iterative depth-first search: depth i keeps edge i's untried
+    candidate colors in `cands[i]` and the color it holds in `chosen[i]`,
+    which backing up into depth i frees again. `budget` is the time budget in
+    ms (None for none); its deadline is checked every 512 nodes.
+    """
     if hole is not None and hole not in graph.edges:
         raise GraphError(f"hole edge {hole} not in graph")
     m = len(graph.edges) - (hole is not None)
     cap = graph.n // 2
     if k * cap < m:
         return
-    if any(graph.degree(v) - (hole is not None and v in hole) > k for v in range(graph.n)):
+    if graph.max_degree() > k and any(graph.degree(v) - (hole is not None and v in hole) > k
+                                     for v in range(graph.n)):
         return
     edges, incident_later = _search_plan(graph)
     if hole is not None:
@@ -63,49 +58,65 @@ def _solve(graph: Graph, k: int, hole: Edge | None, budget: _Budget, enumerate_a
         edges = edges[:h] + edges[h + 1:]
         incident_later = ([[f for f in fs if f != hole] for fs in incident_later[:h]]
                           + incident_later[h + 1:])
-    avail = [(1 << (k + 1)) - 2 for _ in range(graph.n)]
-    class_size = [0] * (k + 1)
+    if m == 0:
+        yield {}
+        return
+    deadline = None if budget is None else time.monotonic() + budget / 1000.0
+    full = (1 << (k + 1)) - 2
+    avail = [full] * graph.n
     chosen = [0] * m
-
-    def rec(i, used_max):
-        budget.tick()
-        if i == m:
-            yield dict(zip(edges, chosen))
-            return
-        u, v = edges[i]
-        cand = avail[u] & avail[v]
-        if not enumerate_all:
-            cand &= (1 << (min(k, used_max + 1) + 1)) - 1
+    cands = [0] * m
+    # top[i] is the highest color on edges 0..i-1: unless enumerating, edge i
+    # may open at most one fresh color, so the first edge takes color 1
+    top = [0] * m
+    cand = full if enumerate_all else 2
+    u, v = edges[0]
+    i = nodes = 0
+    while True:
         while cand:
             low = cand & -cand
             cand ^= low
-            c = low.bit_length() - 1
-            if class_size[c] == cap:
-                continue
             avail[u] ^= low
             avail[v] ^= low
-            class_size[c] += 1
-            chosen[i] = c
-            ok = True
             for a, b in incident_later[i]:
                 if not avail[a] & avail[b]:
-                    ok = False
                     break
-            if ok:
-                yield from rec(i + 1, max(used_max, c))
+            else:
+                break  # every later edge at u or v keeps a color: take low
             avail[u] |= low
             avail[v] |= low
-            class_size[c] -= 1
-
-    yield from rec(0, 0)
+        else:
+            # depth i is exhausted: back up one depth and free its color
+            i -= 1
+            if i < 0:
+                return
+            u, v = edges[i]
+            low = 1 << chosen[i]
+            avail[u] |= low
+            avail[v] |= low
+            cand = cands[i]
+            continue
+        nodes += 1
+        if not nodes & 511 and deadline is not None and time.monotonic() > deadline:
+            raise SearchBudgetExceeded("time budget exceeded")
+        chosen[i] = c = low.bit_length() - 1
+        if i + 1 == m:
+            yield dict(zip(edges, chosen))
+            avail[u] |= low
+            avail[v] |= low
+            continue
+        cands[i] = cand
+        t = top[i + 1] = max(top[i], c)
+        i += 1
+        u, v = edges[i]
+        cand = avail[u] & avail[v] & (-1 if enumerate_all else (2 << min(k, t + 1)) - 1)
 
 
 def find_coloring(graph: Graph, k: int, hole: Edge | None = None,
                   budget_ms: float | None = None) -> PartialEdgeColoring | None:
     """A proper k-coloring of the host minus the hole edge, or None if none exists."""
     hole = edge_key(*hole) if hole is not None else None
-    budget = _Budget(budget_ms)
-    for assign in _solve(graph, k, hole, budget, enumerate_all=False):
+    for assign in _solve(graph, k, hole, budget_ms, enumerate_all=False):
         return PartialEdgeColoring(graph, k, assign, hole)
     return None
 
@@ -114,8 +125,7 @@ def enumerate_colorings(graph: Graph, k: int, hole: Edge | None = None,
                         budget_ms: float | None = None):
     """Every proper k-coloring of the host minus the hole, deterministic order."""
     hole = edge_key(*hole) if hole is not None else None
-    budget = _Budget(budget_ms)
-    for assign in _solve(graph, k, hole, budget, enumerate_all=True):
+    for assign in _solve(graph, k, hole, budget_ms, enumerate_all=True):
         yield PartialEdgeColoring(graph, k, assign, hole)
 
 

@@ -27,10 +27,9 @@ def multifan_violation(coloring: PartialEdgeColoring, fan: tuple[int, ...]) -> s
     for i, s in enumerate(leaves):
         if not g.has_edge(r, s):
             return f"missing spoke ({r}, {s})"
+        # the leaves are distinct, so only the first spoke is the hole
         if i > 0:
             c = coloring.color_of(r, s)
-            if c == 0:
-                return f"spoke ({r}, {s}) uncolored"
             if not union & (1 << c):
                 return f"color {c} of spoke ({r}, {s}) not missing at any earlier leaf"
         union |= coloring.missing_mask(s)
@@ -50,18 +49,20 @@ def kierstead_violation(coloring: PartialEdgeColoring, vs: tuple[int, ...]) -> s
         return "vertices repeat"
     if edge_key(vs[0], vs[1]) != coloring.uncolored:
         return "first edge is not the uncolored edge"
+    # the vertices are distinct, so every edge after the first is colored
+    adj, core = g.adj, coloring._core
+    col, present, full = core.col, core.present, core.full
     union = 0
-    for i in range(len(vs) - 1):
-        a, b = vs[i], vs[i + 1]
-        if not g.has_edge(a, b):
+    a = vs[0]
+    for i, b in enumerate(vs[1:]):
+        if b not in adj[a]:
             return f"missing edge ({a}, {b})"
-        union |= coloring.missing_mask(a)
-        if i >= 1:
-            c = coloring.color_of(a, b)
-            if c == 0:
-                return f"edge ({a}, {b}) uncolored"
-            if not union & (1 << c):
+        union |= full & ~present[a]
+        if i:
+            c = col[(a, b) if a < b else (b, a)]
+            if not union >> c & 1:
                 return f"color {c} of edge ({a}, {b}) not missing at any earlier vertex"
+        a = b
     return None
 
 
@@ -72,8 +73,10 @@ def kite_violation(graph: Graph, kite: tuple[int, ...]) -> str | None:
     if len(set(kite)) != 6:
         return "vertices repeat"
     a, b, c, u, x, y = kite
+    adj, n = graph.adj, graph.n
+    # as in has_edge, an id outside the host ends no edge
     for p, q in ((a, b), (b, u), (u, c), (c, a), (u, x), (u, y)):
-        if not graph.has_edge(p, q):
+        if not (0 <= p < n and q in adj[p]):
             return f"missing edge {edge_key(p, q)}"
     return None
 
@@ -147,23 +150,27 @@ def kites_with_head(graph: Graph, head: tuple[int, int, int, int],
 
     Given a coloring, only the kites whose rim2 path (rim1, apex, rim2, hub,
     tail2) is a Kierstead path of it are listed, and only these are built.
-    Every prefix of a Kierstead path is one, so a rim2 whose (rim1, apex,
-    rim2, hub) fails rules out every tail2 with one check.
+    Every prefix of a Kierstead path is one, so the prefix (rim1, apex, rim2,
+    hub) is checked once per rim2; the path then goes on to a spoke tail2
+    exactly when the color of hub-tail2 is missing at some prefix vertex.
     """
     apex, rim1, hub, tail1 = head
     if (len(set(head)) != 4 or not graph.has_edge(apex, rim1)
             or not graph.has_edge(rim1, hub) or not graph.has_edge(hub, tail1)):
         return []
-
-    def kierstead(*path):
-        return coloring is None or kierstead_violation(coloring, path) is None
-
     spokes = graph.neighbors(hub)
-    return [(apex, rim1, rim2, hub, tail1, tail2)
-            for rim2 in sorted((graph.neighbors(apex) & spokes) - {rim1, tail1})
-            if kierstead(rim1, apex, rim2, hub)
-            for tail2 in sorted(spokes - {apex, rim1, rim2, tail1})
-            if kierstead(rim1, apex, rim2, hub, tail2)]
+    kites = []
+    for rim2 in sorted((graph.neighbors(apex) & spokes) - {rim1, tail1}):
+        tails = sorted(spokes - {apex, rim1, rim2, tail1})
+        if coloring is not None:
+            if kierstead_violation(coloring, (rim1, apex, rim2, hub)) is not None:
+                continue
+            union = 0
+            for w in (rim1, apex, rim2, hub):
+                union |= coloring.missing_mask(w)
+            tails = [y for y in tails if union >> coloring.color_of(hub, y) & 1]
+        kites += [(apex, rim1, rim2, hub, tail1, y) for y in tails]
+    return kites
 
 
 def find_full_deficiency_pairs(graph: Graph) -> list[Edge]:

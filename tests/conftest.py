@@ -188,6 +188,53 @@ def propagate_by_flips(coloring: PartialEdgeColoring) -> dict:
     return dict(sorted(reached.items()))
 
 
+# The recursive backtracking search, one generator frame per edge: the
+# reference that `solver._solve`, one iterative loop with a candidate mask per
+# depth, is checked against. Same edge order, color order, one-fresh-color
+# rule, class cap and forward check; no time budget.
+def solve_recursively(graph: Graph, k: int, hole, enumerate_all: bool):
+    """Yield full assignments (edge -> color) extending the hole, exhaustively."""
+    m = len(graph.edges) - (hole is not None)
+    cap = graph.n // 2
+    if k * cap < m:
+        return
+    if any(graph.degree(v) - (hole is not None and v in hole) > k for v in range(graph.n)):
+        return
+    edges = sorted((e for e in graph.edges if e != hole),
+                   key=lambda e: (-(graph.degree(e[0]) + graph.degree(e[1])), e))
+    incident_later = [[f for f in edges[i + 1:] if f[0] in e or f[1] in e]
+                      for i, e in enumerate(edges)]
+    avail = [(1 << (k + 1)) - 2 for _ in range(graph.n)]
+    class_size = [0] * (k + 1)
+    chosen = [0] * m
+
+    def rec(i, used_max):
+        if i == m:
+            yield dict(zip(edges, chosen))
+            return
+        u, v = edges[i]
+        cand = avail[u] & avail[v]
+        if not enumerate_all:
+            cand &= (1 << (min(k, used_max + 1) + 1)) - 1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            c = low.bit_length() - 1
+            if class_size[c] == cap:
+                continue
+            avail[u] ^= low
+            avail[v] ^= low
+            class_size[c] += 1
+            chosen[i] = c
+            if all(avail[a] & avail[b] for a, b in incident_later[i]):
+                yield from rec(i + 1, max(used_max, c))
+            avail[u] |= low
+            avail[v] |= low
+            class_size[c] -= 1
+
+    yield from rec(0, 0)
+
+
 # Split orbits closed under the whole generating set from every vertex: the
 # reference for `verifier._split_orbits`, which splits one vertex per vertex
 # orbit under that vertex's stabiliser.

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import edgecritic.lemmas as lemmas
+from conftest import corpus_hosts
+from edgecritic.lemmas import lemma_battery
 from edgecritic.records import (
     RecordError,
     VerificationRecord,
@@ -11,6 +14,7 @@ from edgecritic.records import (
     record_from_json_line,
     tally_verdicts,
 )
+from edgecritic.verifier import SweepConfig, run_sweep
 
 
 def test_verdict_table():
@@ -38,6 +42,51 @@ def test_json_line_includes_witness_only_when_set():
     assert '"witness"' not in plain.to_json_line()
     armed = VerificationRecord("L", "x", {}, False, witness={"edge": [0, 1]})
     assert '"witness":{"edge":[0,1]}' in armed.to_json_line()
+
+
+def _dumped(rec: VerificationRecord) -> str:
+    """The line as json.dumps writes the record's payload: the reference
+    that `to_json_line`, which writes the sorted keys itself, must match."""
+    payload = {"lemma": rec.lemma, "instance_id": rec.instance_id,
+               "hypotheses": rec.hypotheses, "conclusion": rec.conclusion,
+               "verdict": rec.verdict}
+    if rec.witness is not None:
+        payload["witness"] = rec.witness
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("rec", [
+    VerificationRecord("L", "x", {}, None),
+    VerificationRecord("L", "x", {"b": False, "a": True}, None),
+    VerificationRecord("L", "x", {"h": True}, False,
+                       witness={"part": "order", "chain": [3, 1, 2], "edges": [[0, 1], [1, 2]],
+                                "note": "two\nlines\t\"quoted\"", "empty": []}),
+    VerificationRecord("back\\slash", 'G\\~ "q" v=0', {"h": True}, True),
+    VerificationRecord("L", "caf\u00e9 \u2603", {"\u00fcber": True}, True),
+], ids=["conclusion-none-empty-hypotheses", "conclusion-none-unsorted", "conclusion-false-witness",
+        "backslash-and-quote-ids", "non-ascii"])
+def test_json_line_matches_json_dumps(rec):
+    assert rec.to_json_line() == _dumped(rec)
+
+
+def test_json_line_matches_json_dumps_on_every_built_record(monkeypatch):
+    # the battery drops the skipped records of kites; keep every pair it builds
+    built = []
+
+    def keep_kite_records(coloring, kite, host_class, _check=lemmas.check_kite):
+        pair = _check(coloring, kite, host_class)
+        built.extend(pair)
+        return pair
+
+    monkeypatch.setattr(lemmas, "check_kite", keep_kite_records)
+    for g in corpus_hosts():
+        built.extend(lemma_battery(g))
+    assert any(rec.lemma == "kite-chain-route" and rec.verdict == "skipped" for rec in built)
+    for mode in ("theorem", "conjecture"):
+        built.extend(run_sweep(SweepConfig(m_max=8, mode=mode, budget_ms=None)))
+    assert any(rec.witness is not None for rec in built)
+    for rec in built:
+        assert rec.to_json_line() == _dumped(rec), rec
 
 
 def test_roundtrip():

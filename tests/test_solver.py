@@ -10,7 +10,9 @@ from conftest import (
     corpus_hosts,
     is_critical_by_deletion,
     small_graphs,
+    solve_recursively,
 )
+from edgecritic.coloring import PartialEdgeColoring
 from edgecritic.graphs import (
     GraphError,
     complete,
@@ -117,6 +119,31 @@ def test_enumeration_counts(g, k, hole, count):
         assert col.uncolored == hole
         texts.add(col.to_text())
     assert len(texts) == count  # pairwise distinct
+
+
+def _first_by_reference(g, k, hole):
+    for assign in solve_recursively(g, k, hole, enumerate_all=False):
+        return PartialEdgeColoring(g, k, assign, hole).to_text()
+    return None
+
+
+def test_search_matches_the_recursive_reference_on_the_corpus():
+    # the base searches at max degree and one more, and every hole search
+    for g in corpus_hosts():
+        delta = g.max_degree()
+        searches = [(delta, None), (delta + 1, None)] + [(delta, e) for e in g.sorted_edges()]
+        for k, hole in searches:
+            found = find_coloring(g, k, hole=hole)
+            text = None if found is None else found.to_text()
+            assert text == _first_by_reference(g, k, hole), (g, k, hole)
+
+
+@pytest.mark.parametrize("g,k,hole,count", ENUMERATION_COUNTS)
+def test_enumeration_matches_the_recursive_reference(g, k, hole, count):
+    got = [col.to_text() for col in enumerate_colorings(g, k, hole=hole)]
+    want = [PartialEdgeColoring(g, k, assign, hole).to_text()
+            for assign in solve_recursively(g, k, hole, enumerate_all=True)]
+    assert got == want
 
 
 def test_enumeration_deterministic():

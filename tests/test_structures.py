@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import class_two_graphs, find_short_kites, small_graphs
+from conftest import class_two_graphs, corpus_hosts, find_short_kites, small_graphs
 from edgecritic.coloring import ColoringError, PartialEdgeColoring
 from edgecritic.graph6 import parse_graph6
 from edgecritic.graphs import (
@@ -283,6 +283,23 @@ def test_kites_with_head_keeps_the_kites_whose_rim2_path_is_kierstead(g):
             assert kites_with_head(g, head, phi) == want, (e, head)
             kept += len(want)
     assert kept > 0
+
+
+def test_kite_filter_matches_the_five_vertex_check_on_the_corpus():
+    # the filter checks each rim2 prefix once and then only the hub-tail2
+    # color; the reference walks every rim2 path whole
+    kept = 0
+    for g in corpus_hosts():
+        for e in g.sorted_edges():
+            phi = find_coloring(g, g.max_degree(), hole=e)
+            if phi is None:
+                continue
+            for head in enumerate_kierstead_paths(phi):
+                want = [k for k in kites_with_head(g, head)
+                        if kierstead_violation(phi, (k[1], k[0], k[2], k[3], k[5])) is None]
+                assert kites_with_head(g, head, phi) == want, (g, e, head)
+                kept += len(want)
+    assert kept == 3094
 
 
 # ------------------------------------------------------------ deficiency pairs
