@@ -1,9 +1,10 @@
 """Adjacency-lemma oracles.
 
 Each checker evaluates one published statement on one concrete instance and
-returns a VerificationRecord. Hypotheses are recorded as named booleans and
-never assumed: a false hypothesis skips the instance instead of asserting
-anything, and a solver-budget exhaustion leaves the conclusion undecided.
+returns a VerificationRecord through `records.judge`, the verdict rule of the
+sweep's split records too. Hypotheses are recorded as named booleans and never
+assumed: a false hypothesis skips the instance, and a solver-budget exhaustion
+leaves the conclusion undecided.
 Checkers judge the evidence they are given and make no solver call: the
 caller hands each one the host's class decision and, where the claim needs
 it, the coloring its own search found.
@@ -23,7 +24,7 @@ from .coloring import (
 )
 from .graph6 import emit_graph6
 from .graphs import Edge, Graph, edge_key
-from .records import VerificationRecord
+from .records import VerificationRecord, judge
 from .solver import SearchBudgetExceeded, find_coloring, find_delta_coloring
 from .structures import (
     build_maximal_multifan,
@@ -69,9 +70,9 @@ def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> Ver
     exactly when the host minus it is max-degree colorable. `host_class` is
     the caller's class decision; the gate makes no search. A class search
     that ran out of budget leaves the claim undecided, and so does a hole
-    search that ran out (colorable None) on a class-2 host; a false
-    hypothesis skips it. Otherwise `violation()` decides it: a witness dict
-    fails it, None passes it.
+    search that ran out (colorable None) on a class-2 host. The rest is
+    `judge`: a false hypothesis skips the claim, otherwise `violation()`
+    decides it.
     """
     if critical is not None and all(hyp.values()):
         host_class, colorable = critical
@@ -81,10 +82,7 @@ def _gate(name: str, iid: str, hyp: dict[str, bool], critical, violation) -> Ver
         if class2 and colorable is None:
             return VerificationRecord(name, iid, {**hyp, "class2": True}, None)
         hyp = {**hyp, "class2": class2, "critical_edge": class2 and colorable}
-    if not all(hyp.values()):
-        return VerificationRecord(name, iid, hyp, None)
-    witness = violation()
-    return VerificationRecord(name, iid, hyp, witness is None, witness)
+    return judge(name, iid, hyp, violation)
 
 
 # ---------------------------------------------------------------------------

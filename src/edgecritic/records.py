@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 
 class RecordError(ValueError):
@@ -61,6 +61,15 @@ class VerificationRecord:
                 f',"instance_id":{encode_basestring_ascii(self.instance_id)}'
                 f',"lemma":{encode_basestring_ascii(self.lemma)}'
                 f',"verdict":"{self.verdict}"{witness}}}')
+
+
+def judge(lemma: str, instance_id: str, hypotheses: dict[str, bool],
+          violation: Callable[[], dict[str, Any] | None]) -> VerificationRecord:
+    """The one verdict rule: a false hypothesis skips; else a witness fails, None passes."""
+    if not all(hypotheses.values()):
+        return VerificationRecord(lemma, instance_id, hypotheses, None)
+    witness = violation()
+    return VerificationRecord(lemma, instance_id, hypotheses, witness is None, witness)
 
 
 def record_from_json_line(line: str) -> VerificationRecord:

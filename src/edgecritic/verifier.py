@@ -25,14 +25,13 @@ from .graphs import (
     Graph,
     GraphError,
     automorphism_generators,
-    is_overfull,
     orbit_closure,
     petersen_minus_vertex,
     stabiliser_generators,
     vertex_split,
 )
 from .enumeration import enumerate_regular_graphs
-from .records import RecordError, VerificationRecord, read_records
+from .records import RecordError, VerificationRecord, judge, read_records
 from .solver import (
     SearchBudgetExceeded,
     enumerate_colorings,
@@ -221,46 +220,39 @@ def inherit_split_coloring(base_coloring: PartialEdgeColoring, v: int,
 
 
 def check_split_instance(inst: SplitInstance) -> VerificationRecord:
-    """Overfull + class 2 + every edge critical, for one split instance.
+    """Class 2 and every edge critical, for one split of a connected, regular,
+    class-1 base; off these hypotheses the split is skipped (`records.judge`).
 
-    Overfull is class 2 already: every color class is a matching of at most
-    floor(n/2) edges, so max-degree colors cannot cover all edges. The
-    inherited coloring certifies the split edge critical; `certcheck` re-checks
-    that certificate from the base edges and (v, A, B) alone, so no search
-    repeats it.
+    On them the split is overfull, so class 2: each color class of the base is
+    a perfect matching, so n is even and n*D/2 + 1 > D*n/2 edges. The inherited
+    coloring certifies the split edge critical; `certcheck` re-checks that
+    certificate, overfullness too, from the base edges and (v, A, B) alone.
     """
     base = parse_graph6(inst.base_graph6)
     phi = coloring_from_text(base, inst.base_coloring_text)
     inherited = inherit_split_coloring(phi, inst.vertex, inst.part_a, inst.part_b)
     g = inherited.graph
-    delta = g.max_degree()
     # the carried base coloring, full or refused above, certifies class 1
     hyp = {"base_class1": phi.k == base.max_degree(),
            "base_connected": base.is_connected(),
            "base_regular": base.is_regular()}
 
-    def fail(check: str, **extra) -> VerificationRecord:
-        witness = {"check": check, "graph6": emit_graph6(g)}
-        witness.update(extra)
-        return VerificationRecord(SPLIT_LEMMA, inst.instance_id, hyp, False, witness)
-
-    if not is_overfull(g):
-        return fail("overfull")
-    if sorted(inherited.missing(inst.vertex) | inherited.missing(base.n)) != list(
-            range(1, delta + 1)) or inherited.missing(inst.vertex) & inherited.missing(base.n):
-        return fail("inherited-missing-partition")
-    reason = split_certificate_violation(base.n, base.edges, inst.vertex, inst.part_a,
-                                         inst.part_b, dict(inherited.colored_items()))
-    if reason is not None:
-        return fail("split-edge-certificate", reason=reason)
-    try:
+    def violation():
+        reason = split_certificate_violation(base.n, base.edges, inst.vertex, inst.part_a,
+                                             inst.part_b, dict(inherited.colored_items()))
+        if reason is not None:
+            return {"check": "split-edge-certificate", "graph6": emit_graph6(g),
+                    "reason": reason}
         # slides of the inherited hole certify most edges; search the rest
         for e, cert in hole_colorings(g, inherited, inst.budget_ms):
             if cert is None:
-                return fail("edge-critical", edge=list(e))
+                return {"check": "edge-critical", "graph6": emit_graph6(g), "edge": list(e)}
+        return None
+
+    try:
+        return judge(SPLIT_LEMMA, inst.instance_id, hyp, violation)
     except SearchBudgetExceeded:
         return VerificationRecord(SPLIT_LEMMA, inst.instance_id, hyp, None)
-    return VerificationRecord(SPLIT_LEMMA, inst.instance_id, hyp, True)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,10 @@ def foreign_base_edge(n, edges, v, a, b, assign):
     return n, edges + [(0, n)], v, a, b, assign
 
 
+def vertex_off_base(n, edges, v, a, b, assign):
+    return n, edges, n, a, b, assign
+
+
 MUTATIONS = [
     pytest.param(repeat_color, "twice at vertex", id="repeated-color"),
     pytest.param(recolor(lambda k: 0), "colour 0 outside", id="color-zero"),
@@ -87,6 +91,7 @@ MUTATIONS = [
     pytest.param(empty_b, "part is empty", id="empty-b"),
     pytest.param(thin_base, "not overfull", id="base-edge-deleted"),
     pytest.param(foreign_base_edge, "bad base edge", id="base-edge-out-of-range"),
+    pytest.param(vertex_off_base, "outside 0..", id="split-vertex-out-of-range"),
 ]
 
 

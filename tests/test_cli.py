@@ -18,7 +18,7 @@ from edgecritic.cli import build_named, main
 from edgecritic.coloring import PartialEdgeColoring
 from edgecritic.graph6 import emit_graph6
 from edgecritic.graphs import GraphError, complete, cycle, petersen
-from edgecritic.records import record_from_json_line
+from edgecritic.records import VerificationRecord, record_from_json_line
 from edgecritic.solver import SearchBudgetExceeded
 
 
@@ -262,6 +262,17 @@ def test_figure1_json(capsys):
     rec = record_from_json_line(capsys.readouterr().out.strip())
     assert rec.verdict == "pass"
     assert rec.witness["path"] == [4, 0, 1, 6]
+
+
+@pytest.mark.parametrize("conclusion, host_class2, code", [
+    (False, True, 1), (None, True, 3), (None, False, 3),
+], ids=["fail", "undecided", "skipped"])
+def test_figure1_exit_code_follows_the_verdict(monkeypatch, capsys, conclusion, host_class2, code):
+    rec = VerificationRecord("nonelementary-kierstead-witness", "x",
+                             {"host_class2": host_class2}, conclusion)
+    monkeypatch.setattr(cli, "reproduce_nonelementary_path", lambda budget_ms: rec)
+    assert main(["figure1"]) == code
+    assert capsys.readouterr().out == f"{rec.verdict}: nonelementary-kierstead-witness\n"
 
 
 def test_batch_from_stdin(monkeypatch, capsys):

@@ -77,6 +77,14 @@ def test_parity_violation_raises():
         enumerate_regular_graphs(7, 3)
 
 
+def test_order_and_degree_out_of_range_raise():
+    with pytest.raises(GraphError, match="order must be positive"):
+        enumerate_regular_graphs(0, 0)
+    for d in (-1, 4):
+        with pytest.raises(GraphError, match="out of range for order 4"):
+            enumerate_regular_graphs(4, d)
+
+
 def test_results_are_regular_and_distinct():
     for (n, d) in KNOWN_COUNTS:
         graphs = enumerate_regular_graphs(n, d)

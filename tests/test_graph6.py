@@ -7,7 +7,7 @@ from edgecritic.graph6 import (
     emit_graph6,
     parse_graph6,
 )
-from edgecritic.graphs import complete, make_graph, petersen
+from edgecritic.graphs import Graph, complete, make_graph, petersen
 
 from conftest import small_graphs
 
@@ -56,6 +56,12 @@ def test_long_form_order():
     text = emit_graph6(g)
     assert text.startswith("~")
     assert parse_graph6(text) == g
+
+
+def test_emit_refuses_orders_above_the_graph6_limit():
+    # an empty graph with no adjacency: the order alone is refused
+    with pytest.raises(Graph6Error, match="order 258048 exceeds graph6 limit 258047"):
+        emit_graph6(Graph(258048, frozenset(), (), 0))
 
 
 def test_parse_errors():

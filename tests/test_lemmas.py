@@ -93,6 +93,16 @@ def test_vizing_adjacency_undecided_on_budget():
     assert rec.conclusion is None
 
 
+def test_vizing_adjacency_fails_on_a_path_called_class_two():
+    # P3 is class 1; called class 2, its end edge 0-1 is taken as critical
+    # while 0 has no max-degree neighbour besides 1
+    p3 = make_graph(3, [(0, 1), (1, 2)])
+    rec = check_vizing_adjacency(p3, 0, 1, find_coloring(p3, 2, hole=(0, 1)), 2)
+    assert rec.hypotheses == {"class2": True, "critical_edge": True}
+    assert rec.verdict == "fail"
+    assert rec.witness == {"vertex": 0, "other": 1, "needed": 1, "found": 0}
+
+
 def test_parity_checker():
     good = check_parity(vizing_color(cycle(5)))
     assert good.lemma == "parity-census" and good.verdict == "pass"
@@ -122,6 +132,16 @@ def test_multifan_fails_on_corrupted_coloring():
     assert rec.witness == {"part": "elementary", "u": 0, "v": 1, "color": 1}
 
 
+def test_multifan_fails_linkage_on_a_path_called_class_two():
+    # the path 2-0-1-3 with the hole 0-1: the fan (0, 1) is elementary, but
+    # the (2, 1)-chain from 0 is 0-2 and never reaches the leaf 1
+    phi = PartialEdgeColoring(make_graph(4, [(0, 1), (0, 2), (1, 3)]), 2,
+                              {(0, 2): 1, (1, 3): 2}, (0, 1))
+    rec = check_multifan(phi, (0, 1), 2)
+    assert rec.verdict == "fail"
+    assert rec.witness == {"part": "linked", "leaf": 1, "alpha": 2, "beta": 1}
+
+
 def test_multifan_skips_when_not_anchored():
     full = vizing_color(cycle(5))  # spare-color palette, no hole
     rec = check_multifan(full, (0, 1), 2)
@@ -137,6 +157,16 @@ def test_kierstead_passes_on_critical_host():
         rec = check_kierstead(phi, p, 2)
         assert rec.lemma == "kierstead-path"
         assert rec.verdict == "pass", (p, rec.witness)
+
+
+def test_kierstead_fails_elementary_on_a_tree_called_class_two():
+    # the path 0-1-2-3 with the hole 0-1 in a tree of max degree 3 at 3; the
+    # inner vertices sit below it, and 0 and 1 both miss 2
+    tree = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+    phi = PartialEdgeColoring(tree, 3, {(1, 2): 1, (2, 3): 2, (3, 4): 1, (3, 5): 3}, (0, 1))
+    rec = check_kierstead(phi, (0, 1, 2, 3), 2)
+    assert rec.verdict == "fail"
+    assert rec.witness == {"part": "elementary", "u": 0, "v": 1, "color": 2}
 
 
 def test_kierstead_tail_overlap_fails_on_corrupted_coloring():
@@ -259,6 +289,33 @@ def test_case_one_chain_route_skips_on_class_one_host():
     for name in ("tails_share_one_missing", "rim1_normalized",
                  "four_distinct_colors", "labels_missing_at_apex"):
         assert rec.hypotheses[name] is True, name
+
+
+def test_short_kite_degree_fails_on_pendant_tails():
+    # the kite alone, hub 3 of max degree 4 and both tails pendant; every
+    # twin-path hypothesis holds, but the route shape does not
+    host = make_graph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)])
+    phi = PartialEdgeColoring(host, 4, {(0, 2): 1, (1, 3): 2, (2, 3): 3, (3, 4): 4, (3, 5): 1},
+                              (0, 1))
+    degree, route = check_kite(phi, KITE, 2)
+    assert degree.verdict == "fail"
+    assert degree.witness == {"tail_degrees": [1, 1], "max_degree": 4}
+    assert route.verdict == "skipped"
+
+
+def test_chain_route_passes_when_the_chain_meets_the_hub_first():
+    # labels (1, 2, 3, 4); the (4, 3)-chain from tail2 is 5-2-3-1-7, which
+    # crosses hub-rim1 from the hub
+    host = make_graph(9, [(0, 1), (0, 2), (1, 3), (1, 6), (1, 7), (2, 3), (2, 5),
+                          (3, 4), (3, 5), (4, 6), (4, 8), (5, 8)])
+    phi = PartialEdgeColoring(host, 4, {
+        (0, 2): 1, (1, 3): 3, (1, 6): 2, (1, 7): 4, (2, 3): 4, (2, 5): 3,
+        (3, 4): 2, (3, 5): 1, (4, 6): 1, (4, 8): 3, (5, 8): 2}, (0, 1))
+    degree, route = check_kite(phi, KITE, 2)
+    assert all(route.hypotheses.values())
+    assert route.verdict == "pass" and route.witness is None
+    assert degree.verdict == "fail"
+    assert degree.witness == {"tail_degrees": [3, 3], "max_degree": 4}
 
 
 def slid_off_the_kite(phi):

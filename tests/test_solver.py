@@ -13,6 +13,7 @@ from conftest import (
     solve_recursively,
 )
 from edgecritic.coloring import PartialEdgeColoring
+from edgecritic.graph6 import parse_graph6
 from edgecritic.graphs import (
     GraphError,
     complete,
@@ -257,6 +258,17 @@ def test_vizing_color_random(g):
     col = vizing_color(g)
     assert col.k == g.max_degree() + 1
     assert col.is_full()
+    assert_proper(col)
+
+
+def test_vizing_color_scans_the_fan_past_its_first_vertex_after_a_flip():
+    # after the path flip the freed color is not missing at the fan's first
+    # vertex, so the prefix scan reads later spokes; the smallest such graph
+    # among 20,000 seeded random graphs on 3-9 vertices
+    g = parse_graph6("Fnm~W")
+    assert (g.n, g.edge_count(), g.max_degree()) == (7, 17, 5)
+    col = vizing_color(g)
+    assert col.k == 6 and col.is_full()
     assert_proper(col)
 
 

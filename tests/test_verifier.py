@@ -20,6 +20,7 @@ from edgecritic.graphs import (
     complete_minus_matching,
     is_overfull,
     make_graph,
+    petersen,
     petersen_minus_vertex,
     vertex_split,
 )
@@ -417,24 +418,52 @@ def test_k10_split_is_certified_without_search(monkeypatch):
     assert calls == []
 
 
-def test_split_instance_fails_when_not_overfull():
-    base = make_graph(3, [(0, 1), (1, 2)])
-    inst = SplitInstance(instance_id="test v=1 A=0 B=2", base_graph6=emit_graph6(base),
-                         base_coloring_text=find_delta_coloring(base).to_text(),
-                         vertex=1, part_a=(0,), part_b=(2,),
+def split_instance_of(base, text, v, part_a, part_b):
+    return SplitInstance(instance_id=f"{emit_graph6(base)} v={v}", base_graph6=emit_graph6(base),
+                         base_coloring_text=text, vertex=v, part_a=part_a, part_b=part_b,
                          budget_ms=None)
+
+
+def two_disjoint_k4s():
+    return make_graph(8, [(off + i, off + j) for off in (0, 4)
+                          for i, j in itertools.combinations(range(4), 2)])
+
+
+# each base breaks one hypothesis of the conjecture; judged as if it held,
+# every one of them would be a fail
+OFF_HYPOTHESIS_SPLITS = {
+    "P3": (lambda: make_graph(3, [(0, 1), (1, 2)]), find_delta_coloring, 1, (0,), (2,),
+           "base_regular"),
+    "K4-spare-color": (lambda: complete(4), vizing_color, 0, (1,), (2, 3), "base_class1"),
+    "two-disjoint-K4s": (two_disjoint_k4s, find_delta_coloring, 0, (1,), (2, 3),
+                         "base_connected"),
+    "petersen-4-colors": (petersen, vizing_color, 0, (1,), (4, 5), "base_class1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_HYPOTHESIS_SPLITS))
+def test_split_instance_skips_a_base_off_the_hypotheses(case, monkeypatch):
+    build, color, v, part_a, part_b, broken = OFF_HYPOTHESIS_SPLITS[case]
+    base = build()
+    inst = split_instance_of(base, color(base).to_text(), v, part_a, part_b)
+
+    def boom(*a, **kw):
+        raise AssertionError("a skipped split must not be checked")
+
+    monkeypatch.setattr(verifier, "split_certificate_violation", boom)
+    monkeypatch.setattr(solver, "_solve", boom)
     rec = check_split_instance(inst)
-    assert rec.verdict == "fail"
-    assert rec.witness["check"] == "overfull"
-    assert rec.hypotheses["base_regular"] is False
+    assert rec.verdict == "skipped"
+    assert rec.conclusion is None and rec.witness is None
+    assert [h for h, ok in rec.hypotheses.items() if not ok] == [broken]
 
 
-def test_split_instance_fails_on_oversized_palette():
-    text = vizing_color(complete(4)).to_text()  # one spare color too many
-    rec = check_split_instance(k4_instance(text=text))
-    assert rec.verdict == "fail"
-    assert rec.witness["check"] == "inherited-missing-partition"
-    assert rec.hypotheses["base_class1"] is False
+def test_split_instance_raises_on_a_bad_partition_before_the_hypotheses():
+    # the base is disconnected, so a good partition would be skipped
+    base = two_disjoint_k4s()
+    inst = split_instance_of(base, find_delta_coloring(base).to_text(), 0, (1,), (2,))
+    with pytest.raises(GraphError, match="partition the neighborhood"):
+        check_split_instance(inst)
 
 
 def test_split_instance_fail_and_undecided_on_solver_outcomes(monkeypatch):
