@@ -11,6 +11,7 @@ import json
 import math
 import re
 import sys
+from typing import Iterable
 
 from .coloring import ColoringError
 from .graph6 import Graph6Error, emit_graph6, parse_graph6
@@ -28,7 +29,7 @@ from .graphs import (
     prism,
     vertex_split,
 )
-from .lemmas import lemma_battery
+from .lemmas import lemma_records
 from .records import RecordError, VerificationRecord, tally_verdicts
 from .solver import (
     SearchBudgetExceeded,
@@ -107,14 +108,19 @@ def _input_flags(sub) -> None:
     sub.add_argument("--file", help="file of graph6 strings, one per line")
 
 
-def _print_records(records: list[VerificationRecord], as_json: bool) -> None:
+def _print_records(records: Iterable[VerificationRecord], as_json: bool) -> dict[str, int]:
+    """Print each record as it arrives and return the tally of their verdicts;
+    no record is kept."""
+    tally = tally_verdicts(())
     for rec in records:
+        tally[rec.verdict] += 1
         if as_json:
             print(rec.to_json_line())
             continue
         print(f"{rec.verdict:9s} {rec.lemma}  {rec.instance_id}")
         if rec.verdict == "fail" and rec.witness is not None:
             print(f"          witness: {json.dumps(rec.witness, sort_keys=True)}")
+    return tally
 
 
 def _finish(tally: dict[str, int], as_json: bool) -> int:
@@ -203,14 +209,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_lemmas(args) -> int:
-    """Each host's records go out as soon as its battery returns; only the tally is kept."""
-    tally = tally_verdicts(())
-    for _, g in _load_graphs(args):
-        records = lemma_battery(g, args.budget_ms)
-        _print_records(records, args.json)
-        for verdict, count in tally_verdicts(records).items():
-            tally[verdict] += count
-    return _finish(tally, args.json)
+    """Each record goes out as soon as it is judged; only the tally is kept."""
+    records = (rec for _, g in _load_graphs(args) for rec in lemma_records(g, args.budget_ms))
+    return _finish(_print_records(records, args.json), args.json)
 
 
 def _sweep_command(args, mode: str) -> int:
@@ -220,8 +221,7 @@ def _sweep_command(args, mode: str) -> int:
     config = SweepConfig(m_max=args.m_max, mode=mode, degrees=degrees,
                          budget_ms=args.budget_ms, jobs=args.jobs)
     records = run_sweep(config, log_path=args.log, resume=args.resume)
-    _print_records(records, args.json)
-    return _finish(tally_verdicts(records), args.json)
+    return _finish(_print_records(records, args.json), args.json)
 
 
 def _cmd_figure1(args) -> int:

@@ -250,9 +250,17 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
             if not (unreached[x] or unreached[y]):
                 continue
             core = reached[hole]._core
+            slot = core.slot
             for p, a, b in ((p, a, b) for p in hole for a in _bits(core.missing(p))
-                            for b in sorted(core.slot[p])):
-                verts, edges, _ = _walk(core.slot, p, b, a)
+                            for b in sorted(slot[p])):
+                # the view can newly reach only p's b-edge and the other
+                # end's a- and b-edges; skip the walk when all are reached
+                q = x + y - p
+                if (edge_key(p, slot[p][b]) in reached
+                        and all(edge_key(q, w) in reached
+                                for w in (slot[q].get(a), slot[q].get(b)) if w is not None)):
+                    continue
+                verts, edges, _ = _walk(slot, p, b, a)
                 slide(core, hole, (a, b, (p, *verts), edges))
                 if not (unreached[x] or unreached[y]):
                     break

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
+from typing import Iterator
 
 from .coloring import (
     PartialEdgeColoring,
@@ -302,9 +303,8 @@ def check_kite(coloring: PartialEdgeColoring, kite: tuple[int, ...],
         return None
 
     def route_violation():
-        vs, edges, is_cycle = kempe_chain(coloring, y, eta, delt)
-        if is_cycle or vs[0] != y:
-            return {"part": "chain-shape", "is_cycle": is_cycle}
+        # tail2 misses eta, so its chain is a path listed from it
+        vs, edges, _ = kempe_chain(coloring, y, eta, delt)
         if edge_key(u, b) not in edges:
             return {"part": "edge-off-chain", "chain": list(vs)}
         if vs.index(u) > vs.index(b):
@@ -322,8 +322,11 @@ def check_kite(coloring: PartialEdgeColoring, kite: tuple[int, ...],
 _ROLE_ORDER = itemgetter(3, 1, 2, 0, 4, 5)
 
 
-def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[VerificationRecord]:
-    """Every checker on every structure of one host, deterministic order.
+def lemma_records(graph: Graph, budget_ms: float | None = None) -> Iterator[VerificationRecord]:
+    """Every checker on every structure of one host, each record yielded as
+    soon as it is judged, in a deterministic order: the parity census, then
+    each edge's records in edge order, then the deficiency-pair records, the
+    only ones held until the end.
 
     The battery makes every search and hands the checkers their evidence.
     Each edge is searched once for a coloring of the host minus it; that
@@ -339,7 +342,6 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
     census; a hole search, the degree-counting records of its edge, whose
     coloring-based checks then do not run.
     """
-    records = []
     delta = graph.max_degree()
     # the one max-degree search of the whole host decides its class, which
     # every checker is handed; on a class-1 host it is the census coloring too
@@ -347,17 +349,16 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
         full = find_delta_coloring(graph, budget_ms)
     except SearchBudgetExceeded as exc:
         host_class = exc
-        records.append(VerificationRecord("parity-census", _ids(graph, "k=?"), {}, None))
+        yield VerificationRecord("parity-census", _ids(graph, "k=?"), {}, None)
     else:
         host_class = 1 if full is not None else 2
         try:
             if full is None:
                 full = find_coloring(graph, delta + 1, budget_ms=budget_ms)
         except SearchBudgetExceeded:
-            records.append(VerificationRecord("parity-census", _ids(graph, f"k={delta + 1}"),
-                                              {}, None))
+            yield VerificationRecord("parity-census", _ids(graph, f"k={delta + 1}"), {}, None)
         else:
-            records.append(check_parity(full))
+            yield check_parity(full)
     # the pair records come after every edge's records, in edge order
     pairs = set(find_full_deficiency_pairs(graph))
     pair_records = []
@@ -366,16 +367,17 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
             phi = find_coloring(graph, delta, hole=e, budget_ms=budget_ms)
         except SearchBudgetExceeded as exc:
             phi = exc
-        records.append(check_vizing_adjacency(graph, *e, phi, host_class))
+        yield check_vizing_adjacency(graph, *e, phi, host_class)
         if e in pairs:
             pair_records += [check_deficiency_pair(graph, e, phi, host_class),
                              check_single_subdelta(graph, e, phi, host_class)]
         if not isinstance(phi, PartialEdgeColoring):
             continue
-        records.extend(check_multifan(phi, build_maximal_multifan(phi, center), host_class)
-                       for center in e)
+        for center in e:
+            yield check_multifan(phi, build_maximal_multifan(phi, center), host_class)
         paths = enumerate_kierstead_paths(phi)
-        records.extend(check_kierstead(phi, path, host_class) for path in paths)
+        for path in paths:
+            yield check_kierstead(phi, path, host_class)
         # each path heads the kites whose rim1 path it is; any other kite at
         # the hole fails a kierstead_through_rim hypothesis, so its records
         # would only be dropped
@@ -383,6 +385,12 @@ def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[Verifica
                         for kite in kites_with_head(graph, path, phi)),
                        key=_ROLE_ORDER)
         for kite in kites:
-            records.extend(rec for rec in check_kite(phi, kite, host_class)
-                           if rec.verdict != "skipped")
-    return records + pair_records
+            for rec in check_kite(phi, kite, host_class):
+                if rec.verdict != "skipped":
+                    yield rec
+    yield from pair_records
+
+
+def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[VerificationRecord]:
+    """The records of `lemma_records`, as one list."""
+    return list(lemma_records(graph, budget_ms))

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Iterator
 
 from .certcheck import split_certificate_violation
 from .coloring import (
@@ -267,46 +269,58 @@ def _drop_torn_line(log_path: str) -> None:
             fh.truncate(data.rfind(b"\n") + 1)
 
 
-def _validate_resume(log_path: str, plan: list[SplitInstance]) -> list[VerificationRecord]:
-    """Existing log must be a prefix of the plan; returns its records."""
-    done: list[VerificationRecord] = []
-    for rec in read_records(log_path):
-        if len(done) >= len(plan):
+def _resumed_records(log_path: str, plan: list[SplitInstance]) -> Iterator[VerificationRecord]:
+    """The log's records, each checked to be the next of the plan before it is yielded."""
+    for done, rec in enumerate(read_records(log_path)):
+        if done >= len(plan):
             raise RecordError(f"{log_path}: more records than planned instances")
-        want = plan[len(done)]
+        want = plan[done]
         if rec.lemma != SPLIT_LEMMA or rec.instance_id != want.instance_id:
             raise RecordError(
-                f"{log_path}: record {len(done) + 1} is {rec.instance_id!r}, "
+                f"{log_path}: record {done + 1} is {rec.instance_id!r}, "
                 f"plan says {want.instance_id!r}")
-        done.append(rec)
-    return done
+        yield rec
+
+
+def _checked_records(todo: list[SplitInstance], jobs: int) -> Iterator[VerificationRecord]:
+    """The records of `todo` in plan order. With jobs > 1 a process pool works
+    on them, and at most two instances per worker are submitted and not yet
+    yielded, so the futures held do not grow with the plan."""
+    if jobs == 1 or len(todo) < 2:
+        yield from map(check_split_instance, todo)
+        return
+    # imported here, so serial runs do not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(jobs, len(todo))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        for inst in todo:
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(check_split_instance, inst))
+        while window:
+            yield window.popleft().result()
 
 
 def run_sweep(config: SweepConfig, log_path: str | None = None,
-              resume: bool = False) -> list[VerificationRecord]:
-    """Execute the plan, optionally streaming records to a JSON-lines log."""
+              resume: bool = False) -> Iterator[VerificationRecord]:
+    """Execute the plan and yield every record in plan order: first those of
+    the log being resumed, then each new one right after its line is written
+    to the log and flushed. No record is kept."""
     plan = plan_instances(config)
-    records: list[VerificationRecord] = []
+    done = 0
     if log_path and resume and os.path.exists(log_path):
         _drop_torn_line(log_path)
-        records = _validate_resume(log_path, plan)
-    todo = plan[len(records):]
-    parallel = config.jobs > 1 and len(todo) > 1
-    if parallel:
-        # imported here, so serial runs do not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    with ((open(log_path, "a" if records else "w", encoding="ascii") if log_path
-           else nullcontext()) as sink,
-          (ProcessPoolExecutor(max_workers=min(config.jobs, len(todo))) if parallel
-           else nullcontext()) as pool):
-        stream = (pool.map(check_split_instance, todo, chunksize=1) if parallel
-                  else map(check_split_instance, todo))
-        for rec in stream:
-            records.append(rec)
+        for rec in _resumed_records(log_path, plan):
+            done += 1
+            yield rec
+    with (open(log_path, "a" if done else "w", encoding="ascii") if log_path
+          else nullcontext()) as sink:
+        for rec in _checked_records(plan[done:], config.jobs):
             if sink:
                 sink.write(rec.to_json_line() + "\n")
                 sink.flush()
-    return records
+            yield rec
 
 
 # ---------------------------------------------------------------------------

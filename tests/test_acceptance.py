@@ -53,7 +53,7 @@ def criterion(n: int, blurb: str):
 def test_criterion_1_high_degree_range_verified():
     with criterion(1, "every high-degree split through order 8 checks out"):
         start = time.monotonic()
-        records = run_sweep(SweepConfig(m_max=8, budget_ms=None))
+        records = list(run_sweep(SweepConfig(m_max=8, budget_ms=None)))
         tally = tally_verdicts(records)
         assert len(records) == 11
         assert tally["fail"] == 0 and tally["undecided"] == 0
@@ -64,8 +64,8 @@ def test_criterion_1_high_degree_range_verified():
 def test_criterion_2_cubic_sweep_isolates_the_counterexample():
     with criterion(2, "cubic sweep: one non-critical split, the rest pass"):
         start = time.monotonic()
-        records = run_sweep(SweepConfig(m_max=8, mode="custom", degrees=(3,),
-                                        budget_ms=None))
+        records = list(run_sweep(SweepConfig(m_max=8, mode="custom", degrees=(3,),
+                                             budget_ms=None)))
         failing = [r.instance_id for r in records if r.verdict == "fail"]
         assert failing == ["G@Umf? v=0 A=5,6 B=7"]
         assert tally_verdicts(records) == {"pass": 22, "fail": 1,
@@ -227,8 +227,8 @@ def test_criterion_8_sweeps_are_reproducible(tmp_path):
     with criterion(8, "repeat runs are byte-identical, parallel agrees"):
         first = tmp_path / "one.jsonl"
         second = tmp_path / "two.jsonl"
-        records = run_sweep(SweepConfig(m_max=8, budget_ms=None), str(first))
-        run_sweep(SweepConfig(m_max=8, budget_ms=None), str(second))
+        records = list(run_sweep(SweepConfig(m_max=8, budget_ms=None), str(first)))
+        list(run_sweep(SweepConfig(m_max=8, budget_ms=None), str(second)))
         assert first.read_bytes() == second.read_bytes()
-        parallel = run_sweep(SweepConfig(m_max=8, budget_ms=None, jobs=2))
+        parallel = list(run_sweep(SweepConfig(m_max=8, budget_ms=None, jobs=2)))
         assert parallel == records

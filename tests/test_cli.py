@@ -13,10 +13,11 @@ import pytest
 import edgecritic.cli as cli
 import edgecritic.lemmas as lemmas
 import edgecritic.solver as solver
+import edgecritic.verifier as verifier
 from conftest import corpus_hosts
 from edgecritic.cli import build_named, main
 from edgecritic.coloring import PartialEdgeColoring
-from edgecritic.graph6 import emit_graph6
+from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import GraphError, complete, cycle, petersen
 from edgecritic.records import VerificationRecord, record_from_json_line
 from edgecritic.solver import SearchBudgetExceeded
@@ -194,19 +195,19 @@ def test_lemmas_streams_each_host_and_survives_a_search_out_of_budget(tmp_path, 
     printed_before = []
     out = io.StringIO()
 
-    def battery(graph, budget_ms=None, _battery=cli.lemma_battery):
+    def records(graph, budget_ms=None, _records=cli.lemma_records):
         printed_before.append(out.getvalue())
-        return _battery(graph, budget_ms)
+        return _records(graph, budget_ms)
 
     def boom(graph, k, hole=None, budget_ms=None, _find=lemmas.find_coloring):
         if graph.n == 11 and hole is not None:
             raise SearchBudgetExceeded("out of time")
         return _find(graph, k, hole=hole, budget_ms=budget_ms)
-    monkeypatch.setattr(cli, "lemma_battery", battery)
+    monkeypatch.setattr(cli, "lemma_records", records)
     monkeypatch.setattr(lemmas, "find_coloring", boom)
     with contextlib.redirect_stdout(out):
         assert main(["lemmas", "--json", "--file", str(hosts)]) == 3
-    # the triangle's records were printed before the second battery ran
+    # the triangle's records were printed before the second host's were asked for
     assert printed_before == ["", first.getvalue()]
     text = out.getvalue()
     assert text.startswith(first.getvalue())
@@ -214,6 +215,50 @@ def test_lemmas_streams_each_host_and_survives_a_search_out_of_budget(tmp_path, 
     assert [r.verdict for r in second if r.lemma == "vizing-adjacency"] == ["undecided"] * 46
     assert {r.lemma for r in second} == {"parity-census", "vizing-adjacency",
                                          "deficiency-pair-degrees", "single-subdelta"}
+
+
+class Halt(Exception):
+    pass
+
+
+def test_lemmas_prints_each_record_as_it_is_judged(tmp_path, monkeypatch):
+    # a triangle, then an order-7 host whose first kite comes after 24 records
+    hosts = tmp_path / "two.g6"
+    hosts.write_text("Bw\nFj\\|w\n")
+    first = io.StringIO()
+    with contextlib.redirect_stdout(first):
+        assert main(["lemmas", "--json", "--graph6", "Bw"]) == 0
+    judged = [r.to_json_line() + "\n" for r in lemmas.lemma_battery(parse_graph6("Fj\\|w"))]
+    out = io.StringIO()
+    printed = []
+
+    def halt(coloring, kite, host_class):
+        printed.append(out.getvalue())
+        raise Halt
+    monkeypatch.setattr(lemmas, "check_kite", halt)
+    with contextlib.redirect_stdout(out), pytest.raises(Halt):
+        main(["lemmas", "--json", "--file", str(hosts)])
+    assert printed == [first.getvalue() + "".join(judged[:24])]
+    assert json.loads(judged[23])["lemma"] == "kierstead-path"
+    assert json.loads(judged[24])["lemma"] == "short-kite-degree"
+
+
+def test_sweep_writes_each_record_when_its_check_ends(tmp_path, monkeypatch, capsys):
+    log = tmp_path / "m8.jsonl"
+    checked = []
+
+    def check(inst, _check=verifier.check_split_instance):
+        checked.append(inst.instance_id)
+        if len(checked) == 3:
+            raise Halt
+        return _check(inst)
+    monkeypatch.setattr(verifier, "check_split_instance", check)
+    with pytest.raises(Halt):
+        main(["sweep", "--m-max", "8", "--log", str(log)])
+    lines = [record_from_json_line(ln) for ln in log.read_text().splitlines()]
+    assert [r.instance_id for r in lines] == checked[:2]
+    assert capsys.readouterr().out.splitlines() == [
+        f"pass      split-delta-critical  {iid}" for iid in checked[:2]]
 
 
 def test_sweep_m8_log_is_pinned(tmp_path, capsys):
@@ -351,6 +396,22 @@ def test_sweep_log_wiring(tmp_path, capsys):
     assert main(["theorem1", "--m-max", "4", "--log", str(log), "--resume"]) == 0
     capsys.readouterr()
     assert log.read_bytes() == first
+
+
+def test_resume_prints_the_records_that_match_before_refusing_a_foreign_log(tmp_path, capsys):
+    log = tmp_path / "run.jsonl"
+    assert main(["theorem1", "--m-max", "6", "--log", str(log)]) == 0
+    capsys.readouterr()
+    lines = log.read_text().splitlines(keepends=True)
+    assert len(lines) >= 3
+    text = lines[0] + lines[2] + lines[1]
+    log.write_text(text)
+    assert main(["theorem1", "--m-max", "6", "--log", str(log), "--resume"]) == 2
+    out, err = capsys.readouterr()
+    first = record_from_json_line(lines[0])
+    assert out == f"pass      split-delta-critical  {first.instance_id}\n"
+    assert err.startswith("error: ") and "record 2 is" in err
+    assert log.read_text() == text
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edgecritic.coloring as coloring
 from conftest import (
     assert_proper,
     class_two_graphs,
@@ -395,17 +396,32 @@ def test_propagation_matches_flipping_reference_on_sweep_seeds(monkeypatch):
         flips.append(args)
         real_flip(self, *args)
 
+    walks = []
+    real_walk = coloring._walk
+
+    def counted_walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
     monkeypatch.setattr(MutableColoring, "flip", counted_flip)
     plan = plan_instances(SweepConfig(m_max=8, mode="conjecture"))
     assert len(plan) == 107  # every instance of `sweep --m-max 8`
+    propagation_walks = 0
     for inst in plan:
         base = parse_graph6(inst.base_graph6)
         phi = coloring_from_text(base, inst.base_coloring_text)
         seed = inherit_split_coloring(phi, inst.vertex, inst.part_a, inst.part_b)
+        monkeypatch.setattr(coloring, "_walk", counted_walk)
         certs = propagate_certificates(seed)
+        monkeypatch.setattr(coloring, "_walk", real_walk)
+        propagation_walks += len(walks)
+        walks.clear()
         assert flips == []  # each Kempe swap is read, never written
         assert_same_certificates(certs, propagate_by_flips(seed))
         flips.clear()
+    # a path is walked only when its view could reach an unreached edge;
+    # walking every path at a hole end took 1,899 walks
+    assert propagation_walks == 804
 
 
 def test_propagation_needs_a_hole():

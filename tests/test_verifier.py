@@ -199,8 +199,8 @@ def test_order_ten_plan_is_one_split_per_class_and_passes_without_search(monkeyp
 
 def test_order_ten_theorem_log_is_pinned(tmp_path):
     short, full = tmp_path / "m8.jsonl", tmp_path / "m10.jsonl"
-    run_sweep(SweepConfig(m_max=8), log_path=str(short))
-    records = run_sweep(SweepConfig(m_max=10), log_path=str(full))
+    list(run_sweep(SweepConfig(m_max=8), log_path=str(short)))
+    records = list(run_sweep(SweepConfig(m_max=10), log_path=str(full)))
     assert len(records) == 23 and all(r.verdict == "pass" for r in records)
     lines = full.read_bytes().splitlines(keepends=True)
     assert b"".join(lines[:11]) == short.read_bytes()
@@ -212,8 +212,8 @@ def test_order_ten_degree_seven_slice_is_pinned(tmp_path):
     # K8 and the five 7-regular classes on 10 vertices; the representatives
     # are canonical, so any correct enumerator gives these bytes
     log = tmp_path / "d7.jsonl"
-    records = run_sweep(SweepConfig(m_max=10, mode="custom", degrees=(7,)),
-                        log_path=str(log))
+    records = list(run_sweep(SweepConfig(m_max=10, mode="custom", degrees=(7,)),
+                             log_path=str(log)))
     assert len(records) == 125 and all(r.verdict == "pass" for r in records)
     assert hashlib.sha256(log.read_bytes()).hexdigest() == \
         "e99f01b16c68d112ecc44ccd80b0ea37a1bc661fbe3fa974d52f7f0066ece2e9"
@@ -342,7 +342,7 @@ def test_sweep_m8_builds_each_split_graph_once(monkeypatch):
     calls = []
     real = verifier.vertex_split
     monkeypatch.setattr(verifier, "vertex_split", lambda *a: calls.append(1) or real(*a))
-    assert len(run_sweep(SweepConfig(m_max=8, mode="conjecture"))) == 107
+    assert len(list(run_sweep(SweepConfig(m_max=8, mode="conjecture")))) == 107
     assert len(calls) == 107
 
 
@@ -499,32 +499,32 @@ def cubic_m6_config(jobs=1):
 
 def test_sweep_records_and_log(tmp_path):
     log = tmp_path / "sweep.jsonl"
-    records = run_sweep(cubic_m6_config(), log_path=str(log))
+    records = list(run_sweep(cubic_m6_config(), log_path=str(log)))
     assert [r.instance_id for r in records] == CUBIC_M6_IDS
     assert all(r.verdict == "pass" for r in records)
     assert list(read_records(str(log))) == records
 
     again = tmp_path / "again.jsonl"
-    run_sweep(cubic_m6_config(), log_path=str(again))
+    list(run_sweep(cubic_m6_config(), log_path=str(again)))
     assert again.read_bytes() == log.read_bytes()
 
 
 def test_sweep_resume_finishes_interrupted_log(tmp_path):
     log = tmp_path / "full.jsonl"
-    records = run_sweep(cubic_m6_config(), log_path=str(log))
+    records = list(run_sweep(cubic_m6_config(), log_path=str(log)))
     whole = log.read_bytes()
 
     part = tmp_path / "part.jsonl"
     lines = whole.splitlines(keepends=True)
     part.write_bytes(b"".join(lines[:2]))
-    resumed = run_sweep(cubic_m6_config(), log_path=str(part), resume=True)
+    resumed = list(run_sweep(cubic_m6_config(), log_path=str(part), resume=True))
     assert part.read_bytes() == whole
     assert resumed == records
 
 
 def test_sweep_resume_reads_the_log_once(tmp_path, monkeypatch):
     log = tmp_path / "part.jsonl"
-    records = run_sweep(cubic_m6_config(), log_path=str(log))
+    records = list(run_sweep(cubic_m6_config(), log_path=str(log)))
     log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:2]))
     reads = []
 
@@ -532,14 +532,14 @@ def test_sweep_resume_reads_the_log_once(tmp_path, monkeypatch):
         reads.append(path)
         return read_records(path)
     monkeypatch.setattr(verifier, "read_records", counting)
-    assert run_sweep(cubic_m6_config(), log_path=str(log), resume=True) == records
+    assert list(run_sweep(cubic_m6_config(), log_path=str(log), resume=True)) == records
     assert reads == [str(log)]
 
 
 def test_sweep_resume_drops_torn_last_line(tmp_path):
     config = SweepConfig(m_max=6)
     log = tmp_path / "full.jsonl"
-    records = run_sweep(config, log_path=str(log))
+    records = list(run_sweep(config, log_path=str(log)))
     whole = log.read_bytes()
     assert whole.count(b"\n") == len(records) >= 3
 
@@ -547,7 +547,7 @@ def test_sweep_resume_drops_torn_last_line(tmp_path):
     torn = tmp_path / "torn.jsonl"
     for cut in (len(whole) - 1, len(whole) - 20, whole.index(b"\n") // 2):
         torn.write_bytes(whole[:cut])
-        resumed = run_sweep(config, log_path=str(torn), resume=True)
+        resumed = list(run_sweep(config, log_path=str(torn), resume=True))
         assert torn.read_bytes() == whole
         assert resumed == records
 
@@ -555,33 +555,53 @@ def test_sweep_resume_drops_torn_last_line(tmp_path):
     lines = whole.splitlines(keepends=True)
     torn.write_bytes(lines[0] + lines[1][:30] + b"\n")
     with pytest.raises(RecordError, match=r"torn\.jsonl:2: malformed record line"):
-        run_sweep(config, log_path=str(torn), resume=True)
+        list(run_sweep(config, log_path=str(torn), resume=True))
 
 
 def test_sweep_resume_rejects_foreign_log(tmp_path):
     log = tmp_path / "log.jsonl"
-    records = run_sweep(cubic_m6_config(), log_path=str(log))
+    records = list(run_sweep(cubic_m6_config(), log_path=str(log)))
 
     lines = log.read_text().splitlines(keepends=True)
     log.write_text(lines[1] + lines[0])
     with pytest.raises(RecordError, match="record 1 is"):
-        run_sweep(cubic_m6_config(), log_path=str(log), resume=True)
+        list(run_sweep(cubic_m6_config(), log_path=str(log), resume=True))
 
     log.write_text("".join(lines) + lines[-1])
     with pytest.raises(RecordError, match="more records than planned"):
-        run_sweep(cubic_m6_config(), log_path=str(log), resume=True)
+        list(run_sweep(cubic_m6_config(), log_path=str(log), resume=True))
 
     log.write_text(lines[0] + "definitely not json\n")
     with pytest.raises(RecordError, match=r"log\.jsonl:2: "):
-        run_sweep(cubic_m6_config(), log_path=str(log), resume=True)
+        list(run_sweep(cubic_m6_config(), log_path=str(log), resume=True))
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
-    serial = run_sweep(cubic_m6_config())
+    serial = list(run_sweep(cubic_m6_config()))
     log = tmp_path / "par.jsonl"
-    parallel = run_sweep(cubic_m6_config(jobs=2), log_path=str(log))
+    parallel = list(run_sweep(cubic_m6_config(jobs=2), log_path=str(log)))
     assert parallel == serial
     assert list(read_records(str(log))) == serial
+
+
+def test_sweep_jobs_keep_a_constant_window_of_futures(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+    submitted = []
+    real_submit = ProcessPoolExecutor.submit
+
+    def submit(self, fn, *args):
+        submitted.append(args[0].instance_id)
+        return real_submit(self, fn, *args)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    log = tmp_path / "m8.jsonl"
+    # how many instances were submitted when each record arrived
+    seen = [len(submitted) for _ in run_sweep(SweepConfig(m_max=8, mode="conjecture", jobs=2),
+                                              log_path=str(log))]
+    assert len(seen) == len(submitted) == 107
+    assert seen[0] == 4
+    assert all(count <= i + 4 for i, count in enumerate(seen))
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == \
+        "f25862d4951f34526f8a8e128faec28175ab43ef86b5e4954ac609b2733f3b8f"
 
 
 def test_sweep_starts_no_more_workers_than_instances(monkeypatch):
@@ -599,13 +619,15 @@ def test_sweep_starts_no_more_workers_than_instances(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    serial = run_sweep(cubic_m6_config())
-    assert run_sweep(cubic_m6_config(jobs=5000)) == serial
+    serial = list(run_sweep(cubic_m6_config()))
+    assert list(run_sweep(cubic_m6_config(jobs=5000))) == serial
     assert started == [len(CUBIC_M6_IDS)]
-    assert run_sweep(cubic_m6_config(jobs=2)) == serial
+    assert list(run_sweep(cubic_m6_config(jobs=2))) == serial
     assert started == [len(CUBIC_M6_IDS), 2]
 
 
