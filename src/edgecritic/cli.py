@@ -110,16 +110,18 @@ def _input_flags(sub) -> None:
 
 def _print_records(records: Iterable[VerificationRecord], as_json: bool) -> dict[str, int]:
     """Print each record as it arrives and return the tally of their verdicts;
-    no record is kept."""
+    no record is kept. Stdout is flushed after every record, so a pipe or a
+    file sees it too, not only a terminal."""
     tally = tally_verdicts(())
     for rec in records:
         tally[rec.verdict] += 1
         if as_json:
             print(rec.to_json_line())
-            continue
-        print(f"{rec.verdict:9s} {rec.lemma}  {rec.instance_id}")
-        if rec.verdict == "fail" and rec.witness is not None:
-            print(f"          witness: {json.dumps(rec.witness, sort_keys=True)}")
+        else:
+            print(f"{rec.verdict:9s} {rec.lemma}  {rec.instance_id}")
+            if rec.verdict == "fail" and rec.witness is not None:
+                print(f"          witness: {json.dumps(rec.witness, sort_keys=True)}")
+        sys.stdout.flush()
     return tally
 
 

@@ -221,6 +221,15 @@ class Halt(Exception):
     pass
 
 
+class FlushedStdout(io.StringIO):
+    """Stdout as a pipe or a file sees it: only what has been flushed."""
+
+    flushed = ""
+
+    def flush(self):
+        self.flushed = self.getvalue()
+
+
 def test_lemmas_prints_each_record_as_it_is_judged(tmp_path, monkeypatch):
     # a triangle, then an order-7 host whose first kite comes after 24 records
     hosts = tmp_path / "two.g6"
@@ -229,11 +238,11 @@ def test_lemmas_prints_each_record_as_it_is_judged(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(first):
         assert main(["lemmas", "--json", "--graph6", "Bw"]) == 0
     judged = [r.to_json_line() + "\n" for r in lemmas.lemma_battery(parse_graph6("Fj\\|w"))]
-    out = io.StringIO()
+    out = FlushedStdout()
     printed = []
 
     def halt(coloring, kite, host_class):
-        printed.append(out.getvalue())
+        printed.append(out.flushed)
         raise Halt
     monkeypatch.setattr(lemmas, "check_kite", halt)
     with contextlib.redirect_stdout(out), pytest.raises(Halt):
@@ -243,8 +252,9 @@ def test_lemmas_prints_each_record_as_it_is_judged(tmp_path, monkeypatch):
     assert json.loads(judged[24])["lemma"] == "short-kite-degree"
 
 
-def test_sweep_writes_each_record_when_its_check_ends(tmp_path, monkeypatch, capsys):
+def test_sweep_writes_each_record_when_its_check_ends(tmp_path, monkeypatch):
     log = tmp_path / "m8.jsonl"
+    out = FlushedStdout()
     checked = []
 
     def check(inst, _check=verifier.check_split_instance):
@@ -253,11 +263,11 @@ def test_sweep_writes_each_record_when_its_check_ends(tmp_path, monkeypatch, cap
             raise Halt
         return _check(inst)
     monkeypatch.setattr(verifier, "check_split_instance", check)
-    with pytest.raises(Halt):
+    with contextlib.redirect_stdout(out), pytest.raises(Halt):
         main(["sweep", "--m-max", "8", "--log", str(log)])
     lines = [record_from_json_line(ln) for ln in log.read_text().splitlines()]
     assert [r.instance_id for r in lines] == checked[:2]
-    assert capsys.readouterr().out.splitlines() == [
+    assert out.flushed.splitlines() == [
         f"pass      split-delta-critical  {iid}" for iid in checked[:2]]
 
 
