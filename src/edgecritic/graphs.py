@@ -49,12 +49,6 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def delete_edge(self, u: int, v: int) -> Graph:
-        e = edge_key(u, v)
-        if e not in self.edges:
-            raise GraphError(f"edge {e} not in graph")
-        return make_graph(self.n, self.edges - {e})
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True

@@ -5,10 +5,10 @@ The decision search is exhaustive backtracking over a static edge order
 of endpoint availability. A color class is a matching of at most floor(n/2)
 edges, which refutes overfull hosts at the root; inside the search,
 properness alone keeps each class within that cap, because a class of
-floor(n/2) edges leaves no two vertices that both miss its color. When
-deciding or finding, color symmetry is broken by introducing at most one
-fresh color per step; enumeration mode disables that and yields every proper
-coloring.
+floor(n/2) edges leaves no two vertices that both miss its color. Color
+symmetry is always broken: the first edge takes color 1 and each step opens
+at most one fresh color, so the search meets one coloring per renaming of
+the colors.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def _search_plan(graph: Graph) -> tuple[list[Edge], list[list[Edge]]]:
                    for i, e in enumerate(edges)]
 
 
-def _solve(graph: Graph, k: int, hole: Edge | None, budget: float | None, enumerate_all: bool):
-    """Yield full assignments (edge -> color) extending the hole, exhaustively.
+def _solve(graph: Graph, k: int, hole: Edge | None, budget: float | None):
+    """Yield full assignments (edge -> color) extending the hole, one per color renaming.
 
     One iterative depth-first search: depth i keeps edge i's untried
     candidate colors in `cands[i]` and the color it holds in `chosen[i]`,
@@ -62,14 +62,13 @@ def _solve(graph: Graph, k: int, hole: Edge | None, budget: float | None, enumer
         yield {}
         return
     deadline = None if budget is None else time.monotonic() + budget / 1000.0
-    full = (1 << (k + 1)) - 2
-    avail = [full] * graph.n
+    avail = [(1 << (k + 1)) - 2] * graph.n
     chosen = [0] * m
     cands = [0] * m
-    # top[i] is the highest color on edges 0..i-1: unless enumerating, edge i
-    # may open at most one fresh color, so the first edge takes color 1
+    # top[i] is the highest color on edges 0..i-1: edge i may open at most
+    # one fresh color, so the first edge takes color 1
     top = [0] * m
-    cand = full if enumerate_all else 2
+    cand = 2
     u, v = edges[0]
     i = nodes = 0
     while True:
@@ -109,23 +108,22 @@ def _solve(graph: Graph, k: int, hole: Edge | None, budget: float | None, enumer
         t = top[i + 1] = max(top[i], c)
         i += 1
         u, v = edges[i]
-        cand = avail[u] & avail[v] & (-1 if enumerate_all else (2 << min(k, t + 1)) - 1)
+        cand = avail[u] & avail[v] & ((2 << min(k, t + 1)) - 1)
 
 
 def find_coloring(graph: Graph, k: int, hole: Edge | None = None,
                   budget_ms: float | None = None) -> PartialEdgeColoring | None:
     """A proper k-coloring of the host minus the hole edge, or None if none exists."""
-    hole = edge_key(*hole) if hole is not None else None
-    for assign in _solve(graph, k, hole, budget_ms, enumerate_all=False):
-        return PartialEdgeColoring(graph, k, assign, hole)
-    return None
+    return next(enumerate_colorings(graph, k, hole, budget_ms), None)
 
 
 def enumerate_colorings(graph: Graph, k: int, hole: Edge | None = None,
                         budget_ms: float | None = None):
-    """Every proper k-coloring of the host minus the hole, deterministic order."""
+    """One proper k-coloring of the host minus the hole per renaming of the
+    colors, deterministic order: the member in which colors first appear in
+    increasing order along the search's edge order."""
     hole = edge_key(*hole) if hole is not None else None
-    for assign in _solve(graph, k, hole, budget_ms, enumerate_all=True):
+    for assign in _solve(graph, k, hole, budget_ms):
         yield PartialEdgeColoring(graph, k, assign, hole)
 
 

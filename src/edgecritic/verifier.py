@@ -171,7 +171,7 @@ def plan_instances(config: SweepConfig) -> list[SplitInstance]:
     plan: list[SplitInstance] = []
     for m in range(4, config.m_max + 1, 2):
         for d in range(2, m):
-            if (m * d) % 2 or not config.degree_wanted(m, d):
+            if not config.degree_wanted(m, d):
                 continue
             for base in enumerate_regular_graphs(m, d):
                 if not base.is_connected():
@@ -261,12 +261,25 @@ def check_split_instance(inst: SplitInstance) -> VerificationRecord:
 # sweep driver
 
 
+# bytes read per step when `_drop_torn_line` reads a log backwards
+_TAIL_BLOCK = 1 << 16
+
+
 def _drop_torn_line(log_path: str) -> None:
-    """Cut a last line left without its newline by an interrupted write."""
+    """Cut a last line left without its newline by an interrupted write.
+
+    The log is read backwards from its end, one block at a time, until a
+    newline turns up, so at most one block more than the torn line is read."""
     with open(log_path, "rb+") as fh:
-        data = fh.read()
-        if data and not data.endswith(b"\n"):
-            fh.truncate(data.rfind(b"\n") + 1)
+        pos = fh.seek(0, os.SEEK_END)
+        while pos:
+            start = max(pos - _TAIL_BLOCK, 0)
+            fh.seek(start)
+            cut = fh.read(pos - start).rfind(b"\n")
+            if cut >= 0 or not start:
+                fh.truncate(start + cut + 1)
+                return
+            pos = start
 
 
 def _resumed_records(log_path: str, plan: list[SplitInstance]) -> Iterator[VerificationRecord]:
@@ -345,6 +358,11 @@ def reproduce_nonelementary_path(budget_ms: float | None = None) -> Verification
 
     Scans edges in ascending order and colorings in solver order; the first
     hit is re-validated independently and returned with a full witness.
+    Whether a path is a Kierstead path, and whether two of its vertices
+    share a missing color, does not change when the colors are renamed. So
+    the search is exhaustive up to renaming colors: `enumerate_colorings`
+    yields the first member of each renaming class in the order of a search
+    over every coloring, and meets the first hit that search would meet.
     """
     name = "nonelementary-kierstead-witness"
     host = petersen_minus_vertex()

@@ -107,7 +107,8 @@ def corpus_hosts() -> list[Graph]:
 # hole searches or the degree argument, is checked against.
 def is_critical_by_deletion(graph: Graph, e) -> bool:
     """Deleting the edge lowers the chromatic index."""
-    return chromatic_index(graph.delete_edge(*e)) < chromatic_index(graph)
+    rest = make_graph(graph.n, graph.edges - {edge_key(*e)})
+    return chromatic_index(rest) < chromatic_index(graph)
 
 
 # The whole-graph kite enumerator: the independent reference that

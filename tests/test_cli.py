@@ -85,9 +85,9 @@ def test_color_searches_at_delta_once(monkeypatch, capsys, builder, searched):
     # class 1 keeps the coloring of the class decision; class 2 adds one spare color
     calls = []
 
-    def counting(graph, k, hole, budget, enumerate_all, _solve=solver._solve):
+    def counting(graph, k, hole, budget, _solve=solver._solve):
         calls.append(k)
-        return _solve(graph, k, hole, budget, enumerate_all)
+        return _solve(graph, k, hole, budget)
     monkeypatch.setattr(solver, "_solve", counting)
     assert main(["color", "--builder", builder]) == 0
     capsys.readouterr()
@@ -317,6 +317,16 @@ def test_figure1_json(capsys):
     rec = record_from_json_line(capsys.readouterr().out.strip())
     assert rec.verdict == "pass"
     assert rec.witness["path"] == [4, 0, 1, 6]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["figure1"], "cfd25e8ec087b1b10fd645ab37bbec8e6f3f9b893ec25ba82cb9d63b66d01901"),
+    (["figure1", "--json"], "1964ea33852be524e37a7fde570c436a4878050d8f2eac551954e052d6cd709b"),
+], ids=["text", "json"])
+def test_figure1_bytes_are_pinned(capsys, argv, digest):
+    # the witness, its coloring included, is the first hit in the search order
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("conclusion, host_class2, code", [

@@ -62,15 +62,6 @@ def test_make_graph_rejects_bad_input():
         make_graph(-1, [])
 
 
-def test_delete_edge():
-    g = complete(4)
-    h = g.delete_edge(2, 1)
-    assert h.edge_count() == 5
-    assert not h.has_edge(1, 2)
-    with pytest.raises(GraphError):
-        h.delete_edge(1, 2)
-
-
 def test_connectivity_and_regularity():
     assert complete(5).is_connected()
     assert complete(5).is_regular()

@@ -18,6 +18,7 @@ from edgecritic.graphs import (
     canonical_mask,
     complete,
     complete_minus_matching,
+    edge_key,
     is_overfull,
     make_graph,
     petersen,
@@ -346,7 +347,7 @@ def test_sweep_m8_builds_each_split_graph_once(monkeypatch):
     assert len(calls) == 107
 
 
-def test_split_instance_refuses_holed_base_coloring_before_overfull_test():
+def test_split_instance_refuses_a_holed_base_coloring():
     base = make_graph(3, [(0, 1), (1, 2)])
     inst = SplitInstance(instance_id="test v=1 A=0 B=2", base_graph6=emit_graph6(base),
                          base_coloring_text=find_coloring(base, 2, hole=(0, 1)).to_text(),
@@ -375,7 +376,7 @@ def test_split_of_order8_circulant_is_not_critical():
     assert is_overfull(g) and chromatic_index(g) == 4
     assert find_coloring(g, 3, hole=(3, 4)) is None
     # same fact through the deletion route: losing (3, 4) keeps it class 2
-    assert find_coloring(g.delete_edge(3, 4), 3) is None
+    assert find_coloring(make_graph(g.n, g.edges - {edge_key(3, 4)}), 3) is None
 
     sibling = SplitInstance(instance_id="G@Umf? v=0 A=5 B=6,7",
                             base_graph6="G@Umf?", base_coloring_text=text,
@@ -556,6 +557,48 @@ def test_sweep_resume_drops_torn_last_line(tmp_path):
     torn.write_bytes(lines[0] + lines[1][:30] + b"\n")
     with pytest.raises(RecordError, match=r"torn\.jsonl:2: malformed record line"):
         list(run_sweep(config, log_path=str(torn), resume=True))
+
+
+class _CountedReads:
+    """A file whose reads are tallied in `read_bytes`."""
+
+    def __init__(self, fh):
+        self._fh, self.read_bytes = fh, 0
+
+    def read(self, size=-1):
+        data = self._fh.read(size)
+        self.read_bytes += len(data)
+        return data
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_drop_torn_line_reads_back_only_to_the_last_newline(tmp_path, monkeypatch):
+    # a 4-byte block makes a torn line span several blocks; cuts inside the
+    # 9-byte first line leave a log with no newline at all
+    block = 4
+    monkeypatch.setattr(verifier, "_TAIL_BLOCK", block)
+    opened = []
+
+    def counted_open(*args):
+        opened.append(_CountedReads(open(*args)))
+        return opened[-1]
+    monkeypatch.setattr(verifier, "open", counted_open, raising=False)
+    whole = b"".join(b"%d" % i * i + b"\n" for i in (9, 1, 3, 7, 2, 8))
+    log = tmp_path / "log.jsonl"
+    for cut in range(len(whole) + 1):
+        log.write_bytes(whole[:cut])
+        verifier._drop_torn_line(str(log))
+        kept = whole[:cut].rfind(b"\n") + 1
+        assert log.read_bytes() == whole[:kept], cut
+        assert opened.pop().read_bytes <= cut - kept + block, cut
 
 
 def test_sweep_resume_rejects_foreign_log(tmp_path):
