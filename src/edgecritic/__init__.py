@@ -19,7 +19,7 @@ from .coloring import (
     recolor_edge,
     subchain_swap,
 )
-from .enumeration import enumerate_regular_graphs, enumerate_small_graphs
+from .enumeration import enumerate_regular_graphs
 from .graph6 import (
     Graph6Error,
     emit_graph6,
@@ -29,7 +29,6 @@ from .graphs import (
     Edge,
     Graph,
     GraphError,
-    automorphisms,
     canonical_mask,
     complete,
     complete_bipartite,
@@ -52,7 +51,7 @@ from .lemmas import (
     check_parity,
     check_single_subdelta,
     check_vizing_adjacency,
-    lemma_battery,
+    lemma_records,
 )
 from .records import (
     RecordError,

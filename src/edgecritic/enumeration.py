@@ -1,4 +1,4 @@
-"""Exhaustive small-graph enumeration with exact isomorphism rejection."""
+"""Exhaustive regular-graph enumeration with exact isomorphism rejection."""
 
 from __future__ import annotations
 
@@ -74,36 +74,3 @@ def _switches(g: Graph):
 def _image(relabel, switch: frozenset[Edge]) -> frozenset[Edge]:
     return frozenset(map(relabel, switch))
 
-
-def enumerate_small_graphs(max_edges: int, max_support: int = 7) -> list[Graph]:
-    """Every isomorphism class with 1..max_edges edges, no isolated vertices,
-    and at most max_support vertices. Deterministic order."""
-    seed = make_graph(2, [(0, 1)])
-    seen = {(2, seed.triangle_mask())}
-    frontier = [seed]
-    out = [seed]
-    for _ in range(1, max_edges):
-        nxt = []
-        for g in frontier:
-            for child in _one_more_edge(g, max_support):
-                key = (child.n, canonical_mask(child))
-                if key not in seen:
-                    seen.add(key)
-                    canon = graph_from_mask(*key)
-                    nxt.append(canon)
-                    out.append(canon)
-        frontier = nxt
-    out.sort(key=lambda g: (g.edge_count(), g.n, g.triangle_mask()))
-    return out
-
-
-def _one_more_edge(g: Graph, max_support: int):
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                yield make_graph(g.n, g.edges | {(u, v)})
-    if g.n + 1 <= max_support:
-        for v in range(g.n):
-            yield make_graph(g.n + 1, g.edges | {(v, g.n)})
-    if g.n + 2 <= max_support:
-        yield make_graph(g.n + 2, g.edges | {(g.n, g.n + 1)})

@@ -235,15 +235,6 @@ def canonical_mask(graph: Graph) -> int:
     return mask
 
 
-def automorphisms(graph: Graph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving relabelings, identity included, in lexicographic order.
-
-    This lists the whole group, n! permutations for the complete graph, so it
-    is the brute-force reference; sweeps plan from `automorphism_generators`.
-    """
-    return list(_extensions(graph, []))
-
-
 def _extensions(graph: Graph, image: list[int]):
     """Every automorphism whose images of 0..len(image)-1 are `image`, in
     lexicographic order; the prefix must match degrees and adjacency already.

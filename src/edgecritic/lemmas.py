@@ -26,7 +26,7 @@ from .coloring import (
 from .graph6 import emit_graph6
 from .graphs import Edge, Graph, edge_key
 from .records import VerificationRecord, judge
-from .solver import SearchBudgetExceeded, find_coloring, find_delta_coloring
+from .solver import SearchBudgetExceeded, find_coloring, find_delta_coloring, vizing_color
 from .structures import (
     build_maximal_multifan,
     enumerate_kierstead_paths,
@@ -338,13 +338,14 @@ def lemma_records(graph: Graph, budget_ms: float | None = None) -> Iterator[Veri
     so the flood of hypothesis-failing kite labelings on dense hosts never
     reaches the output. A search that runs out of budget leaves its claims
     undecided and is not retried: the class decision, made once for the
-    host, every claim that needs the class; the full coloring, the parity
-    census; a hole search, the degree-counting records of its edge, whose
-    coloring-based checks then do not run.
+    host, every claim that needs the class and the parity census; a hole
+    search, the degree-counting records of its edge, whose coloring-based
+    checks then do not run.
     """
     delta = graph.max_degree()
     # the one max-degree search of the whole host decides its class, which
-    # every checker is handed; on a class-1 host it is the census coloring too
+    # every checker is handed; on a class-1 host it is the census coloring
+    # too, and on a class-2 host Vizing's construction builds that coloring
     try:
         full = find_delta_coloring(graph, budget_ms)
     except SearchBudgetExceeded as exc:
@@ -352,13 +353,7 @@ def lemma_records(graph: Graph, budget_ms: float | None = None) -> Iterator[Veri
         yield VerificationRecord("parity-census", _ids(graph, "k=?"), {}, None)
     else:
         host_class = 1 if full is not None else 2
-        try:
-            if full is None:
-                full = find_coloring(graph, delta + 1, budget_ms=budget_ms)
-        except SearchBudgetExceeded:
-            yield VerificationRecord("parity-census", _ids(graph, f"k={delta + 1}"), {}, None)
-        else:
-            yield check_parity(full)
+        yield check_parity(vizing_color(graph) if full is None else full)
     # the pair records come after every edge's records, in edge order
     pairs = set(find_full_deficiency_pairs(graph))
     pair_records = []
@@ -390,7 +385,3 @@ def lemma_records(graph: Graph, budget_ms: float | None = None) -> Iterator[Veri
                     yield rec
     yield from pair_records
 
-
-def lemma_battery(graph: Graph, budget_ms: float | None = None) -> list[VerificationRecord]:
-    """The records of `lemma_records`, as one list."""
-    return list(lemma_records(graph, budget_ms))

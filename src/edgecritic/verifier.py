@@ -84,6 +84,8 @@ class SweepConfig:
             raise GraphError("base order cap must be an even number >= 4")
         if self.m_max > 10:
             raise GraphError("base orders above 10 are not supported")
+        if self.degrees is not None and not all(2 <= d < self.m_max for d in self.degrees):
+            raise GraphError(f"degrees must lie in 2..{self.m_max - 1}, not {list(self.degrees)}")
         if self.jobs < 1:
             raise GraphError(f"jobs must be at least 1, not {self.jobs}")
         if self.budget_ms is not None and not 0 < self.budget_ms < math.inf:
@@ -331,10 +333,12 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
 
     The sweep is lazy: nothing is planned, checked or logged until the
     records are consumed, so a caller that wants only the log still iterates,
-    e.g. `list(run_sweep(config, log_path=...))`."""
+    e.g. `list(run_sweep(config, log_path=...))`. Resuming needs a log."""
+    if resume and not log_path:
+        raise GraphError("resume needs a log path")
     plan = plan_instances(config)
     done = 0
-    if log_path and resume and os.path.exists(log_path):
+    if resume and os.path.exists(log_path):
         _drop_torn_line(log_path)
         for rec in _resumed_records(log_path, plan):
             done += 1

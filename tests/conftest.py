@@ -2,6 +2,7 @@ import itertools
 import random
 from functools import lru_cache
 
+import networkx as nx
 from hypothesis import strategies as st
 
 from edgecritic.coloring import (
@@ -10,13 +11,14 @@ from edgecritic.coloring import (
     PartialEdgeColoring,
     _bits,
 )
-from edgecritic.enumeration import enumerate_small_graphs
 from edgecritic.graph6 import parse_graph6
 from edgecritic.graphs import (
     Graph,
     automorphism_generators,
+    canonical_mask,
     cycle,
     edge_key,
+    graph_from_mask,
     make_graph,
     orbit_closure,
     petersen_minus_vertex,
@@ -74,9 +76,30 @@ def small_graphs(draw, min_n=2, max_n=7, min_m=1):
 
 
 @lru_cache(maxsize=None)
+def small_graph_corpus(max_edges: int) -> tuple[Graph, ...]:
+    """Every graph on at most 7 vertices with 1..max_edges edges and no
+    isolated vertex, one per isomorphism class, each as the graph of its
+    canonical mask, sorted by (edges, order, mask).
+
+    The classes come from the networkx graph atlas, which lists every graph
+    on at most 7 vertices once up to isomorphism (Read and Wilson, An Atlas
+    of Graphs, 1998), so which classes the corpus holds does not rest on
+    `canonical_mask`; only their labellings do.
+    """
+    out = []
+    for ag in nx.graph_atlas_g():
+        n = ag.number_of_nodes()
+        if not 1 <= ag.number_of_edges() <= max_edges or any(d == 0 for _, d in ag.degree()):
+            continue
+        out.append(graph_from_mask(n, canonical_mask(make_graph(n, ag.edges()))))
+    out.sort(key=lambda g: (g.edge_count(), g.n, g.triangle_mask()))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _class_two_pool() -> tuple[Graph, ...]:
     """Every class-2 graph on at most 7 vertices without isolated vertices (50 classes)."""
-    return tuple(g for g in enumerate_small_graphs(21, 7) if find_delta_coloring(g) is None)
+    return tuple(g for g in small_graph_corpus(21) if find_delta_coloring(g) is None)
 
 
 @st.composite
@@ -100,6 +123,30 @@ def corpus_hosts() -> list[Graph]:
     hosts.extend(cycle(k) for k in range(3, 10))
     hosts.append(petersen_minus_vertex())
     return hosts
+
+
+# Plain backtracking over vertex images: the reference that
+# `graphs.automorphism_generators` and the split planning are checked against.
+def all_automorphisms(graph: Graph) -> list[tuple[int, ...]]:
+    """Every adjacency-preserving relabelling, identity first, in
+    lexicographic order. Vertex v takes its image after 0..v-1 have theirs,
+    and each image must keep v's adjacency to every vertex mapped before it."""
+    n = graph.n
+    adjacent = [[graph.has_edge(u, v) for v in range(n)] for u in range(n)]
+    found = []
+
+    def extend(image: tuple[int, ...]) -> None:
+        v = len(image)
+        if v == n:
+            found.append(image)
+            return
+        for w in range(n):
+            if w not in image and all(adjacent[u][v] == adjacent[image[u]][w]
+                                      for u in range(v)):
+                extend(image + (w,))
+
+    extend(())
+    return found
 
 
 # The definition of a critical edge: the reference that

@@ -8,7 +8,7 @@ import contextlib
 import random
 import time
 
-from conftest import assert_proper, corpus_hosts, random_graph
+from conftest import assert_proper, corpus_hosts, random_graph, small_graph_corpus
 from edgecritic.coloring import (
     ImproperColoringError,
     LinkageError,
@@ -18,9 +18,8 @@ from edgecritic.coloring import (
     recolor_edge,
     subchain_swap,
 )
-from edgecritic.enumeration import enumerate_small_graphs
 from edgecritic.graphs import cycle, petersen_minus_vertex
-from edgecritic.lemmas import lemma_battery
+from edgecritic.lemmas import lemma_records
 from edgecritic.records import tally_verdicts
 from edgecritic.solver import (
     chromatic_index,
@@ -116,7 +115,7 @@ def test_criterion_5_lemma_battery_over_the_corpus():
         assert len(hosts) == 42
         total = {"pass": 0, "fail": 0, "skipped": 0, "undecided": 0}
         for g in hosts:
-            for verdict, n in tally_verdicts(lemma_battery(g)).items():
+            for verdict, n in tally_verdicts(lemma_records(g)).items():
                 total[verdict] += n
         assert total["fail"] == 0 and total["undecided"] == 0
         assert total["pass"] > 1000
@@ -154,7 +153,7 @@ def test_criterion_6_solver_agrees_with_plain_backtracking():
                 assert_proper(phi)
                 assert phi.is_full() and phi.k == g.max_degree()
 
-        corpus = enumerate_small_graphs(8)
+        corpus = small_graph_corpus(8)
         assert len(corpus) == 242
         for g in corpus:
             agree(g)
@@ -206,7 +205,7 @@ def test_criterion_7_recoloring_soundness():
         assert all(n > 1000 for n in done.values())
 
         instances = 0
-        for g in enumerate_small_graphs(8):
+        for g in small_graph_corpus(8):
             if not g.is_connected() or find_delta_coloring(g) is not None:
                 continue
             ok, _ = critical_edge_report(g)

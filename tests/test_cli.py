@@ -1,5 +1,6 @@
 """CLI surface: output shapes, exit codes, batch input."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,25 @@ def test_package_imports_without_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "False\n"
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies, and the tests need networkx,
+    # so an import of it under src/ would pass here and break an install
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert modules
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_cli_import_does_not_load_multiprocessing():
@@ -144,6 +165,9 @@ def test_split_wants_one_graph(tmp_path, capsys):
     (["split", "--builder", "c4", "--vertex", "0", "--part-a", "1,3"],
      "both split parts must be nonempty"),
     (["sweep", "--degrees", "3,x"], "not a comma list of integers: '3,x'"),
+    (["sweep", "--degrees", "99", "--m-max", "8"], "degrees must lie in 2..7, not [99]"),
+    (["sweep", "--degrees", "1,3"], "degrees must lie in 2..7, not [1, 3]"),
+    (["theorem1", "--m-max", "4", "--resume"], "resume needs a log path"),
     (["chi", "--builder", "petersen", "--budget-ms", "-5"],
      "not a finite budget above 0 ms: '-5'"),
     (["chi", "--builder", "petersen", "--budget-ms", "0"],
@@ -154,11 +178,13 @@ def test_split_wants_one_graph(tmp_path, capsys):
     (["lemmas", "--builder", "c5", "--budget-ms", "ten"],
      "not a finite budget above 0 ms: 'ten'"),
 ], ids=["vertex-high", "vertex-negative", "part-a", "split-budget", "split-not-partition",
-        "split-b-empty", "degrees", "budget-negative", "budget-zero", "budget-nan", "budget-inf",
+        "split-b-empty", "degrees", "degree-above-order", "degree-below-two",
+        "resume-without-log", "budget-negative", "budget-zero", "budget-nan", "budget-inf",
         "budget-word"])
 def test_bad_flag_values_exit_two(capsys, argv, message):
     assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
 
 
 def test_lemmas_battery_lines(capsys):
@@ -237,7 +263,7 @@ def test_lemmas_prints_each_record_as_it_is_judged(tmp_path, monkeypatch):
     first = io.StringIO()
     with contextlib.redirect_stdout(first):
         assert main(["lemmas", "--json", "--graph6", "Bw"]) == 0
-    judged = [r.to_json_line() + "\n" for r in lemmas.lemma_battery(parse_graph6("Fj\\|w"))]
+    judged = [r.to_json_line() + "\n" for r in lemmas.lemma_records(parse_graph6("Fj\\|w"))]
     out = FlushedStdout()
     printed = []
 
@@ -327,6 +353,23 @@ def test_figure1_bytes_are_pinned(capsys, argv, digest):
     # the witness, its coloring included, is the first hit in the search order
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["sweep", "--degrees", "3", "--m-max", "8", "--log"], 1,
+     "18fe1da96e187afc8e99d58994d7bee3644fcdf84730f68bcd9672cc6030026f"),
+    (["theorem1", "--m-max", "8", "--log"], 0,
+     "14d3a2d618a9cc4b1748bd43801ed7932d64c378e605acba7cd181c2e16c8d0a"),
+    (["critical", "--builder", "petersen_minus_vertex"], 0,
+     "7b56bc7700ff60cfbe4657cb193abefe3a97b56ca918c229cec9eb08e21684b7"),
+], ids=["cubic-sweep-log", "theorem1-log", "critical-petersen-minus-vertex"])
+def test_published_outputs_are_pinned(tmp_path, capsys, argv, code, digest):
+    # a run that ends in --log is pinned by its log, any other by its stdout
+    log = tmp_path / "run.jsonl"
+    logged = argv[-1] == "--log"
+    assert main([*argv, str(log)] if logged else argv) == code
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(log.read_bytes() if logged else out).hexdigest() == digest
 
 
 @pytest.mark.parametrize("conclusion, host_class2, code", [

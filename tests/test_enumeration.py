@@ -1,13 +1,22 @@
-"""Regular-graph and small-graph enumeration against independent oracles."""
+"""Regular-graph enumeration and canonical masks against independent oracles."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
+from conftest import small_graph_corpus
 from edgecritic import enumeration
-from edgecritic.enumeration import enumerate_regular_graphs, enumerate_small_graphs
-from edgecritic.graphs import Graph, GraphError, canonical_mask, make_graph
+from edgecritic.enumeration import enumerate_regular_graphs
+from edgecritic.graphs import (
+    Graph,
+    GraphError,
+    canonical_mask,
+    edge_key,
+    graph_from_mask,
+    make_graph,
+)
 
 
 def _from_mask(n: int, mask: int) -> Graph:
@@ -241,61 +250,102 @@ def test_switch_closure_matches_labelled_stream_through_order_eight():
 # ------------------------------------------------------- small graphs
 
 def test_small_graph_corpus_size():
-    corpus = enumerate_small_graphs(8)
-    assert len(corpus) == 242
+    assert len(small_graph_corpus(8)) == 242
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def test_small_graph_corpus_against_atlas():
-    # the atlas holds every graph on <= 7 vertices; our corpus keeps those
-    # with 1..8 edges and no isolated vertices
-    buckets = {}
-    total = 0
+    # the atlas lists each graph on <= 7 vertices once up to isomorphism, so
+    # the corpus keeps one graph per class exactly when canonical masks part
+    # every two atlas graphs of one order and ignore relabelling
+    rng = random.Random(1253)
+    seen = set()
     for ag in nx.graph_atlas_g():
-        e = ag.number_of_edges()
-        if not 1 <= e <= 8:
-            continue
-        if any(d == 0 for _, d in ag.degree()):
-            continue
-        buckets.setdefault((ag.number_of_nodes(), e), []).append(ag)
-        total += 1
+        g = make_graph(ag.number_of_nodes(), ag.edges())
+        key = (g.n, canonical_mask(g))
+        assert key not in seen
+        seen.add(key)
+        assert canonical_mask(_relabelled(g, rng)) == key[1]
+    assert len(seen) == 1253
 
-    corpus = enumerate_small_graphs(8)
-    assert len(corpus) == total
-    for g in corpus:
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges)
-        candidates = buckets.get((g.n, g.edge_count()), [])
-        hits = [c for c in candidates if nx.is_isomorphic(h, c)]
-        assert len(hits) == 1
-        candidates.remove(hits[0])
-    assert all(not leftover for leftover in buckets.values())
+
+def test_canonical_masks_agree_with_networkx_on_orders_eight_to_ten():
+    # pairs with equal degree sequences: a graph and a relabelled copy after
+    # zero to two random double-edge switches, which keep every degree
+    rng = random.Random(810)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(8, 10)
+        g = make_graph(n, rng.sample(list(itertools.combinations(range(n), 2)), 2 * n))
+        edges = set(g.edges)
+        switches = rng.randint(0, 2)
+        while switches:
+            (a, b), (c, d) = (rng.sample(e, 2) for e in rng.sample(sorted(edges), 2))
+            if len({a, b, c, d}) == 4 and not {edge_key(a, c), edge_key(b, d)} & edges:
+                edges -= {edge_key(a, b), edge_key(c, d)}
+                edges |= {edge_key(a, c), edge_key(b, d)}
+                switches -= 1
+        h = _relabelled(make_graph(n, edges), rng)
+        same = nx.is_isomorphic(_nx(g), _nx(h))
+        assert (canonical_mask(g) == canonical_mask(h)) == same
+        outcomes[same] += 1
+    assert min(outcomes.values()) > 50
+
+
+def _nx(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
 
 
 def test_small_graph_edge_histogram():
-    corpus = enumerate_small_graphs(4)
     by_edges = {}
-    for g in corpus:
+    for g in small_graph_corpus(4):
         by_edges[g.edge_count()] = by_edges.get(g.edge_count(), 0) + 1
     assert by_edges == {1: 1, 2: 2, 3: 5, 4: 10}
 
 
+def _grown_classes(max_edges: int, max_support: int) -> list[set[tuple[int, int]]]:
+    """The (order, canonical mask) pairs of the graphs with e edges, no
+    isolated vertex and at most max_support vertices, for e = 1..max_edges:
+    each level adds one edge to every graph of the level before, between two
+    of its vertices, to one new vertex, or on two new vertices."""
+    levels = [{(2, 1)}]
+    for _ in range(1, max_edges):
+        nxt = set()
+        for n, mask in levels[-1]:
+            g = graph_from_mask(n, mask)
+            children = [make_graph(n, g.edges | {(u, v)})
+                        for u, v in itertools.combinations(range(n), 2) if not g.has_edge(u, v)]
+            if n + 1 <= max_support:
+                children += [make_graph(n + 1, g.edges | {(v, n)}) for v in range(n)]
+            if n + 2 <= max_support:
+                children.append(make_graph(n + 2, g.edges | {(n, n + 1)}))
+            nxt |= {(child.n, canonical_mask(child)) for child in children}
+        levels.append(nxt)
+    return levels
+
+
 def test_small_graph_counts_match_oeis_a000664():
     # graphs with e edges and no isolated vertices: 1, 2, 5, 11, 26 for
-    # e = 1..5 (OEIS A000664); five edges span up to ten vertices
-    def by_edges(corpus):
-        return [sum(g.edge_count() == e for g in corpus) for e in range(1, 6)]
-
-    corpus = enumerate_small_graphs(5, max_support=10)
-    assert by_edges(corpus) == [1, 2, 5, 11, 26]
-    assert all(g.degree(v) > 0 for g in corpus for v in range(g.n))
+    # e = 1..5 (OEIS A000664); five edges span up to ten vertices, past the
+    # atlas, so the classes are grown edge by edge and told apart by mask
+    levels = _grown_classes(5, 10)
+    assert [len(level) for level in levels] == [1, 2, 5, 11, 26]
     # a nine-vertex cap drops exactly five disjoint edges
-    capped = enumerate_small_graphs(5, max_support=9)
-    assert by_edges(capped) == [1, 2, 5, 11, 25]
-    (lost,) = [g for g in corpus if g not in capped]
+    capped = _grown_classes(5, 9)
+    assert [len(level) for level in capped] == [1, 2, 5, 11, 25]
+    ((n, mask),) = levels[-1] - capped[-1]
+    lost = graph_from_mask(n, mask)
     assert lost.n == 10 and lost.max_degree() == 1
 
 
 def test_small_graph_no_isolated_vertices():
-    for g in enumerate_small_graphs(6):
+    for g in small_graph_corpus(6):
         assert all(g.degree(v) > 0 for v in range(g.n))

@@ -9,7 +9,6 @@ from edgecritic.enumeration import enumerate_regular_graphs
 from edgecritic.graphs import (
     GraphError,
     automorphism_generators,
-    automorphisms,
     canonical_mask,
     complete,
     complete_bipartite,
@@ -27,7 +26,7 @@ from edgecritic.graphs import (
     vertex_split,
 )
 
-from conftest import small_graphs
+from conftest import all_automorphisms, small_graphs
 
 
 def degree_sequence(g):
@@ -158,8 +157,9 @@ def test_order_ten_canonical_form_and_automorphisms():
         assert canonical_mask(_relabel(pet, perm)) == want
     assert canonical_mask(cycle(10)) != canonical_mask(complete_minus_matching(10))
     for g, size in ((pet, 120), (complete_minus_matching(10), 3840)):
-        auts = automorphisms(g)
+        auts = all_automorphisms(g)
         assert len(auts) == size
+        assert _closure(automorphism_generators(g), 10) == set(auts)
         assert auts[0] == tuple(range(10))
         for p in auts:
             assert sorted(p) == list(range(10))
@@ -171,7 +171,7 @@ def test_order_ten_canonical_form_and_automorphisms():
 def test_symmetry_search_matches_brute_force(g):
     perms = list(itertools.permutations(range(g.n)))
     assert canonical_mask(g) == min(_relabel(g, p).triangle_mask() for p in perms)
-    assert automorphisms(g) == [p for p in perms
+    assert all_automorphisms(g) == [p for p in perms
                                 if all(g.has_edge(p[u], p[v]) for u, v in g.edges)]
 
 
@@ -184,12 +184,10 @@ def test_canonical_mask_is_permutation_invariant(g, rnd):
 
 
 def test_automorphism_group_sizes():
-    assert len(automorphisms(complete(4))) == 24
-    assert len(automorphisms(cycle(5))) == 10
-    assert len(automorphisms(complete_bipartite(3, 3))) == 72
-    assert len(automorphisms(cube())) == 48
-    assert len(automorphisms(prism())) == 12
-    assert len(automorphisms(complete_minus_matching(8))) == 384
+    for g, size in ((complete(4), 24), (cycle(5), 10), (complete_bipartite(3, 3), 72),
+                    (cube(), 48), (prism(), 12), (complete_minus_matching(8), 384)):
+        assert len(all_automorphisms(g)) == size
+        assert _group_order(automorphism_generators(g), g.n) == size
 
 
 def _group_order(gens, n):
@@ -226,7 +224,7 @@ def assert_generates_whole_group(g):
     for p in gens:
         assert sorted(p) == list(range(g.n))
         assert all(g.has_edge(p[u], p[v]) for u, v in g.edges)
-    auts = automorphisms(g)
+    auts = all_automorphisms(g)
     assert _closure(gens, g.n) == set(auts)
     # a strong generating set: the chain's orbit lengths multiply to the order
     assert _group_order(gens, g.n) == len(auts)
@@ -266,7 +264,7 @@ def test_order_ten_group_orders_from_generators_alone():
 
 def assert_stabilisers_generated(g):
     gens = automorphism_generators(g)
-    auts = automorphisms(g)
+    auts = all_automorphisms(g)
     identity = tuple(range(g.n))
     for v in range(g.n):
         stab = stabiliser_generators(gens, v)
@@ -292,7 +290,7 @@ def test_schreier_generators_generate_stabilisers_of_small_graphs(g):
 
 def test_automorphisms_preserve_adjacency():
     g = prism()
-    for p in automorphisms(g):
+    for p in automorphism_generators(g) + all_automorphisms(g):
         for u, v in g.edges:
             assert g.has_edge(p[u], p[v])
 

@@ -11,9 +11,14 @@ from hypothesis import given, settings
 
 import edgecritic.lemmas as lemmas
 import edgecritic.solver as solver
-from conftest import class_two_graphs, corpus_hosts, find_short_kites, unchecked_coloring
+from conftest import (
+    class_two_graphs,
+    corpus_hosts,
+    find_short_kites,
+    small_graph_corpus,
+    unchecked_coloring,
+)
 from edgecritic.coloring import PartialEdgeColoring
-from edgecritic.enumeration import enumerate_small_graphs
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import (
     complete,
@@ -30,7 +35,7 @@ from edgecritic.lemmas import (
     check_parity,
     check_single_subdelta,
     check_vizing_adjacency,
-    lemma_battery,
+    lemma_records,
 )
 from edgecritic.records import VerificationRecord, tally_verdicts
 from edgecritic.solver import (
@@ -254,7 +259,7 @@ def test_no_vertex_beyond_distance_two_reaches_the_deficiency_floor():
     # why check_deficiency_pair has no "d(x) >= n - |N(a) | N(b)|" clause:
     # only distance-two vertices could ever meet it
     pairs = 0
-    for g in enumerate_small_graphs(9, 7):
+    for g in small_graph_corpus(9):
         for a, b in find_full_deficiency_pairs(g):
             near = g.neighbors(a) | g.neighbors(b)
             two = {w for x in near for w in g.neighbors(x)} - near
@@ -373,7 +378,7 @@ def test_chain_route_fails_on_wrong_order():
 # ------------------------------------------------------------ battery
 
 def test_battery_on_c5():
-    records = lemma_battery(cycle(5))
+    records = list(lemma_records(cycle(5)))
     assert len(records) == 36
     assert tally_verdicts(records) == {"pass": 31, "fail": 0, "skipped": 5,
                                        "undecided": 0}
@@ -385,14 +390,14 @@ def test_battery_on_c5():
 
 
 def test_battery_on_class_one_host_never_fails():
-    tally = tally_verdicts(lemma_battery(cycle(6)))
+    tally = tally_verdicts(lemma_records(cycle(6)))
     assert tally["fail"] == 0 and tally["undecided"] == 0
     assert tally["pass"] >= 1  # the parity census still runs
 
 
 def test_battery_deterministic():
-    a = [r.to_json_line() for r in lemma_battery(cycle(5))]
-    b = [r.to_json_line() for r in lemma_battery(cycle(5))]
+    a = [r.to_json_line() for r in lemma_records(cycle(5))]
+    b = [r.to_json_line() for r in lemma_records(cycle(5))]
     assert a == b
 
 
@@ -421,7 +426,7 @@ def test_battery_drops_vacuous_kite_records_by_default(monkeypatch):
         assert [rec.verdict for rec in check_kite(phi, kite, host_class)] == ["skipped",
                                                                              "skipped"]
     calls = kite_checker_calls(monkeypatch)
-    lean = lemma_battery(host)
+    lean = list(lemma_records(host))
     kite_lemmas = {"short-kite-degree", "kite-chain-route"}
     assert all(r.lemma not in kite_lemmas for r in lean)
     # no kite of this host meets the kite hypotheses, so none is checked
@@ -429,9 +434,10 @@ def test_battery_drops_vacuous_kite_records_by_default(monkeypatch):
 
 
 def battery_evidence(graph):
-    """Every search the battery makes: the host's class, an optimal coloring
-    of the host, and a max-degree coloring (or None) of the host minus each
-    edge."""
+    """The battery's evidence, each piece searched for: the host's class, an
+    optimal coloring of the host (the battery builds a class-2 host's by
+    Vizing's construction instead), and a max-degree coloring (or None) of
+    the host minus each edge."""
     delta = graph.max_degree()
     full = find_delta_coloring(graph)
     host_class = 1 if full is not None else 2
@@ -439,6 +445,12 @@ def battery_evidence(graph):
         full = find_coloring(graph, delta + 1)
     return host_class, full, {e: find_coloring(graph, delta, hole=e)
                               for e in graph.sorted_edges()}
+
+
+def searched_census(graph):
+    """The parity census on the optimal coloring that `battery_evidence`
+    searched for: the reference for the battery's census record."""
+    return check_parity(battery_evidence(graph)[1])
 
 
 def refuse_search(*args, **kwargs):
@@ -480,7 +492,7 @@ def assert_battery_matches_reference(graph):
     want = [r.to_json_line() for r in reference_battery(graph, *battery_evidence(graph))]
     with pytest.MonkeyPatch.context() as mp:
         calls = kite_checker_calls(mp)
-        records = lemma_battery(graph)
+        records = list(lemma_records(graph))
     assert [r.to_json_line() for r in records] == want
     # the reference shares the id helper, so check the ids on their own
     assert all(r.instance_id.startswith(emit_graph6(graph) + " ") for r in records)
@@ -515,7 +527,7 @@ def test_battery_matches_reference_on_kite_hosts():
 
 def test_checkers_judge_given_evidence_without_searching(monkeypatch):
     host = parse_graph6(r"Fj\|w")  # a theorem-range split with kites and pairs
-    want = [r.to_json_line() for r in lemma_battery(host)]
+    want = [r.to_json_line() for r in lemma_records(host)]
     evidence = battery_evidence(host)
     monkeypatch.setattr(solver, "_solve", refuse_search)
     records = reference_battery(host, *evidence)
@@ -539,7 +551,7 @@ def test_battery_computes_kite_hypotheses_once_per_kite(monkeypatch):
     kite_records = 0
     for g in [complete(6)] + theorem_range_splits():
         del computed[:]
-        records = lemma_battery(g)
+        records = list(lemma_records(g))
         keys = [(id(phi), kite) for phi, kite in computed]
         assert len(set(keys)) == len(keys), emit_graph6(g)
         kite_records += sum(r.lemma in ("short-kite-degree", "kite-chain-route")
@@ -563,9 +575,11 @@ def test_battery_searches_each_hole_once(monkeypatch):
         return emit_graph6(graph)
     monkeypatch.setattr(lemmas, "emit_graph6", emit)
     lemmas._host_graph6.cache_clear()
-    records = lemma_battery(g)
-    assert searched == [None] + g.sorted_edges()
+    records = list(lemma_records(g))
+    # the host is class 2, and its census coloring is built, not searched
+    assert searched == g.sorted_edges()
     assert emitted == [g] and len(records) > 1
+    assert records[0].to_json_line() == searched_census(g).to_json_line()
 
 
 def test_battery_makes_one_max_degree_search_per_host(monkeypatch):
@@ -576,18 +590,38 @@ def test_battery_makes_one_max_degree_search_per_host(monkeypatch):
         return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
     monkeypatch.setattr(lemmas, "find_coloring", logged)
     monkeypatch.setattr(solver, "find_coloring", logged)
-    # the class decision is the only search of the whole host at delta
-    # colours; a class-2 host (C5) then needs delta + 1, while on a class-1
-    # host (C6) the class decision's coloring is the census coloring
-    for g, want in ((cycle(5), [2, 3]), (cycle(6), [2])):
+    # the class decision is the only search of the whole host: on a class-1
+    # host (C6) its coloring is the census coloring, and on a class-2 host
+    # (C5) Vizing's construction builds the census coloring
+    for g in (cycle(5), cycle(6)):
         del searched[:]
-        lemma_battery(g)
-        assert [k for k, hole in searched if hole is None] == want, emit_graph6(g)
+        records = list(lemma_records(g))
+        assert [k for k, hole in searched if hole is None] == [2], emit_graph6(g)
+        assert records[0].to_json_line() == searched_census(g).to_json_line()
+
+
+def test_battery_makes_no_spare_color_search_on_the_corpus(monkeypatch):
+    ks = []
+
+    def counted(graph, k, hole, budget, _solve=solver._solve):
+        ks.append(k)
+        return _solve(graph, k, hole, budget)
+    class_two = 0
+    for g in corpus_hosts():
+        want = searched_census(g).to_json_line()
+        del ks[:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_solve", counted)
+            records = list(lemma_records(g))
+        assert g.max_degree() + 1 not in ks, emit_graph6(g)
+        assert records[0].to_json_line() == want
+        class_two += records[0].instance_id.endswith(f" k={g.max_degree() + 1}")
+    assert class_two == 39
 
 
 def test_battery_leaves_an_edge_undecided_when_its_hole_search_runs_out(monkeypatch):
     g = parse_graph6(r"Fj\|w")  # class 2, with kites and a full-deficiency pair at 0-1
-    want = lemma_battery(g)
+    want = list(lemma_records(g))
     iid = emit_graph6(g) + " e=0-1"
     start = next(i for i, r in enumerate(want) if r.instance_id == iid)
     end = next(i for i, r in enumerate(want)
@@ -605,30 +639,21 @@ def test_battery_leaves_an_edge_undecided_when_its_hole_search_runs_out(monkeypa
             raise SearchBudgetExceeded("out of time")
         return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
     monkeypatch.setattr(lemmas, "find_coloring", boom)
-    got = lemma_battery(g)
+    got = list(lemma_records(g))
     assert [r.to_json_line() for r in got] == [r.to_json_line() for r in expect]
     assert tally_verdicts(got)["undecided"] == 3
 
 
 def test_battery_leaves_parity_undecided_when_the_full_search_runs_out(monkeypatch):
     g = cycle(5)
-    want = lemma_battery(g)
+    want = list(lemma_records(g))
 
-    def boom(graph, k, hole=None, budget_ms=None):
-        if hole is None:
-            raise SearchBudgetExceeded("out of time")
-        return find_coloring(graph, k, hole=hole, budget_ms=budget_ms)
-    monkeypatch.setattr(lemmas, "find_coloring", boom)
-    got = lemma_battery(g)
-    assert got[0].to_json_line() == VerificationRecord("parity-census", "Dhc k=3").to_json_line()
-    assert got[0].verdict == "undecided"
-    assert [r.to_json_line() for r in got[1:]] == [r.to_json_line() for r in want[1:]]
-
-    # with the class decision out of budget too, no claim that needs it is decided
+    # with the class decision out of budget, no claim that needs it is decided,
+    # and the parity census, whose coloring that search finds, is undecided too
     def out_of_time(graph, budget_ms=None):
         raise SearchBudgetExceeded("out of time")
     monkeypatch.setattr(lemmas, "find_delta_coloring", out_of_time)
-    got = lemma_battery(g)
+    got = list(lemma_records(g))
     assert got[0].instance_id == "Dhc k=?"
     assert len(got) == len(want)
     assert {r.verdict for r in got} == {"undecided", "skipped"}
@@ -646,7 +671,7 @@ def test_battery_builds_only_the_kites_it_checks(monkeypatch):
     total = 0
     for g in corpus_hosts():
         start = len(calls)
-        records = lemma_battery(g)
+        records = list(lemma_records(g))
         # every kite checked keeps its short-kite-degree record
         kept = [r.instance_id for r in records if r.lemma == "short-kite-degree"]
         assert kept == [emit_graph6(g) + " kite=" + ",".join(map(str, kite))
@@ -692,7 +717,7 @@ def test_battery_checks_exactly_the_admissible_kites(monkeypatch):
     checked = 0
     for g in corpus_hosts() + [parse_graph6(r"Fj\|w"), parse_graph6("HY|vzyT")]:
         del calls[:], colorings[:]
-        lemma_battery(g)
+        list(lemma_records(g))
         assert colorings
         at = {}
         for phi, kite in calls:
@@ -706,7 +731,7 @@ def test_battery_checks_exactly_the_admissible_kites(monkeypatch):
 
 def test_battery_decides_the_class_once_when_it_runs_out(monkeypatch):
     g = parse_graph6(r"Fj\|w")  # class 2, every record of it passes
-    want = lemma_battery(g)
+    want = list(lemma_records(g))
     assert {r.verdict for r in want} == {"pass"}
     attempts = []
 
@@ -714,7 +739,7 @@ def test_battery_decides_the_class_once_when_it_runs_out(monkeypatch):
         attempts.append(graph)
         raise SearchBudgetExceeded("out of time")
     monkeypatch.setattr(lemmas, "find_delta_coloring", out_of_time)
-    got = lemma_battery(g)
+    got = list(lemma_records(g))
     assert attempts == [g]
     # every claim needs the class, so each record is left undecided with the
     # checker's own hypotheses
@@ -730,5 +755,5 @@ def test_battery_decides_the_class_once_when_it_runs_out(monkeypatch):
 def test_battery_builds_one_search_plan_per_host():
     for g in corpus_hosts():
         solver._search_plan.cache_clear()
-        lemma_battery(g)
+        list(lemma_records(g))
         assert solver._search_plan.cache_info().misses == 1, emit_graph6(g)

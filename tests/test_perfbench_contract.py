@@ -17,13 +17,14 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # traced names whose code left the package; the benchmark refresh prunes them
 STALE_TRACED = {
+    "graphs.automorphisms", "enumeration.enumerate_small_graphs",
     "coloring.chain_ray", "coloring.ray_swap", "coloring.color_uncolored",
     "coloring.slide_uncolored", "coloring.is_elementary",
     "solver.classify", "solver.classify_cached", "solver.is_critical_edge",
     "structures.is_multifan", "structures.is_kierstead_path",
     "structures.kite_in_graph", "structures.find_short_kites",
     "lemmas.check_short_kite", "lemmas.check_kite_chain_route",
-    "lemmas.build_contradiction_script", "lemmas.swap_rims_script",
+    "lemmas.build_contradiction_script", "lemmas.swap_rims_script", "lemmas.lemma_battery",
     "records.write_records",
     "recolor.apply_step", "recolor.execute_script",
 }

@@ -6,7 +6,7 @@ import pytest
 
 import edgecritic.lemmas as lemmas
 from conftest import corpus_hosts
-from edgecritic.lemmas import lemma_battery
+from edgecritic.lemmas import lemma_records
 from edgecritic.records import (
     RecordError,
     VerificationRecord,
@@ -80,7 +80,7 @@ def test_json_line_matches_json_dumps_on_every_built_record(monkeypatch):
 
     monkeypatch.setattr(lemmas, "check_kite", keep_kite_records)
     for g in corpus_hosts():
-        built.extend(lemma_battery(g))
+        built.extend(lemma_records(g))
     assert any(rec.lemma == "kite-chain-route" and rec.verdict == "skipped" for rec in built)
     for mode in ("theorem", "conjecture"):
         built.extend(run_sweep(SweepConfig(m_max=8, mode=mode, budget_ms=None)))

@@ -8,13 +8,12 @@ import pytest
 
 import edgecritic.solver as solver
 import edgecritic.verifier as verifier
-from conftest import assert_proper, split_orbits_from_every_vertex
+from conftest import all_automorphisms, assert_proper, split_orbits_from_every_vertex
 from edgecritic.coloring import ColoringError, coloring_from_text, elementary_violation
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.enumeration import enumerate_regular_graphs
 from edgecritic.graphs import (
     GraphError,
-    automorphisms,
     canonical_mask,
     complete,
     complete_minus_matching,
@@ -93,6 +92,14 @@ def test_config_validation_errors():
     for jobs in (0, -3):
         with pytest.raises(GraphError, match="jobs must be at least 1"):
             SweepConfig(jobs=jobs).validate()
+    # a degree outside 2..m_max-1 has no base to split, so it would plan nothing
+    for m_max, degrees in ((8, (99,)), (8, (3, 8)), (6, (0,)), (6, (1, 3))):
+        with pytest.raises(GraphError, match=rf"degrees must lie in 2\.\.{m_max - 1}"):
+            SweepConfig(m_max=m_max, mode="custom", degrees=degrees).validate()
+    for m_max in (4, 6, 8, 10):
+        config = SweepConfig(m_max=m_max, mode="custom", degrees=(2, m_max - 1))
+        config.validate()
+        assert plan_instances(config)
     for budget in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(GraphError, match="budget_ms must be finite and above 0"):
             SweepConfig(budget_ms=budget).validate()
@@ -104,7 +111,7 @@ def test_config_validation_errors():
 
 def full_group_split_orbits(base):
     """Split orbits mapped through the whole listed automorphism group."""
-    auts = automorphisms(base)
+    auts = all_automorphisms(base)
     seen = set()
     reps = []
     for v in range(base.n):
@@ -599,6 +606,13 @@ def test_drop_torn_line_reads_back_only_to_the_last_newline(tmp_path, monkeypatc
         kept = whole[:cut].rfind(b"\n") + 1
         assert log.read_bytes() == whole[:kept], cut
         assert opened.pop().read_bytes <= cut - kept + block, cut
+
+
+def test_sweep_resume_needs_a_log():
+    with pytest.raises(GraphError, match="resume needs a log path"):
+        list(run_sweep(cubic_m6_config(), resume=True))
+    with pytest.raises(GraphError, match="resume needs a log path"):
+        list(run_sweep(cubic_m6_config(), log_path="", resume=True))
 
 
 def test_sweep_resume_rejects_foreign_log(tmp_path):
