@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .graphs import (
     Edge,
@@ -18,7 +17,6 @@ from .graphs import (
 )
 
 
-@lru_cache(maxsize=None)
 def enumerate_regular_graphs(m: int, d: int) -> tuple[Graph, ...]:
     """Every d-regular simple graph on m vertices, one canonical representative
     per isomorphism class, in increasing canonical-mask order.

@@ -13,6 +13,8 @@ import os
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, islice
 from typing import Iterator
 
 from .certcheck import split_certificate_violation
@@ -166,34 +168,31 @@ def _instance_id(base_g6: str, v: int, a: tuple[int, ...], b: tuple[int, ...]) -
             f" B={','.join(map(str, b))}")
 
 
-def plan_instances(config: SweepConfig) -> list[SplitInstance]:
-    """Deterministic work list: every split of every base in range, deduped.
-    Base colourings are searched without a budget, so no machine changes it."""
-    config.validate()
-    plan: list[SplitInstance] = []
+def _connected_bases(config: SweepConfig) -> Iterator[Graph]:
+    """Every connected base in range, in plan order; one (order, degree)
+    class list is held at a time."""
     for m in range(4, config.m_max + 1, 2):
         for d in range(2, m):
-            if not config.degree_wanted(m, d):
-                continue
-            for base in enumerate_regular_graphs(m, d):
-                if not base.is_connected():
-                    continue
-                phi = find_delta_coloring(base)
-                if phi is None:  # class 2
-                    continue
-                g6 = emit_graph6(base)
-                text = phi.to_text()
-                for v, a, b in _split_orbits(base):
-                    plan.append(SplitInstance(
-                        instance_id=_instance_id(g6, v, a, b),
-                        base_graph6=g6,
-                        base_coloring_text=text,
-                        vertex=v,
-                        part_a=a,
-                        part_b=b,
-                        budget_ms=config.budget_ms,
-                    ))
-    return plan
+            if config.degree_wanted(m, d):
+                yield from filter(Graph.is_connected, enumerate_regular_graphs(m, d))
+
+
+def _base_instances(base: Graph, budget_ms: float | None) -> list[SplitInstance]:
+    """The splits of one base in plan order, none when it is class 2. Its
+    colouring is searched without a budget, so no machine changes the plan."""
+    phi = find_delta_coloring(base)
+    if phi is None:
+        return []
+    g6, text = emit_graph6(base), phi.to_text()
+    return [SplitInstance(_instance_id(g6, v, a, b), g6, text, v, a, b, budget_ms)
+            for v, a, b in _split_orbits(base)]
+
+
+def plan_instances(config: SweepConfig) -> list[SplitInstance]:
+    """Deterministic work list: every split of every base in range, deduped."""
+    config.validate()
+    return [inst for base in _connected_bases(config)
+            for inst in _base_instances(base, config.budget_ms)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +222,13 @@ def inherit_split_coloring(base_coloring: PartialEdgeColoring, v: int,
     return PartialEdgeColoring(split, base_coloring.k, assign, (v, twin))
 
 
+@lru_cache(maxsize=1)
+def _parsed_base(graph6: str, coloring_text: str) -> tuple[Graph, PartialEdgeColoring]:
+    """A base and its colouring, parsed once for a run of its splits."""
+    base = parse_graph6(graph6)
+    return base, coloring_from_text(base, coloring_text)
+
+
 def check_split_instance(inst: SplitInstance) -> VerificationRecord:
     """Class 2 and every edge critical, for one split of a connected, regular,
     class-1 base; off these hypotheses the split is skipped (`records.judge`).
@@ -232,8 +238,7 @@ def check_split_instance(inst: SplitInstance) -> VerificationRecord:
     coloring certifies the split edge critical; `certcheck` re-checks that
     certificate, overfullness too, from the base edges and (v, A, B) alone.
     """
-    base = parse_graph6(inst.base_graph6)
-    phi = coloring_from_text(base, inst.base_coloring_text)
+    base, phi = _parsed_base(inst.base_graph6, inst.base_coloring_text)
     inherited = inherit_split_coloring(phi, inst.vertex, inst.part_a, inst.part_b)
     g = inherited.graph
     # the carried base coloring, full or refused above, certifies class 1
@@ -284,45 +289,63 @@ def _drop_torn_line(log_path: str) -> None:
             pos = start
 
 
-def _resumed_records(log_path: str, plan: list[SplitInstance]) -> Iterator[VerificationRecord]:
-    """The log's records, each checked to be the next of the plan before it is yielded."""
-    for done, rec in enumerate(read_records(log_path)):
-        if done >= len(plan):
+def _resumed_records(log_path: str, tasks: Iterator[tuple[Graph, int]],
+                     budget_ms: float | None):
+    """Yield the log's records, each checked to be the next split of the plan,
+    and return the tasks left: the base the log stops in, from its first split
+    not logged, then every later base."""
+    planned = ((base, skip, inst) for base, _ in tasks
+               for skip, inst in enumerate(_base_instances(base, budget_ms)))
+    for done, rec in enumerate(read_records(log_path), 1):
+        _, _, want = next(planned, (None, None, None))
+        if want is None:
             raise RecordError(f"{log_path}: more records than planned instances")
-        want = plan[done]
         if rec.lemma != SPLIT_LEMMA or rec.instance_id != want.instance_id:
             raise RecordError(
-                f"{log_path}: record {done + 1} is {rec.instance_id!r}, "
+                f"{log_path}: record {done} is {rec.instance_id!r}, "
                 f"plan says {want.instance_id!r}")
         yield rec
+    rest = next(planned, None)
+    return chain([rest[:2]], tasks) if rest else tasks
 
 
-# instances submitted and not yet yielded, per worker: results come back in
-# plan order, so a slow instance at the head stops new submits. With 2 per
-# worker, `sweep --m-max 10 --jobs 2` ran about 7% slower than submitting
-# the whole plan at once; with 8 it is no slower.
+def _base_records(base: Graph, skip: int, budget_ms: float | None) -> Iterator[VerificationRecord]:
+    """Plan one base and check its splits from the `skip`-th on, each record
+    yielded when its check ends."""
+    return map(check_split_instance, _base_instances(base, budget_ms)[skip:])
+
+
+def _base_record_list(base: Graph, skip: int, budget_ms: float | None) -> list[VerificationRecord]:
+    return list(_base_records(base, skip, budget_ms))
+
+
+# bases submitted and not yet yielded, per worker: results come back in plan
+# order, so a slow base at the head stops new submits
 _WINDOW_PER_WORKER = 8
 
 
-def _checked_records(todo: list[SplitInstance], jobs: int) -> Iterator[VerificationRecord]:
-    """The records of `todo` in plan order. With jobs > 1 a process pool works
-    on them, and at most `_WINDOW_PER_WORKER` instances per worker are
-    submitted and not yet yielded, so the futures held do not grow with the
-    plan."""
-    if jobs == 1 or len(todo) < 2:
-        yield from map(check_split_instance, todo)
+def _checked_records(tasks: Iterator[tuple[Graph, int]], budget_ms: float | None,
+                     jobs: int) -> Iterator[VerificationRecord]:
+    """The records of each (base, first split) task, in plan order. With more
+    than one worker, a process pool plans and checks whole bases, at most
+    `_WINDOW_PER_WORKER` per worker submitted and not yet yielded, so the
+    futures held do not grow with the plan. The log does not depend on the
+    worker count, so it is capped at the CPUs and at the tasks."""
+    workers = min(jobs, os.cpu_count() or 1)
+    head = list(islice(tasks, _WINDOW_PER_WORKER * workers)) if workers > 1 else []
+    if len(head) < 2:
+        for task in chain(head, tasks):
+            yield from _base_records(*task, budget_ms)
         return
     # imported here, so serial runs do not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    workers = min(jobs, len(todo))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        window = deque()
-        for inst in todo:
-            if len(window) == _WINDOW_PER_WORKER * workers:
-                yield window.popleft().result()
-            window.append(pool.submit(check_split_instance, inst))
+    with ProcessPoolExecutor(max_workers=min(workers, len(head))) as pool:
+        window = deque(pool.submit(_base_record_list, *task, budget_ms) for task in head)
+        for task in tasks:
+            yield from window.popleft().result()
+            window.append(pool.submit(_base_record_list, *task, budget_ms))
         while window:
-            yield window.popleft().result()
+            yield from window.popleft().result()
 
 
 def run_sweep(config: SweepConfig, log_path: str | None = None,
@@ -331,21 +354,19 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
     the log being resumed, then each new one right after its line is written
     to the log and flushed. No record is kept.
 
-    The sweep is lazy: nothing is planned, checked or logged until the
-    records are consumed, so a caller that wants only the log still iterates,
+    The sweep is lazy: each base is planned and checked only when its records
+    are consumed, so a caller that wants only the log still iterates,
     e.g. `list(run_sweep(config, log_path=...))`. Resuming needs a log."""
     if resume and not log_path:
         raise GraphError("resume needs a log path")
-    plan = plan_instances(config)
-    done = 0
+    config.validate()
+    tasks = ((base, 0) for base in _connected_bases(config))
     if resume and os.path.exists(log_path):
         _drop_torn_line(log_path)
-        for rec in _resumed_records(log_path, plan):
-            done += 1
-            yield rec
-    with (open(log_path, "a" if done else "w", encoding="ascii") if log_path
+        tasks = yield from _resumed_records(log_path, tasks, config.budget_ms)
+    with (open(log_path, "a" if resume else "w", encoding="ascii") if log_path
           else nullcontext()) as sink:
-        for rec in _checked_records(plan[done:], config.jobs):
+        for rec in _checked_records(tasks, config.budget_ms, config.jobs):
             if sink:
                 sink.write(rec.to_json_line() + "\n")
                 sink.flush()

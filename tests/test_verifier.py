@@ -641,24 +641,88 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert list(read_records(str(log))) == serial
 
 
+def base_of(rec):
+    return rec.instance_id.split(" v=")[0]
+
+
+def test_sweep_plans_each_base_only_when_its_records_are_wanted(tmp_path, monkeypatch):
+    config = SweepConfig(m_max=8, mode="conjecture")
+    plan = plan_instances(config)
+    first = plan[0].base_graph6
+    per_base = sum(inst.base_graph6 == first for inst in plan)
+    enumerated, planned, checked = [], [], []
+
+    def enumerate_classes(m, d, _enumerate=enumerate_regular_graphs):
+        enumerated.append((m, d))
+        return _enumerate(m, d)
+
+    def plan(base, budget_ms, _plan=verifier._base_instances):
+        planned.append(emit_graph6(base))
+        return _plan(base, budget_ms)
+
+    def check(inst, _check=verifier.check_split_instance):
+        checked.append(inst.instance_id)
+        if len(checked) > per_base:
+            raise RuntimeError("halt")
+        return _check(inst)
+    monkeypatch.setattr(verifier, "enumerate_regular_graphs", enumerate_classes)
+    monkeypatch.setattr(verifier, "_base_instances", plan)
+    monkeypatch.setattr(verifier, "check_split_instance", check)
+    log = tmp_path / "cut.jsonl"
+    records = run_sweep(config, log_path=str(log))
+    assert [base_of(rec) for rec in itertools.islice(records, per_base)] == [first] * per_base
+    assert planned == [first] and enumerated == [(4, 2)]
+    assert len(log.read_text().splitlines()) == per_base
+    with pytest.raises(RuntimeError, match="halt"):
+        next(records)
+    # the check that raised belongs to the second base; no later base was planned
+    assert len(planned) == 2 and checked[-1].startswith(planned[1] + " ")
+    assert len(log.read_text().splitlines()) == per_base
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_resume_restarts_at_a_base_boundary_inside_a_base_and_at_a_torn_line(
+        tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    log = tmp_path / "full.jsonl"
+    records = list(run_sweep(SweepConfig(), log_path=str(log)))
+    whole = log.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    # the first split of the first base after the first with more than one split
+    i = next(i for i in range(1, len(records) - 1)
+             if base_of(records[i - 1]) != base_of(records[i]) == base_of(records[i + 1]))
+    boundary = len(b"".join(lines[:i]))
+    inside = boundary + len(lines[i])
+    torn = inside + len(lines[i + 1]) // 2
+    cut = tmp_path / "cut.jsonl"
+    for end in (boundary, inside, torn):
+        cut.write_bytes(whole[:end])
+        resumed = list(run_sweep(SweepConfig(jobs=jobs), log_path=str(cut), resume=True))
+        assert cut.read_bytes() == whole, end
+        assert resumed == records, end
+
+
 def test_sweep_jobs_keep_a_constant_window_of_futures(tmp_path, monkeypatch):
     from concurrent.futures import ProcessPoolExecutor
     submitted = []
     real_submit = ProcessPoolExecutor.submit
 
     def submit(self, fn, *args):
-        submitted.append(args[0].instance_id)
+        submitted.append(emit_graph6(args[0]))
         return real_submit(self, fn, *args)
     monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
     log = tmp_path / "m8.jsonl"
-    # how many instances were submitted when each record arrived
-    seen = [len(submitted) for _ in run_sweep(SweepConfig(m_max=8, mode="conjecture", jobs=2),
-                                              log_path=str(log))]
-    assert len(seen) == len(submitted) == 107
+    # how many bases were submitted when each record arrived, and its base's place
+    seen, place = [], []
+    for rec in run_sweep(SweepConfig(m_max=8, mode="conjecture", jobs=2), log_path=str(log)):
+        seen.append(len(submitted))
+        place.append(submitted.index(base_of(rec)))
+    assert len(seen) == 107 and len(submitted) == len(set(submitted)) == 22
     window = verifier._WINDOW_PER_WORKER * 2
-    assert window < 107
+    assert window < 22
     assert seen[0] == window
-    assert all(count <= i + window for i, count in enumerate(seen))
+    assert all(count <= i + window for i, count in zip(place, seen))
     assert hashlib.sha256(log.read_bytes()).hexdigest() == \
         "f25862d4951f34526f8a8e128faec28175ab43ef86b5e4954ac609b2733f3b8f"
 
@@ -684,10 +748,14 @@ def test_sweep_starts_no_more_workers_than_instances(monkeypatch):
             return future
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     serial = list(run_sweep(cubic_m6_config()))
-    assert list(run_sweep(cubic_m6_config(jobs=5000))) == serial
-    assert started == [len(CUBIC_M6_IDS)]
-    assert list(run_sweep(cubic_m6_config(jobs=2))) == serial
-    assert started == [len(CUBIC_M6_IDS), 2]
+    # the cubic sweep through order 6 has three bases; one CPU, or an unknown
+    # count, runs serially and starts no pool
+    for cpus, jobs, workers in ((64, 5000, [3]), (2, 5000, [2]), (64, 2, [2]),
+                                (1, 2, []), (None, 2, [])):
+        started.clear()
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cpus)
+        assert list(run_sweep(cubic_m6_config(jobs=jobs))) == serial
+        assert started == workers, (cpus, jobs)
 
 
 # ------------------------------------------------------------- 9-vertex hunt
