@@ -49,7 +49,6 @@ from .lemmas import (
     check_kite,
     check_multifan,
     check_parity,
-    check_single_subdelta,
     check_vizing_adjacency,
     lemma_records,
 )

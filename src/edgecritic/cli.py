@@ -35,8 +35,8 @@ from .solver import (
     SearchBudgetExceeded,
     chromatic_index,
     critical_edge_report,
-    find_coloring,
     find_delta_coloring,
+    vizing_color,
 )
 from .verifier import (
     SweepConfig,
@@ -112,9 +112,7 @@ def _print_records(records: Iterable[VerificationRecord], as_json: bool) -> dict
     """Print each record as it arrives and return the tally of their verdicts;
     no record is kept. Stdout is flushed after every record, so a pipe or a
     file sees it too, not only a terminal."""
-    tally = tally_verdicts(())
-    for rec in records:
-        tally[rec.verdict] += 1
+    def printed(rec: VerificationRecord) -> VerificationRecord:
         if as_json:
             print(rec.to_json_line())
         else:
@@ -122,7 +120,8 @@ def _print_records(records: Iterable[VerificationRecord], as_json: bool) -> dict
             if rec.verdict == "fail" and rec.witness is not None:
                 print(f"          witness: {json.dumps(rec.witness, sort_keys=True)}")
         sys.stdout.flush()
-    return tally
+        return rec
+    return tally_verdicts(map(printed, records))
 
 
 def _finish(tally: dict[str, int], as_json: bool) -> int:
@@ -157,7 +156,7 @@ def _cmd_color(args) -> int:
     for label, g in _load_graphs(args):
         phi = find_delta_coloring(g, args.budget_ms)
         if phi is None:
-            phi = find_coloring(g, g.max_degree() + 1, budget_ms=args.budget_ms)
+            phi = vizing_color(g)
         if args.json:
             print(json.dumps({"graph6": emit_graph6(g), "k": phi.k,
                               "edges": [[u, v, c] for (u, v), c in phi.colored_items()]},

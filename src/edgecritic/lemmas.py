@@ -115,21 +115,25 @@ def check_vizing_adjacency(graph: Graph, u: int, v: int,
                  (host_class, _hole_colorable(graph, (u, v), hole_coloring)), violation)
 
 
-def _pair_hypotheses(graph: Graph, pair: Edge) -> dict[str, bool]:
-    a, b = pair
-    return {"adjacent": graph.has_edge(a, b),
-            "full_deficiency": graph.degree(a) + graph.degree(b) == graph.max_degree() + 2}
-
-
 def check_deficiency_pair(graph: Graph, pair: Edge,
                           hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
                           host_class: int | SearchBudgetExceeded
-                          ) -> VerificationRecord:
-    """Degree structure around a critical edge whose ends have full deficiency."""
+                          ) -> tuple[VerificationRecord, VerificationRecord]:
+    """Both full-deficiency statements on one critical edge whose ends' degrees
+    sum to max degree + 2.
+
+    deficiency-pair-degrees: the degree structure around the pair.
+    single-subdelta: with max degree at least 3(n-1)/4, at most one outside
+    vertex sits one below it.
+    """
     a, b = pair
     delta = graph.max_degree()
+    iid = _ids(graph, f"pair={a},{b}")
+    hyp = {"adjacent": graph.has_edge(a, b),
+           "full_deficiency": graph.degree(a) + graph.degree(b) == delta + 2}
+    critical = (host_class, _hole_colorable(graph, pair, hole_coloring))
 
-    def violation():
+    def degrees_violation():
         both_low = graph.degree(a) < delta and graph.degree(b) < delta
         # the pair is adjacent, so near holds a and b
         near = graph.neighbors(a) | graph.neighbors(b)
@@ -152,28 +156,15 @@ def check_deficiency_pair(graph: Graph, pair: Edge,
                 return {"part": "odd-order-lonely-vertex", "vertex": low[0]}
         return None
 
-    return _gate("deficiency-pair-degrees", _ids(graph, f"pair={a},{b}"),
-                 _pair_hypotheses(graph, pair),
-                 (host_class, _hole_colorable(graph, (a, b), hole_coloring)), violation)
-
-
-def check_single_subdelta(graph: Graph, pair: Edge,
-                          hole_coloring: PartialEdgeColoring | SearchBudgetExceeded | None,
-                          host_class: int | SearchBudgetExceeded
-                          ) -> VerificationRecord:
-    """With max degree at least 3(n-1)/4, at most one outside vertex sits one below it."""
-    a, b = pair
-    delta = graph.max_degree()
-    hyp = _pair_hypotheses(graph, pair)
-    hyp["degree_bound"] = 4 * delta >= 3 * (graph.n - 1)
-
-    def violation():
+    def subdelta_violation():
         nearly = [x for x in range(graph.n)
                   if x not in (a, b) and graph.degree(x) == delta - 1]
         return {"vertices": nearly} if len(nearly) > 1 else None
 
-    return _gate("single-subdelta", _ids(graph, f"pair={a},{b}"), hyp,
-                 (host_class, _hole_colorable(graph, (a, b), hole_coloring)), violation)
+    return (_gate("deficiency-pair-degrees", iid, hyp, critical, degrees_violation),
+            _gate("single-subdelta", iid,
+                  {**hyp, "degree_bound": 4 * delta >= 3 * (graph.n - 1)},
+                  critical, subdelta_violation))
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +355,7 @@ def lemma_records(graph: Graph, budget_ms: float | None = None) -> Iterator[Veri
             phi = exc
         yield check_vizing_adjacency(graph, *e, phi, host_class)
         if e in pairs:
-            pair_records += [check_deficiency_pair(graph, e, phi, host_class),
-                             check_single_subdelta(graph, e, phi, host_class)]
+            pair_records += check_deficiency_pair(graph, e, phi, host_class)
         if not isinstance(phi, PartialEdgeColoring):
             continue
         for center in e:

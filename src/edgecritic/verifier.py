@@ -201,24 +201,20 @@ def plan_instances(config: SweepConfig) -> list[SplitInstance]:
 
 def inherit_split_coloring(base_coloring: PartialEdgeColoring, v: int,
                            part_a, part_b) -> PartialEdgeColoring:
-    """Carry a full coloring of the base over the split (v, A, B); the new edge
-    is the hole.
+    """Carry a full coloring of the base over the split (v, A, B): each split
+    edge takes the color of the base edge it came from, and the new edge is
+    the hole.
 
     This certifies the split edge critical without any search: the result is a
     proper max-degree coloring of the split graph minus its new edge.
     """
     if not base_coloring.is_full():
         raise ColoringError("base coloring must be full")
-    base = base_coloring.graph
-    split = vertex_split(base, v, part_a, part_b)
-    twin = base.n
-    assign = {}
-    for (p, q), c in base_coloring.colored_items():
-        if p == v:
-            p = v if q in part_a else twin
-        if q == v:
-            q = v if p in part_a else twin
-        assign[(p, q) if p < q else (q, p)] = c
+    twin = base_coloring.graph.n
+    split = vertex_split(base_coloring.graph, v, part_a, part_b)
+    # the twin is the highest id, so it ends each of its edges (p, twin)
+    assign = {(p, q): base_coloring.color_of(p, v if q == twin else q)
+              for p, q in split.edges if (p, q) != (v, twin)}
     return PartialEdgeColoring(split, base_coloring.k, assign, (v, twin))
 
 
@@ -289,13 +285,13 @@ def _drop_torn_line(log_path: str) -> None:
             pos = start
 
 
-def _resumed_records(log_path: str, tasks: Iterator[tuple[Graph, int]],
-                     budget_ms: float | None):
+def _resumed_records(log_path: str, tasks: Iterator[tuple[Graph, int]]):
     """Yield the log's records, each checked to be the next split of the plan,
     and return the tasks left: the base the log stops in, from its first split
-    not logged, then every later base."""
+    not logged, then every later base. Only instance ids are compared, and
+    they do not depend on the budget."""
     planned = ((base, skip, inst) for base, _ in tasks
-               for skip, inst in enumerate(_base_instances(base, budget_ms)))
+               for skip, inst in enumerate(_base_instances(base, None)))
     for done, rec in enumerate(read_records(log_path), 1):
         _, _, want = next(planned, (None, None, None))
         if want is None:
@@ -363,7 +359,7 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
     tasks = ((base, 0) for base in _connected_bases(config))
     if resume and os.path.exists(log_path):
         _drop_torn_line(log_path)
-        tasks = yield from _resumed_records(log_path, tasks, config.budget_ms)
+        tasks = yield from _resumed_records(log_path, tasks)
     with (open(log_path, "a" if resume else "w", encoding="ascii") if log_path
           else nullcontext()) as sink:
         for rec in _checked_records(tasks, config.budget_ms, config.jobs):

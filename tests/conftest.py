@@ -11,6 +11,7 @@ from edgecritic.coloring import (
     PartialEdgeColoring,
     _bits,
 )
+from edgecritic.enumeration import enumerate_regular_graphs
 from edgecritic.graph6 import parse_graph6
 from edgecritic.graphs import (
     Graph,
@@ -109,6 +110,16 @@ def class_two_graphs(draw, min_n=2, min_m=1):
                               if g.n >= min_n and g.edge_count() >= min_m]))
     perm = draw(st.permutations(range(g.n)))
     return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@lru_cache(maxsize=None)
+def regular_classes(m: int, d: int) -> tuple[Graph, ...]:
+    """`enumerate_regular_graphs(m, d)`, enumerated once per pytest run.
+
+    For tests that only need the classes, up to order 10, where one
+    enumeration takes up to a second; a test that counts enumerator calls
+    calls the enumerator itself."""
+    return tuple(enumerate_regular_graphs(m, d))
 
 
 def corpus_hosts() -> list[Graph]:

@@ -1,6 +1,7 @@
 """CLI surface: output shapes, exit codes, batch input."""
 
 import ast
+import collections
 import contextlib
 import hashlib
 import io
@@ -16,13 +17,13 @@ import edgecritic.cli as cli
 import edgecritic.lemmas as lemmas
 import edgecritic.solver as solver
 import edgecritic.verifier as verifier
-from conftest import corpus_hosts
+from conftest import assert_proper, corpus_hosts
 from edgecritic.cli import build_named, main
 from edgecritic.coloring import PartialEdgeColoring
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import GraphError, complete, cycle, petersen
 from edgecritic.records import VerificationRecord, record_from_json_line
-from edgecritic.solver import SearchBudgetExceeded
+from edgecritic.solver import SearchBudgetExceeded, find_delta_coloring, vizing_color
 
 
 def test_package_imports_without_numpy():
@@ -100,19 +101,25 @@ def test_color_output_is_a_proper_coloring(capsys):
     assert capsys.readouterr().out.startswith("k=3 uncolored=none\n")
 
 
-@pytest.mark.parametrize("builder, searched", [("cube", [3]), ("petersen", [3, 4])],
-                         ids=["cube", "petersen"])
-def test_color_searches_at_delta_once(monkeypatch, capsys, builder, searched):
-    # class 1 keeps the coloring of the class decision; class 2 adds one spare color
+@pytest.mark.parametrize("builder, k", [("cube", 3), ("petersen", 4), ("c5", 3), ("k5", 5)],
+                         ids=["cube", "petersen", "c5", "k5"])
+def test_color_searches_at_delta_once(monkeypatch, capsys, builder, k):
+    # class 1 keeps the coloring of the class decision; class 2 takes
+    # Vizing's, so no search ever runs with a spare color
     calls = []
 
     def counting(graph, k, hole, budget, _solve=solver._solve):
         calls.append(k)
         return _solve(graph, k, hole, budget)
     monkeypatch.setattr(solver, "_solve", counting)
-    assert main(["color", "--builder", builder]) == 0
-    capsys.readouterr()
-    assert calls == searched
+    assert main(["color", "--builder", builder, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    g = build_named(builder)
+    assert calls == [g.max_degree()]
+    want = find_delta_coloring(g) or vizing_color(g)
+    assert payload["k"] == want.k == k
+    assert payload["edges"] == [[u, v, c] for (u, v), c in want.colored_items()]
+    assert_proper(PartialEdgeColoring(g, payload["k"], {(u, v): c for u, v, c in payload["edges"]}))
 
 
 def test_critical_lines(capsys):
@@ -210,6 +217,25 @@ def test_lemmas_json_over_the_corpus_is_pinned(tmp_path, capsys):
     assert out.count(b"\n") == 7217
     assert hashlib.sha256(out).hexdigest() == \
         "b449ffaab0e349c801e255a77bd17aef2edb8393e120b4f1f972ee81a7e0fe68"
+
+
+def test_kite_chain_route_is_vacuous_on_the_corpus(tmp_path, capsys, monkeypatch):
+    # the route's normalized kite needs three sub-max-degree vertices, and the
+    # corpus hosts with kites are splits, which have two; counted here is the
+    # first false route hypothesis of each kite the battery checks
+    stops = collections.Counter()
+
+    def counted(coloring, kite, host_class, _check=lemmas.check_kite):
+        records = _check(coloring, kite, host_class)
+        stops[next((h for h, ok in records[1].hypotheses.items() if not ok), None)] += 1
+        return records
+    monkeypatch.setattr(lemmas, "check_kite", counted)
+    hosts = tmp_path / "hosts.g6"
+    hosts.write_text("".join(emit_graph6(g) + "\n" for g in corpus_hosts()))
+    assert main(["lemmas", "--json", "--file", str(hosts)]) == 0
+    emitted = {record_from_json_line(line).lemma for line in capsys.readouterr().out.splitlines()}
+    assert "short-kite-degree" in emitted and "kite-chain-route" not in emitted
+    assert stops == {"tails_share_one_missing": 3094}
 
 
 def test_lemmas_streams_each_host_and_survives_a_search_out_of_budget(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import random
 import networkx as nx
 import pytest
 
-from conftest import small_graph_corpus
+from conftest import regular_classes, small_graph_corpus
 from edgecritic import enumeration
 from edgecritic.enumeration import enumerate_regular_graphs
 from edgecritic.graphs import (
@@ -75,8 +75,8 @@ def test_complement_duality():
     for n, d in pairs + [(10, 3), (10, 6), (10, 2), (10, 7)]:
         full = (1 << n * (n - 1) // 2) - 1
         complements = {canonical_mask(_from_mask(n, full ^ g.triangle_mask()))
-                       for g in enumerate_regular_graphs(n, d)}
-        assert complements == {g.triangle_mask() for g in enumerate_regular_graphs(n, n - 1 - d)}
+                       for g in regular_classes(n, d)}
+        assert complements == {g.triangle_mask() for g in regular_classes(n, n - 1 - d)}
 
 
 def test_parity_violation_raises():
@@ -148,14 +148,14 @@ ORDER_TEN_COUNTS = {2: 5, 3: 21, 4: 60, 5: 60, 6: 21, 7: 5}
 
 
 def test_order_ten_counts_match_oeis_a051031():
-    got = {d: len(enumerate_regular_graphs(10, d)) for d in ORDER_TEN_COUNTS}
+    got = {d: len(regular_classes(10, d)) for d in ORDER_TEN_COUNTS}
     assert got == ORDER_TEN_COUNTS
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_order_ten_classes_pairwise_non_isomorphic(d):
     graphs = []
-    for g in enumerate_regular_graphs(10, d):
+    for g in regular_classes(10, d):
         assert g.n == 10 and g.is_regular() and g.max_degree() == d
         h = nx.Graph()
         h.add_nodes_from(range(10))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edgecritic.enumeration import enumerate_regular_graphs
 from edgecritic.graphs import (
     GraphError,
     automorphism_generators,
@@ -26,7 +25,7 @@ from edgecritic.graphs import (
     vertex_split,
 )
 
-from conftest import all_automorphisms, small_graphs
+from conftest import all_automorphisms, regular_classes, small_graphs
 
 
 def degree_sequence(g):
@@ -236,7 +235,7 @@ def test_generators_generate_the_group_of_every_small_regular_graph():
         for d in range(m):
             if m * d % 2:
                 continue
-            for g in enumerate_regular_graphs(m, d):
+            for g in regular_classes(m, d):
                 assert_generates_whole_group(g)
                 count += 1
     assert count == 48
@@ -276,7 +275,7 @@ def test_schreier_generators_generate_every_vertex_stabiliser():
     for m in range(1, 9):
         for d in range(m):
             if m * d % 2 == 0:
-                for g in enumerate_regular_graphs(m, d):
+                for g in regular_classes(m, d):
                     assert_stabilisers_generated(g)
     for g in (petersen_minus_vertex(), complete_bipartite(2, 4), prism()):
         assert_stabilisers_generated(g)

@@ -33,7 +33,6 @@ from edgecritic.lemmas import (
     check_kite,
     check_multifan,
     check_parity,
-    check_single_subdelta,
     check_vizing_adjacency,
     lemma_records,
 )
@@ -188,8 +187,7 @@ def test_deficiency_checkers_on_split_host():
     host = vertex_split(complete(4), 0, (1,), (2, 3))
     for pair in ((0, 1), (0, 4)):
         phi = find_coloring(host, host.max_degree(), hole=pair)
-        assert check_deficiency_pair(host, pair, phi, 2).verdict == "pass"
-        assert check_single_subdelta(host, pair, phi, 2).verdict == "pass"
+        assert [r.verdict for r in check_deficiency_pair(host, pair, phi, 2)] == ["pass"] * 2
 
 
 def test_degree_counting_checkers_need_evidence_of_the_hole():
@@ -198,16 +196,15 @@ def test_degree_counting_checkers_need_evidence_of_the_hole():
     other_hole = find_coloring(host, host.max_degree(), hole=(0, 4))
     for rec in (check_vizing_adjacency(host, 0, 1, None, 2),
                 check_vizing_adjacency(host, 0, 1, other_hole, 2),
-                check_deficiency_pair(host, pair, None, 2),
-                check_single_subdelta(host, pair, other_hole, 2)):
+                *check_deficiency_pair(host, pair, None, 2),
+                *check_deficiency_pair(host, pair, other_hole, 2)):
         assert rec.verdict == "skipped"
         assert rec.hypotheses["class2"] is True
         assert rec.hypotheses["critical_edge"] is False
     # a hole search that ran out is no evidence either way
     ran_out = SearchBudgetExceeded("out of time")
     for rec in (check_vizing_adjacency(host, 0, 1, ran_out, 2),
-                check_deficiency_pair(host, pair, ran_out, 2),
-                check_single_subdelta(host, pair, ran_out, 2)):
+                *check_deficiency_pair(host, pair, ran_out, 2)):
         assert rec.verdict == "undecided"
         assert rec.hypotheses["class2"] is True
         assert "critical_edge" not in rec.hypotheses
@@ -218,13 +215,37 @@ def test_degree_counting_checkers_need_evidence_of_the_hole():
 
 
 def test_deficiency_checkers_skip_bad_hypotheses():
-    rec = check_deficiency_pair(cycle(5), (0, 2), None, 2)
-    assert rec.verdict == "skipped"
-    assert rec.hypotheses["adjacent"] is False
-    rec = check_single_subdelta(cycle(5), (0, 1),
-                                find_coloring(cycle(5), 2, hole=(0, 1)), 2)
+    for rec in check_deficiency_pair(cycle(5), (0, 2), None, 2):
+        assert rec.verdict == "skipped"
+        assert rec.hypotheses["adjacent"] is False
+    _, rec = check_deficiency_pair(cycle(5), (0, 1), find_coloring(cycle(5), 2, hole=(0, 1)), 2)
     assert rec.verdict == "skipped"
     assert rec.hypotheses["degree_bound"] is False
+
+
+def test_both_pair_records_judge_one_pair_on_every_corpus_pair():
+    # the single-subdelta record adds degree_bound to the pair's own
+    # hypotheses; the class ones follow only once all of those hold
+    pairs = 0
+    for g in corpus_hosts():
+        delta = g.max_degree()
+        host_class = 1 if find_delta_coloring(g) is not None else 2
+        bound = 4 * delta >= 3 * (g.n - 1)
+        for pair in find_full_deficiency_pairs(g):
+            phi = find_coloring(g, delta, hole=pair)
+            degrees, subdelta = check_deficiency_pair(g, pair, phi, host_class)
+            assert (degrees.lemma, subdelta.lemma) == ("deficiency-pair-degrees",
+                                                       "single-subdelta")
+            assert degrees.instance_id == subdelta.instance_id == \
+                f"{emit_graph6(g)} pair={pair[0]},{pair[1]}"
+            own = dict(list(degrees.hypotheses.items())[:2])
+            assert own == {"adjacent": True, "full_deficiency": True}
+            if bound:
+                assert subdelta.hypotheses == {**degrees.hypotheses, "degree_bound": True}
+            else:
+                assert subdelta.hypotheses == {**own, "degree_bound": False}
+            pairs += 1
+    assert pairs == 109
 
 
 @pytest.mark.parametrize("edges, pair, witness", [
@@ -248,7 +269,7 @@ def test_deficiency_pair_violation_witnesses(edges, pair, witness):
     # max-degree coloring of the host minus the pair, the pair is critical
     host = make_graph(max(map(max, edges)) + 1, edges)
     phi = find_coloring(host, host.max_degree(), hole=pair)
-    rec = check_deficiency_pair(host, pair, phi, 2)
+    rec, _ = check_deficiency_pair(host, pair, phi, 2)
     assert rec.hypotheses == {"adjacent": True, "full_deficiency": True,
                               "class2": True, "critical_edge": True}
     assert rec.verdict == "fail"
@@ -483,8 +504,7 @@ def reference_battery(graph, host_class, full, holes):
                         records.append(rec)
         for pair in find_full_deficiency_pairs(graph):
             phi = holes[pair]
-            records.append(check_deficiency_pair(graph, pair, phi, host_class))
-            records.append(check_single_subdelta(graph, pair, phi, host_class))
+            records += check_deficiency_pair(graph, pair, phi, host_class)
     return records
 
 

@@ -23,7 +23,7 @@ STALE_TRACED = {
     "solver.classify", "solver.classify_cached", "solver.is_critical_edge",
     "structures.is_multifan", "structures.is_kierstead_path",
     "structures.kite_in_graph", "structures.find_short_kites",
-    "lemmas.check_short_kite", "lemmas.check_kite_chain_route",
+    "lemmas.check_short_kite", "lemmas.check_kite_chain_route", "lemmas.check_single_subdelta",
     "lemmas.build_contradiction_script", "lemmas.swap_rims_script", "lemmas.lemma_battery",
     "records.write_records",
     "recolor.apply_step", "recolor.execute_script",

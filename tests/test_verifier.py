@@ -8,7 +8,12 @@ import pytest
 
 import edgecritic.solver as solver
 import edgecritic.verifier as verifier
-from conftest import all_automorphisms, assert_proper, split_orbits_from_every_vertex
+from conftest import (
+    all_automorphisms,
+    assert_proper,
+    regular_classes,
+    split_orbits_from_every_vertex,
+)
 from edgecritic.coloring import ColoringError, coloring_from_text, elementary_violation
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.enumeration import enumerate_regular_graphs
@@ -144,7 +149,7 @@ def test_split_orbits_match_full_group_through_order_eight():
         for d in range(m):
             if m * d % 2:
                 continue
-            for base in enumerate_regular_graphs(m, d):  # connected or not
+            for base in regular_classes(m, d):  # connected or not
                 assert verifier._split_orbits(base) == full_group_split_orbits(base), \
                     emit_graph6(base)
                 count += 1
@@ -156,7 +161,7 @@ def test_split_orbits_match_every_vertex_closure_at_order_ten():
     # representatives other than 0, which take Schreier generators
     count = 0
     for d in (3, 7, 8, 9):
-        for base in enumerate_regular_graphs(10, d):
+        for base in regular_classes(10, d):
             if base.is_connected():
                 assert verifier._split_orbits(base) == split_orbits_from_every_vertex(base), \
                     emit_graph6(base)
@@ -329,6 +334,29 @@ def test_inherit_split_coloring():
     assert_proper(inherited)
     assert not inherited.missing(0) & inherited.missing(4)
     assert inherited.missing(0) | inherited.missing(4) == {1, 2, 3}
+
+
+def test_inherited_split_edges_keep_the_colors_of_their_base_edges(monkeypatch):
+    # every split of the largest published plan: each split edge is read back
+    # to the base edge it came from (twin -> v), once each
+    monkeypatch.setattr(verifier, "enumerate_regular_graphs", regular_classes)
+    plan = plan_instances(SweepConfig(m_max=10, mode="conjecture"))
+    assert len(plan) == 6640
+    for g6, insts in itertools.groupby(plan, key=lambda inst: inst.base_graph6):
+        insts = list(insts)
+        base = parse_graph6(g6)
+        phi = coloring_from_text(base, insts[0].base_coloring_text)
+        for inst in insts:
+            v, twin = inst.vertex, base.n
+            inherited = inherit_split_coloring(phi, v, inst.part_a, inst.part_b)
+            assert inherited.graph == vertex_split(base, v, inst.part_a, inst.part_b)
+            assert inherited.uncolored == (v, twin)
+            origins = []
+            for (p, q), c in inherited.colored_items():
+                origin = edge_key(p, v if q == twin else q)
+                assert c == phi.color_of(*origin), (inst.instance_id, p, q)
+                origins.append(origin)
+            assert sorted(origins) == base.sorted_edges()
 
 
 def test_inherit_requires_full_base_coloring():
