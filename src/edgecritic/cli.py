@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from typing import Iterable
 
 from .coloring import ColoringError
-from .graph6 import Graph6Error, emit_graph6, parse_graph6
+from .graph6 import emit_graph6, parse_graph6
 from .graphs import (
     Graph,
     GraphError,
@@ -33,6 +32,7 @@ from .lemmas import lemma_records
 from .records import RecordError, VerificationRecord, tally_verdicts
 from .solver import (
     SearchBudgetExceeded,
+    check_budget,
     chromatic_index,
     critical_edge_report,
     find_delta_coloring,
@@ -70,11 +70,11 @@ def build_named(name: str) -> Graph:
 
 def _load_graphs(args) -> list[tuple[str, Graph]]:
     """(label, graph) pairs from builder, literal, file, or stdin."""
-    if getattr(args, "builder", None):
+    if args.builder:
         return [(args.builder, build_named(args.builder))]
-    if getattr(args, "graph6", None):
+    if args.graph6:
         return [(args.graph6, parse_graph6(args.graph6))]
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, encoding="ascii") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     else:
@@ -93,13 +93,11 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _budget_ms(text: str) -> float:
-    """argparse type of --budget-ms: finite and above 0 (a NaN deadline never fires)."""
+    """argparse type of --budget-ms: a number that `check_budget` accepts."""
     try:
-        if 0 < float(text) < math.inf:
-            return float(text)
+        return check_budget(float(text))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a finite budget above 0 ms: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a finite budget above 0 ms: {text!r}") from None
 
 
 def _input_flags(sub) -> None:
@@ -317,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except SearchBudgetExceeded:
         print("error: time budget exhausted before a verdict", file=sys.stderr)
         return 3
-    except (GraphError, Graph6Error, ColoringError, RecordError, OSError,
+    except (GraphError, ColoringError, RecordError, OSError,
             UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -139,8 +139,6 @@ def vertex_split(graph: Graph, v: int, part_a, part_b) -> Graph:
 
 def is_overfull(graph: Graph) -> bool:
     """More edges than the maximum degree times floor(n/2) can carry."""
-    if not graph.edges:
-        return False
     return graph.edge_count() > graph.max_degree() * (graph.n // 2)
 
 

@@ -13,6 +13,7 @@ the colors.
 
 from __future__ import annotations
 
+import math
 import time
 from functools import lru_cache
 
@@ -22,6 +23,14 @@ from .graphs import Edge, Graph, GraphError, edge_key
 
 class SearchBudgetExceeded(Exception):
     """The time budget ran out before the search reached a verdict."""
+
+
+def check_budget(budget_ms: float | None) -> float | None:
+    """The one budget rule, returning the budget it accepts: None for no
+    budget, else finite and above 0 ms (a NaN deadline never fires)."""
+    if budget_ms is not None and not 0 < budget_ms < math.inf:
+        raise GraphError(f"budget_ms must be finite and above 0, not {budget_ms}")
+    return budget_ms
 
 
 @lru_cache(maxsize=1)
@@ -43,6 +52,7 @@ def _solve(graph: Graph, k: int, hole: Edge | None, budget: float | None):
     which backing up into depth i frees again. `budget` is the time budget in
     ms (None for none); its deadline is checked every 512 nodes.
     """
+    check_budget(budget)
     if hole is not None and hole not in graph.edges:
         raise GraphError(f"hole edge {hole} not in graph")
     m = len(graph.edges) - (hole is not None)
@@ -133,8 +143,6 @@ def find_delta_coloring(graph: Graph, budget_ms: float | None = None) -> Partial
 
 
 def chromatic_index(graph: Graph, budget_ms: float | None = None) -> int:
-    if not graph.edges:
-        return 0
     delta = graph.max_degree()
     return delta if find_delta_coloring(graph, budget_ms) is not None else delta + 1
 
@@ -145,8 +153,6 @@ def critical_edge_report(graph: Graph, budget_ms: float | None = None) -> tuple[
     An edge is critical when deleting it lowers the chromatic index.
     Edge-critical means connected, class 2, and every edge critical.
     """
-    if not graph.edges:
-        return False, []
     if find_delta_coloring(graph, budget_ms) is None:
         # class 2: an edge is critical iff the rest is max-degree-colorable
         crit = [e for e, cert in hole_colorings(graph, budget_ms=budget_ms) if cert is not None]
@@ -168,8 +174,10 @@ def hole_colorings(graph: Graph, seed: PartialEdgeColoring | None = None,
     Edges come in sorted order. Colorings are propagated from the seed, a
     coloring with one uncolored edge, and again from every coloring the
     solver has to find for an edge that no propagation reached; None means
-    the search proved that edge has no such coloring.
+    the search proved that edge has no such coloring. The budget is checked
+    first, also when propagation leaves no edge to search.
     """
+    check_budget(budget_ms)
     delta = graph.max_degree()
     certified = propagate_certificates(seed) if seed is not None else {}
     for e in graph.sorted_edges():
@@ -193,8 +201,6 @@ def vizing_color(graph: Graph) -> PartialEdgeColoring:
     tail's color at the center, after which a valid fan prefix is rotated.
     """
     k = graph.max_degree() + 1
-    if not graph.edges:
-        return PartialEdgeColoring(graph, k, {})
     core = MutableColoring(graph.n, k)
     slot, missing = core.slot, core.missing
 

@@ -8,7 +8,6 @@ in plan order; reruns are byte-identical and interrupted runs resume.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import deque
 from contextlib import nullcontext
@@ -38,6 +37,7 @@ from .enumeration import enumerate_regular_graphs
 from .records import RecordError, VerificationRecord, judge, read_records
 from .solver import (
     SearchBudgetExceeded,
+    check_budget,
     enumerate_colorings,
     find_delta_coloring,
     hole_colorings,
@@ -49,7 +49,7 @@ SPLIT_LEMMA = "split-delta-critical"
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """What to sweep.
+    """What to sweep; a config that breaks a rule is refused when it is built.
 
     mode "theorem" keeps bases with 4*degree >= 3*order; mode "conjecture"
     keeps 3*degree > order (the threshold read on the base's order); mode
@@ -73,9 +73,9 @@ class SweepConfig:
             return 4 * d >= 3 * m
         if self.mode == "conjecture":
             return 3 * d > m
-        return self.degrees is not None and d in self.degrees
+        return d in self.degrees
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in ("theorem", "conjecture", "custom"):
             raise GraphError(f"unknown sweep mode {self.mode!r}")
         if self.mode == "custom" and not self.degrees:
@@ -90,8 +90,7 @@ class SweepConfig:
             raise GraphError(f"degrees must lie in 2..{self.m_max - 1}, not {list(self.degrees)}")
         if self.jobs < 1:
             raise GraphError(f"jobs must be at least 1, not {self.jobs}")
-        if self.budget_ms is not None and not 0 < self.budget_ms < math.inf:
-            raise GraphError(f"budget_ms must be finite and above 0, not {self.budget_ms}")
+        check_budget(self.budget_ms)
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,6 @@ def _base_instances(base: Graph, budget_ms: float | None) -> list[SplitInstance]
 
 def plan_instances(config: SweepConfig) -> list[SplitInstance]:
     """Deterministic work list: every split of every base in range, deduped."""
-    config.validate()
     return [inst for base in _connected_bases(config)
             for inst in _base_instances(base, config.budget_ms)]
 
@@ -355,7 +353,6 @@ def run_sweep(config: SweepConfig, log_path: str | None = None,
     e.g. `list(run_sweep(config, log_path=...))`. Resuming needs a log."""
     if resume and not log_path:
         raise GraphError("resume needs a log path")
-    config.validate()
     tasks = ((base, 0) for base in _connected_bases(config))
     if resume and os.path.exists(log_path):
         _drop_torn_line(log_path)

@@ -122,6 +122,21 @@ def test_color_searches_at_delta_once(monkeypatch, capsys, builder, k):
     assert_proper(PartialEdgeColoring(g, payload["k"], {(u, v): c for u, v, c in payload["edges"]}))
 
 
+def test_color_batch_prints_each_label_then_its_coloring(tmp_path, capsys):
+    batch = tmp_path / "batch.g6"
+    batch.write_text("C~\nDhc\n")
+    assert main(["color", "--file", str(batch)]) == 0
+    out = capsys.readouterr().out
+    want = ""
+    for label in ("C~", "Dhc"):
+        g = parse_graph6(label)
+        want += f"{label}\n{(find_delta_coloring(g) or vizing_color(g)).to_text()}\n"
+    assert out == want
+    lines = out.splitlines()
+    assert lines[:2] == ["C~", "k=3 uncolored=none"]
+    assert lines[lines.index("Dhc") + 1] == "k=3 uncolored=none"
+
+
 def test_critical_lines(capsys):
     assert main(["critical", "--builder", "petersen_minus_vertex"]) == 0
     assert capsys.readouterr().out == \
@@ -175,6 +190,9 @@ def test_split_wants_one_graph(tmp_path, capsys):
     (["sweep", "--degrees", "99", "--m-max", "8"], "degrees must lie in 2..7, not [99]"),
     (["sweep", "--degrees", "1,3"], "degrees must lie in 2..7, not [1, 3]"),
     (["theorem1", "--m-max", "4", "--resume"], "resume needs a log path"),
+    (["theorem1", "--m-max", "7"], "base order cap must be an even number >= 4"),
+    (["sweep", "--m-max", "12"], "base orders above 10 are not supported"),
+    (["sweep", "--jobs", "0"], "jobs must be at least 1, not 0"),
     (["chi", "--builder", "petersen", "--budget-ms", "-5"],
      "not a finite budget above 0 ms: '-5'"),
     (["chi", "--builder", "petersen", "--budget-ms", "0"],
@@ -186,8 +204,8 @@ def test_split_wants_one_graph(tmp_path, capsys):
      "not a finite budget above 0 ms: 'ten'"),
 ], ids=["vertex-high", "vertex-negative", "part-a", "split-budget", "split-not-partition",
         "split-b-empty", "degrees", "degree-above-order", "degree-below-two",
-        "resume-without-log", "budget-negative", "budget-zero", "budget-nan", "budget-inf",
-        "budget-word"])
+        "resume-without-log", "m-max-odd", "m-max-above-ten", "jobs-zero",
+        "budget-negative", "budget-zero", "budget-nan", "budget-inf", "budget-word"])
 def test_bad_flag_values_exit_two(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()

@@ -127,7 +127,8 @@ def test_overfull():
     assert not is_overfull(cycle(4))
     assert not is_overfull(complete(4))
     assert is_overfull(complete(5))
-    assert not is_overfull(make_graph(3, []))
+    for n in (0, 1, 3):
+        assert not is_overfull(make_graph(n, []))
     # splitting a regular even-order base always lands overfull
     split = vertex_split(complete(6), 0, (1, 2), (3, 4, 5))
     assert is_overfull(split)

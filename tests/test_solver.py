@@ -1,6 +1,7 @@
 """Exact chromatic-index search against known values and brute-force facts."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from edgecritic.graphs import (
     petersen_minus_vertex,
     prism,
 )
+from edgecritic.lemmas import lemma_records
 from edgecritic.solver import (
     SearchBudgetExceeded,
     chromatic_index,
@@ -37,6 +39,7 @@ from edgecritic.solver import (
     find_delta_coloring,
     vizing_color,
 )
+from edgecritic.verifier import SplitInstance, check_split_instance
 
 KNOWN_INDEX = {
     "k4": (complete(4), 3),
@@ -61,7 +64,8 @@ def test_chromatic_index_known(name):
 
 
 def test_chromatic_index_edgeless():
-    assert chromatic_index(make_graph(3, [])) == 0
+    for n in (0, 1, 3):
+        assert chromatic_index(make_graph(n, [])) == 0
 
 
 def test_find_coloring_basic():
@@ -176,6 +180,23 @@ def test_budget_exhaustion_raises():
         list(enumerate_colorings(complete(8), 7, budget_ms=1e-6))
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.0, -5.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_every_budgeted_call_refuses_a_bad_budget(budget):
+    # a NaN deadline would never fire; the one rule refuses it before any work,
+    # also on a split whose every edge propagation certifies without a search
+    inst = SplitInstance("C~ v=0 A=1 B=2,3", "C~", find_delta_coloring(complete(4)).to_text(),
+                         0, (1,), (2, 3), budget)
+    for call in (lambda: find_coloring(petersen(), 3, budget_ms=budget),
+                 lambda: list(lemma_records(petersen(), budget)),
+                 lambda: critical_edge_report(petersen(), budget),
+                 lambda: check_split_instance(inst)):
+        with pytest.raises(GraphError, match="budget_ms must be finite and above 0"):
+            call()
+    assert check_split_instance(replace(inst, budget_ms=None)).verdict == "pass"
+    assert solver.check_budget(None) is None and solver.check_budget(1e-6) == 1e-6
+
+
 def test_no_budget_means_no_deadline():
     # a None budget must finish regardless of wall time
     assert chromatic_index(complete(6)) == 5
@@ -231,7 +252,14 @@ def test_critical_report_matches_definition_on_class_two_hosts(g):
 
 
 def test_critical_report_on_edgeless_graph():
-    assert critical_edge_report(make_graph(3, [])) == (False, [])
+    for n in (0, 1, 3):
+        assert critical_edge_report(make_graph(n, [])) == (False, [])
+
+
+def test_vizing_color_on_edgeless_graph():
+    for n in (0, 1, 3):
+        phi = vizing_color(make_graph(n, []))
+        assert phi.k == 1 and phi.is_full() and not list(phi.colored_items())
 
 
 @pytest.mark.parametrize("g, crit, searches", [

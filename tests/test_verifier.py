@@ -82,36 +82,35 @@ def k4_instance(text=None):
 # ------------------------------------------------------------------- config
 
 def test_config_validation_errors():
+    # every rule is checked when the config is built, so no invalid one exists
     with pytest.raises(GraphError, match="unknown sweep mode"):
-        SweepConfig(mode="exhaustive").validate()
+        SweepConfig(mode="exhaustive")
     with pytest.raises(GraphError, match="explicit degree tuple"):
-        SweepConfig(mode="custom").validate()
+        SweepConfig(mode="custom")
     for mode in ("theorem", "conjecture"):
         with pytest.raises(GraphError, match="only in custom mode"):
-            SweepConfig(mode=mode, degrees=(3,)).validate()
+            SweepConfig(mode=mode, degrees=(3,))
     for bad in (2, 7):
         with pytest.raises(GraphError, match="even number >= 4"):
-            SweepConfig(m_max=bad).validate()
+            SweepConfig(m_max=bad)
     with pytest.raises(GraphError, match="above 10"):
-        SweepConfig(m_max=12).validate()
+        SweepConfig(m_max=12)
     for jobs in (0, -3):
         with pytest.raises(GraphError, match="jobs must be at least 1"):
-            SweepConfig(jobs=jobs).validate()
+            SweepConfig(jobs=jobs)
     # a degree outside 2..m_max-1 has no base to split, so it would plan nothing
     for m_max, degrees in ((8, (99,)), (8, (3, 8)), (6, (0,)), (6, (1, 3))):
         with pytest.raises(GraphError, match=rf"degrees must lie in 2\.\.{m_max - 1}"):
-            SweepConfig(m_max=m_max, mode="custom", degrees=degrees).validate()
+            SweepConfig(m_max=m_max, mode="custom", degrees=degrees)
     for m_max in (4, 6, 8, 10):
-        config = SweepConfig(m_max=m_max, mode="custom", degrees=(2, m_max - 1))
-        config.validate()
-        assert plan_instances(config)
+        assert plan_instances(SweepConfig(m_max=m_max, mode="custom", degrees=(2, m_max - 1)))
     for budget in (0.0, -5.0, float("nan"), float("inf")):
         with pytest.raises(GraphError, match="budget_ms must be finite and above 0"):
-            SweepConfig(budget_ms=budget).validate()
-    SweepConfig(budget_ms=None).validate()
-    SweepConfig().validate()
-    SweepConfig(m_max=10).validate()
-    SweepConfig(m_max=10, mode="conjecture").validate()
+            SweepConfig(budget_ms=budget)
+    SweepConfig(budget_ms=None)
+    SweepConfig()
+    SweepConfig(m_max=10)
+    SweepConfig(m_max=10, mode="conjecture")
 
 
 def full_group_split_orbits(base):
