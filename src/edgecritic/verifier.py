@@ -112,6 +112,11 @@ class SplitInstance:
     budget_ms: float | None
     solver_confirm: bool = False
 
+    def __post_init__(self) -> None:
+        # a skipped split, or one that propagation certifies whole, never
+        # searches, so the budget rule is met when the instance is built
+        check_budget(self.budget_ms)
+
 
 def _normalize_parts(nbrs: frozenset[int], a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Unordered partition -> canonical order: first part holds the least neighbor."""

@@ -1,6 +1,8 @@
 import itertools
 import random
 from functools import lru_cache
+from pathlib import Path
+from typing import NamedTuple
 
 import networkx as nx
 from hypothesis import strategies as st
@@ -27,6 +29,38 @@ from edgecritic.graphs import (
 )
 from edgecritic.solver import chromatic_index, find_delta_coloring
 from edgecritic.verifier import SweepConfig, _normalize_parts, plan_instances
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class PublishedRun(NamedTuple):
+    """One row of RUNS.tsv: a CLI run whose output the repo publishes."""
+
+    name: str
+    tier: str
+    exit_code: int
+    args: tuple[str, ...]
+    last_line: str | None
+    sha256: str
+
+
+def published_runs() -> tuple[PublishedRun, ...]:
+    """The rows of RUNS.tsv, the one place a published output's bytes are
+    stated. Columns are tab-separated: name, tier (`test` runs in tier-1 and
+    CI, `ci` in CI only), exit code, the CLI arguments with LOG standing for
+    the log path, the last stdout line or `-`, and the sha256 of the log when
+    the arguments hold LOG, else of stdout."""
+    lines = (ROOT / "RUNS.tsv").read_text(encoding="utf-8").splitlines()
+    rows = (line.split("\t") for line in lines[1:])
+    return tuple(PublishedRun(name, tier, int(code), tuple(args.split()),
+                              None if last == "-" else last, sha)
+                 for name, tier, code, args, last, sha in rows)
+
+
+def published_sha256(name: str) -> str:
+    """The pinned sha256 of the run named `name` in RUNS.tsv."""
+    (run,) = [run for run in published_runs() if run.name == name]
+    return run.sha256
 
 
 def assert_proper(coloring) -> None:

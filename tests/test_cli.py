@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import edgecritic.cli as cli
 import edgecritic.lemmas as lemmas
 import edgecritic.solver as solver
 import edgecritic.verifier as verifier
-from conftest import assert_proper, corpus_hosts
+from conftest import ROOT, assert_proper, corpus_hosts, published_runs
 from edgecritic.cli import build_named, main
 from edgecritic.coloring import PartialEdgeColoring
 from edgecritic.graph6 import emit_graph6, parse_graph6
@@ -227,16 +228,6 @@ def test_lemmas_json_round_trips(capsys):
     assert {r.verdict for r in records} == {"pass", "skipped"}
 
 
-def test_lemmas_json_over_the_corpus_is_pinned(tmp_path, capsys):
-    hosts = tmp_path / "hosts.g6"
-    hosts.write_text("".join(emit_graph6(g) + "\n" for g in corpus_hosts()))
-    assert main(["lemmas", "--json", "--file", str(hosts)]) == 0
-    out = capsys.readouterr().out.encode()
-    assert out.count(b"\n") == 7217
-    assert hashlib.sha256(out).hexdigest() == \
-        "b449ffaab0e349c801e255a77bd17aef2edb8393e120b4f1f972ee81a7e0fe68"
-
-
 def test_kite_chain_route_is_vacuous_on_the_corpus(tmp_path, capsys, monkeypatch):
     # the route's normalized kite needs three sub-max-degree vertices, and the
     # corpus hosts with kites are splits, which have two; counted here is the
@@ -341,15 +332,6 @@ def test_sweep_writes_each_record_when_its_check_ends(tmp_path, monkeypatch):
         f"pass      split-delta-critical  {iid}" for iid in checked[:2]]
 
 
-def test_sweep_m8_log_is_pinned(tmp_path, capsys):
-    log = tmp_path / "m8.jsonl"
-    assert main(["sweep", "--m-max", "8", "--log", str(log)]) == 1  # the cubic fail
-    assert capsys.readouterr().out.endswith(
-        "total=107 pass=106 fail=1 skipped=0 undecided=0\n")
-    assert hashlib.sha256(log.read_bytes()).hexdigest() == \
-        "f25862d4951f34526f8a8e128faec28175ab43ef86b5e4954ac609b2733f3b8f"
-
-
 def test_theorem1_smallest_range(capsys):
     assert main(["theorem1", "--m-max", "4"]) == 0
     assert capsys.readouterr().out == (
@@ -389,31 +371,36 @@ def test_figure1_json(capsys):
     assert rec.witness["path"] == [4, 0, 1, 6]
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (["figure1"], "cfd25e8ec087b1b10fd645ab37bbec8e6f3f9b893ec25ba82cb9d63b66d01901"),
-    (["figure1", "--json"], "1964ea33852be524e37a7fde570c436a4878050d8f2eac551954e052d6cd709b"),
-], ids=["text", "json"])
-def test_figure1_bytes_are_pinned(capsys, argv, digest):
-    # the witness, its coloring included, is the first hit in the search order
-    assert main(argv) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+def test_published_runs_are_well_formed():
+    runs = published_runs()
+    assert len({run.name for run in runs}) == len(runs)
+    assert {run.tier for run in runs} <= {"test", "ci"}
+    assert all(re.fullmatch("[0-9a-f]{64}", run.sha256) for run in runs)
 
 
-@pytest.mark.parametrize("argv, code, digest", [
-    (["sweep", "--degrees", "3", "--m-max", "8", "--log"], 1,
-     "18fe1da96e187afc8e99d58994d7bee3644fcdf84730f68bcd9672cc6030026f"),
-    (["theorem1", "--m-max", "8", "--log"], 0,
-     "14d3a2d618a9cc4b1748bd43801ed7932d64c378e605acba7cd181c2e16c8d0a"),
-    (["critical", "--builder", "petersen_minus_vertex"], 0,
-     "7b56bc7700ff60cfbe4657cb193abefe3a97b56ca918c229cec9eb08e21684b7"),
-], ids=["cubic-sweep-log", "theorem1-log", "critical-petersen-minus-vertex"])
-def test_published_outputs_are_pinned(tmp_path, capsys, argv, code, digest):
-    # a run that ends in --log is pinned by its log, any other by its stdout
+@pytest.mark.parametrize("run", [run for run in published_runs() if run.tier == "test"],
+                         ids=lambda run: run.name)
+def test_published_outputs_are_pinned(tmp_path, monkeypatch, capsys, run):
+    # a run with LOG in its arguments is pinned by its log, any other by its
+    # stdout; arguments name files relative to the repo root
+    monkeypatch.chdir(ROOT)
     log = tmp_path / "run.jsonl"
-    logged = argv[-1] == "--log"
-    assert main([*argv, str(log)] if logged else argv) == code
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(log.read_bytes() if logged else out).hexdigest() == digest
+    assert main([str(log) if arg == "LOG" else arg for arg in run.args]) == run.exit_code
+    out = capsys.readouterr().out
+    if run.last_line is not None:
+        assert out.splitlines()[-1] == run.last_line
+    pinned = log.read_bytes() if "LOG" in run.args else out.encode()
+    assert hashlib.sha256(pinned).hexdigest() == run.sha256
+
+
+def test_readme_results_table_lists_every_published_run():
+    # a missing line fails with the line itself, ready to paste
+    def table_line(run):
+        last = "–" if run.last_line is None else f"`{run.last_line}`"
+        return (f"| `{run.name}` | {run.tier} | `edgecritic {' '.join(run.args)}`"
+                f" | {run.exit_code} | {last} | `{run.sha256[:8]}…` |")
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    assert [table_line(run) for run in published_runs() if table_line(run) not in lines] == []
 
 
 @pytest.mark.parametrize("conclusion, host_class2, code", [

@@ -7,11 +7,14 @@ imported, so no bytecode is written next to them.
 """
 
 import importlib
+import json
 import types
 from pathlib import Path
 
 import edgecritic.solver as solver
+from conftest import corpus_hosts, published_runs
 from edgecritic import check_split_instance
+from edgecritic.graph6 import emit_graph6
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +69,19 @@ def test_every_traced_name_resolves_but_the_stale_ones():
                   for modname, path, _ in entries
                   if not resolves(modname, path)}
     assert unresolved == STALE_TRACED
+
+
+def test_expected_outputs_are_the_published_runs():
+    # expected.json restates two RUNS.tsv rows for the harness; they must agree
+    expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+    runs = {run.name: run for run in published_runs()}
+    for name in ("sweep-m8", "lemmas-corpus"):
+        assert expected[name]["command"] == " ".join(["edgecritic", *runs[name].args])
+        assert expected[name]["exit_code"] == runs[name].exit_code
+        assert expected[name]["output_sha256"] == runs[name].sha256
+
+
+def test_lemma_hosts_file_is_the_test_corpus():
+    # the lemmas-corpus run reads this file; the tests build the same hosts
+    text = (PERFBENCH / "data" / "lemma_hosts.g6").read_text(encoding="ascii")
+    assert text == "".join(emit_graph6(g) + "\n" for g in corpus_hosts())

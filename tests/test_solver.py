@@ -1,7 +1,6 @@
 """Exact chromatic-index search against known values and brute-force facts."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,7 @@ from conftest import (
     solve_recursively,
 )
 from edgecritic.coloring import PartialEdgeColoring
-from edgecritic.graph6 import parse_graph6
+from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import (
     GraphError,
     complete,
@@ -180,20 +179,28 @@ def test_budget_exhaustion_raises():
         list(enumerate_colorings(complete(8), 7, budget_ms=1e-6))
 
 
+def split_instance(base, budget):
+    return SplitInstance(f"{emit_graph6(base)} v=0 A=1 B=2,3", emit_graph6(base),
+                         find_delta_coloring(base).to_text(), 0, (1,), (2, 3), budget)
+
+
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.0, -5.0],
                          ids=["nan", "inf", "zero", "negative"])
 def test_every_budgeted_call_refuses_a_bad_budget(budget):
-    # a NaN deadline would never fire; the one rule refuses it before any work,
-    # also on a split whose every edge propagation certifies without a search
-    inst = SplitInstance("C~ v=0 A=1 B=2,3", "C~", find_delta_coloring(complete(4)).to_text(),
-                         0, (1,), (2, 3), budget)
+    # a NaN deadline would never fire; the one rule refuses it before any work.
+    # A split check may make no search: propagation certifies every edge of
+    # the K4 split, and the paw, which is not regular, is skipped. So a split
+    # meets the rule when its instance is built
+    paw = make_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     for call in (lambda: find_coloring(petersen(), 3, budget_ms=budget),
                  lambda: list(lemma_records(petersen(), budget)),
                  lambda: critical_edge_report(petersen(), budget),
-                 lambda: check_split_instance(inst)):
+                 lambda: split_instance(complete(4), budget),
+                 lambda: split_instance(paw, budget)):
         with pytest.raises(GraphError, match="budget_ms must be finite and above 0"):
             call()
-    assert check_split_instance(replace(inst, budget_ms=None)).verdict == "pass"
+    assert [check_split_instance(split_instance(g, None)).verdict
+            for g in (complete(4), paw)] == ["pass", "skipped"]
     assert solver.check_budget(None) is None and solver.check_budget(1e-6) == 1e-6
 
 

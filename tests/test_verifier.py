@@ -11,6 +11,7 @@ import edgecritic.verifier as verifier
 from conftest import (
     all_automorphisms,
     assert_proper,
+    published_sha256,
     regular_classes,
     split_orbits_from_every_vertex,
 )
@@ -210,25 +211,14 @@ def test_order_ten_plan_is_one_split_per_class_and_passes_without_search(monkeyp
 
 
 def test_order_ten_theorem_log_is_pinned(tmp_path):
+    # the library writes the published CLI log, and order 8 is its prefix
     short, full = tmp_path / "m8.jsonl", tmp_path / "m10.jsonl"
     list(run_sweep(SweepConfig(m_max=8), log_path=str(short)))
     records = list(run_sweep(SweepConfig(m_max=10), log_path=str(full)))
     assert len(records) == 23 and all(r.verdict == "pass" for r in records)
     lines = full.read_bytes().splitlines(keepends=True)
     assert b"".join(lines[:11]) == short.read_bytes()
-    assert hashlib.sha256(full.read_bytes()).hexdigest() == \
-        "584631ee2c97da30264a7f27347d7a59c3f5e9c59f5da2b558decb2474fca721"
-
-
-def test_order_ten_degree_seven_slice_is_pinned(tmp_path):
-    # K8 and the five 7-regular classes on 10 vertices; the representatives
-    # are canonical, so any correct enumerator gives these bytes
-    log = tmp_path / "d7.jsonl"
-    records = list(run_sweep(SweepConfig(m_max=10, mode="custom", degrees=(7,)),
-                             log_path=str(log)))
-    assert len(records) == 125 and all(r.verdict == "pass" for r in records)
-    assert hashlib.sha256(log.read_bytes()).hexdigest() == \
-        "e99f01b16c68d112ecc44ccd80b0ea37a1bc661fbe3fa974d52f7f0066ece2e9"
+    assert hashlib.sha256(full.read_bytes()).hexdigest() == published_sha256("theorem1-m10")
 
 
 def test_degree_selection_by_mode():
@@ -525,6 +515,45 @@ def test_split_instance_fail_and_undecided_on_solver_outcomes(monkeypatch):
     assert rec.conclusion is None and rec.witness is None
 
 
+def overfull_sets_less_each_edge(g) -> dict:
+    """For each edge e, every odd vertex set S (a bit mask) of g - e spanning
+    more than D(|S| - 1)/2 edges of g - e, D its max degree; by brute force."""
+    adj = [sum(1 << w for w in g.neighbors(u)) for u in range(g.n)]
+    spans = {s: sum((adj[u] & s).bit_count() for u in range(g.n) if s >> u & 1) // 2
+             for s in range(1 << g.n) if s.bit_count() % 2 and s.bit_count() >= 3}
+    found = {}
+    for u, v in g.edges:
+        delta = max(g.degree(w) - (w in (u, v)) for w in range(g.n))
+        both = 1 << u | 1 << v
+        found[(u, v)] = [s for s, m in spans.items()
+                         if m - ((s & both) == both) > delta * (s.bit_count() - 1) // 2]
+    return found
+
+
+def test_no_split_less_an_edge_has_an_overfull_subgraph():
+    # so a non-critical edge e leaves G* - e class 2 with no overfull
+    # subgraph, which the Overfull Conjecture forbids when 3D > |V(G*)|
+    plans = [SweepConfig(m_max=8, mode="conjecture"),
+             SweepConfig(m_max=8, mode="custom", degrees=(2, 3))]
+    splits = {inst.instance_id: inst for cfg in plans for inst in plan_instances(cfg)}
+    pairs = 0
+    for inst in splits.values():
+        found = overfull_sets_less_each_edge(
+            vertex_split(parse_graph6(inst.base_graph6), inst.vertex, inst.part_a, inst.part_b))
+        assert all(sets == [] for sets in found.values()), inst.instance_id
+        pairs += len(found)
+    # the 107 + 26 planned splits share 24 cubic and C4 splits
+    assert (len(splits), pairs) == (109, 1866)
+    # the known fail less its non-critical edge is the Petersen graph less a vertex
+    fail = parse_graph6("H@UmbA@")
+    less = make_graph(fail.n, [e for e in fail.edges if e != (3, 4)])
+    assert canonical_mask(less) == canonical_mask(petersen_minus_vertex())
+    # a base whose odd side {0, 1, 2, 8, 9} has a cut of 2 < D = 4 keeps K5 - e
+    split = vertex_split(parse_graph6("Iw?Ww~g{?"), 0, (1,), (2, 8, 9))
+    found = overfull_sets_less_each_edge(split)
+    assert sum(sets != [] for sets in found.values()) == 12
+
+
 # -------------------------------------------------------------------- sweep
 
 def cubic_m6_config(jobs=1):
@@ -750,8 +779,7 @@ def test_sweep_jobs_keep_a_constant_window_of_futures(tmp_path, monkeypatch):
     assert window < 22
     assert seen[0] == window
     assert all(count <= i + window for i, count in zip(place, seen))
-    assert hashlib.sha256(log.read_bytes()).hexdigest() == \
-        "f25862d4951f34526f8a8e128faec28175ab43ef86b5e4954ac609b2733f3b8f"
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == published_sha256("sweep-m8")
 
 
 def test_sweep_starts_no_more_workers_than_instances(monkeypatch):
