@@ -1,16 +1,17 @@
 """Partial proper edge colorings and Kempe-chain operations.
 
 Colors are integers in [1, k]. One representation holds a coloring:
-`MutableColoring`, per-vertex slot dicts (color -> neighbor) plus
-present-color bitmasks, where bit c corresponds to color c. A
-`PartialEdgeColoring` is the validated, frozen face of one such core. Its
-constructor takes host edges, keyed as in `graph.edges`, and names the hole
-only by `uncolored`; it runs every check on every call. The places that take
-outside input (`coloring_from_text`, `color_of`, `recolor_edge`) normalise
-edge keys, and `color_of` reports the hole as 0. `vizing_color` edits a core
-in place; hole propagation, the Kempe swaps and `recolor_edge` copy the `col`
-map of a frozen coloring and change it. All of them freeze their results
-through the validating constructor.
+`MutableColoring`, per-vertex slot lists indexed by color (the neighbor
+through that color, or None) plus present-color bitmasks, where bit c
+corresponds to color c. A `PartialEdgeColoring` is the validated, frozen face
+of one such core. Its constructor takes host edges, keyed as in `graph.edges`,
+names the hole only by `uncolored`, refuses a palette above |E| + 1 (slots
+take n * (k + 1) entries) and runs every check on every call. The places that
+take outside input (`coloring_from_text`, `color_of`, `recolor_edge`)
+normalise edge keys, and `color_of` reports the hole as 0. `vizing_color`
+edits a core in place; hole propagation, the Kempe swaps and `recolor_edge`
+copy the `col` map of a frozen coloring and change it. All of them freeze
+their results through the validating constructor.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class PartialEdgeColoring:
 
     def __init__(self, graph: Graph, k: int, assignment: dict[Edge, int],
                  uncolored: Edge | None = None):
-        if k < 0:
-            raise ColoringError(f"palette size {k} is negative")
+        if not 0 <= k <= len(graph.edges) + 1:
+            raise ColoringError(f"palette size {k} outside [0, {len(graph.edges) + 1}]")
         self.graph = graph
         self.k = k
         col = dict(assignment)
@@ -70,9 +71,9 @@ class PartialEdgeColoring:
         for (u, v), c in col.items():
             if not 1 <= c <= k:
                 raise ImproperColoringError(f"color {c} on edge {(u, v)} outside [1, {k}]")
-            if c in slot[u]:
+            if slot[u][c] is not None:
                 raise ImproperColoringError(f"color {c} repeated at vertex {u}")
-            if c in slot[v]:
+            if slot[v][c] is not None:
                 raise ImproperColoringError(f"color {c} repeated at vertex {v}")
             # MutableColoring.set, inlined: this loop builds every certificate
             slot[u][c] = v
@@ -125,10 +126,11 @@ class MutableColoring:
     """Mutable slot arrays for coloring algorithms that edit in place.
 
     `col` maps each colored edge, keyed (low, high) as in `graph.edges`, to its
-    color, `slot[v]` maps each color at v to the neighbor reached through it,
-    and `present[v]` is v's color bitmask. No validation: callers keep the
-    coloring proper and freeze the result by passing `col` to the
-    PartialEdgeColoring constructor, which checks it.
+    color, `slot[v]` is a list of k + 1 entries whose entry c is the neighbor
+    reached from v through color c, or None, and `present[v]` is v's color
+    bitmask. No validation: callers keep the coloring proper and freeze the
+    result by passing `col` to the PartialEdgeColoring constructor, which
+    checks it.
     """
 
     __slots__ = ("full", "col", "slot", "present")
@@ -136,7 +138,7 @@ class MutableColoring:
     def __init__(self, n: int, k: int):
         self.full = (1 << (k + 1)) - 2
         self.col: dict[Edge, int] = {}
-        self.slot: list[dict[int, int]] = [dict() for _ in range(n)]
+        self.slot: list[list[int | None]] = [[None] * (k + 1) for _ in range(n)]
         self.present = [0] * n
 
     def set(self, u: int, v: int, c: int) -> None:
@@ -148,8 +150,7 @@ class MutableColoring:
 
     def clear(self, u: int, v: int) -> int:
         c = self.col.pop(edge_key(u, v))
-        del self.slot[u][c]
-        del self.slot[v][c]
+        self.slot[u][c] = self.slot[v][c] = None
         self.present[u] ^= 1 << c
         self.present[v] ^= 1 << c
         return c
@@ -163,7 +164,7 @@ class MutableColoring:
         v must miss `second`, so it is an end of its (first, second)-component
         and the swap keeps the coloring proper.
         """
-        if second in self.slot[v]:
+        if self.slot[v][second] is not None:
             raise LinkageError(f"vertex {v} sees color {second}; not a path end")
         slot, col = self.slot, self.col
         verts, edges, _ = _walk(slot, v, first, second)
@@ -173,11 +174,7 @@ class MutableColoring:
             col[e] = second if col[e] == first else first
         for w in (v, *verts):
             s = slot[w]
-            x, y = s.pop(first, None), s.pop(second, None)
-            if x is not None:
-                s[second] = x
-            if y is not None:
-                s[first] = y
+            s[first], s[second] = s[second], s[first]
         swap = (1 << first) | (1 << second)
         self.present[v] ^= swap
         self.present[verts[-1]] ^= swap
@@ -252,13 +249,13 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
             core = reached[hole]._core
             slot = core.slot
             for p, a, b in ((p, a, b) for p in hole for a in _bits(core.missing(p))
-                            for b in sorted(slot[p])):
+                            for b in _bits(core.present[p])):
                 # the view can newly reach only p's b-edge and the other
                 # end's a- and b-edges; skip the walk when all are reached
                 q = x + y - p
                 if (edge_key(p, slot[p][b]) in reached
                         and all(edge_key(q, w) in reached
-                                for w in (slot[q].get(a), slot[q].get(b)) if w is not None)):
+                                for w in (slot[q][a], slot[q][b]) if w is not None)):
                     continue
                 verts, edges, _ = _walk(slot, p, b, a)
                 slide(core, hole, (a, b, (p, *verts), edges))
@@ -332,12 +329,12 @@ def _check_chain_args(coloring, x, alpha, beta):
 
 
 def _walk(slot, start, first_color, second_color):
-    """Alternating walk over slot dicts; returns (vertices after start, edges, closed)."""
+    """Alternating walk over slot lists; returns (vertices after start, edges, closed)."""
     verts: list[int] = []
     edges: list[Edge] = []
     v = start
     c = first_color
-    while (w := slot[v].get(c)) is not None:
+    while (w := slot[v][c]) is not None:
         edges.append(edge_key(v, w))
         if w == start:
             return verts, edges, True

@@ -174,10 +174,10 @@ def hole_colorings(graph: Graph, seed: PartialEdgeColoring | None = None,
     Edges come in sorted order. Colorings are propagated from the seed, a
     coloring with one uncolored edge, and again from every coloring the
     solver has to find for an edge that no propagation reached; None means
-    the search proved that edge has no such coloring. Its callers meet the
-    budget rule before it runs: a split check when its `SplitInstance` is
-    built, `critical_edge_report` in its class decision.
+    the search proved that edge has no such coloring. A bad budget raises
+    `GraphError` at the first item, even when propagation certifies every edge.
     """
+    check_budget(budget_ms)
     delta = graph.max_degree()
     certified = propagate_certificates(seed) if seed is not None else {}
     for e in graph.sorted_edges():
@@ -223,7 +223,7 @@ def vizing_color(graph: Graph) -> PartialEdgeColoring:
                 low = rest & -rest
                 rest ^= low
                 c = low.bit_length() - 1
-                w = slot[u].get(c)
+                w = slot[u][c]
                 if w is not None and w not in in_fan:
                     ext = w
                     break

@@ -11,7 +11,6 @@ from edgecritic.coloring import (
     ColoringError,
     MutableColoring,
     PartialEdgeColoring,
-    _bits,
 )
 from edgecritic.enumeration import enumerate_regular_graphs
 from edgecritic.graph6 import parse_graph6
@@ -228,9 +227,36 @@ def find_short_kites(graph: Graph) -> list[tuple[int, ...]]:
 
 
 # Hole propagation that swaps each Kempe path at a hole end on a copy of the
-# coloring's core, slides, and swaps it back: the reference that
+# coloring, slides, and swaps it back: the reference that
 # `coloring.propagate_certificates`, which only reads each swap, is checked
-# against.
+# against. It keeps its own edge -> color and color -> neighbor maps, built
+# from `colored_items()`, and its own path flip, so it shares no
+# representation with the core it checks.
+def color_maps(coloring: PartialEdgeColoring) -> tuple[dict, list[dict]]:
+    """(edge -> color, per vertex color -> neighbor) of a coloring."""
+    col = dict(coloring.colored_items())
+    nbr = [{} for _ in range(coloring.graph.n)]
+    for (u, v), c in col.items():
+        nbr[u][c] = v
+        nbr[v][c] = u
+    return col, nbr
+
+
+def flip_path(col: dict, nbr: list[dict], v: int, first: int, second: int) -> None:
+    """Exchange the two colors on the path leaving v, which misses `second`,
+    along its `first` edge."""
+    path, w, c = [], v, first
+    while c in nbr[w]:
+        path.append((w, nbr[w][c], c))
+        w, c = nbr[w][c], first + second - c
+    for u, w, c in path:
+        del nbr[u][c], nbr[w][c]
+    for u, w, c in path:
+        d = first + second - c
+        col[edge_key(u, w)] = d
+        nbr[u][d], nbr[w][d] = w, u
+
+
 def propagate_by_flips(coloring: PartialEdgeColoring) -> dict:
     """Certificates by breadth-first slides, then flipped Kempe paths."""
     if coloring.uncolored is None:
@@ -241,13 +267,15 @@ def propagate_by_flips(coloring: PartialEdgeColoring) -> dict:
     order = [start]
     unreached = [graph.degree(v) - (v in start) for v in range(graph.n)]
 
-    def slide(core, hole):
+    def slide(col, nbr, hole):
         x, y = hole
         for p, q in ((x, y), (y, x)):
-            for a in _bits(core.missing(p) & core.present[q]):
-                new = edge_key(q, core.slot[q][a])
+            for a in range(1, k + 1):
+                if a in nbr[p] or a not in nbr[q]:
+                    continue
+                new = edge_key(q, nbr[q][a])
                 if new not in reached:
-                    assign = dict(core.col)
+                    assign = dict(col)
                     assign[hole] = a
                     del assign[new]
                     reached[new] = PartialEdgeColoring(graph, k, assign, new)
@@ -260,20 +288,18 @@ def propagate_by_flips(coloring: PartialEdgeColoring) -> dict:
         if slid < len(order):
             hole = order[slid]
             slid += 1
-            slide(reached[hole]._core, hole)
+            slide(*color_maps(reached[hole]), hole)
         elif swapped < len(order):
             hole = x, y = order[swapped]
             swapped += 1
             if not (unreached[x] or unreached[y]):
                 continue
-            core = MutableColoring(graph.n, k)
-            for (u, v), c in reached[hole].colored_items():
-                core.set(u, v, c)
-            for p, a, b in ((p, a, b) for p in hole for a in _bits(core.missing(p))
-                            for b in sorted(core.slot[p])):
-                core.flip(p, b, a)
-                slide(core, hole)
-                core.flip(p, a, b)
+            col, nbr = color_maps(reached[hole])
+            for p, a, b in ((p, a, b) for p in hole for a in range(1, k + 1)
+                            if a not in nbr[p] for b in sorted(nbr[p])):
+                flip_path(col, nbr, p, b, a)
+                slide(col, nbr, hole)
+                flip_path(col, nbr, p, a, b)
                 if not (unreached[x] or unreached[y]):
                     break
         else:

@@ -18,6 +18,7 @@ from edgecritic.coloring import (
     LinkageError,
     MutableColoring,
     PartialEdgeColoring,
+    _bits,
     are_linked,
     coloring_from_text,
     elementary_violation,
@@ -63,6 +64,17 @@ def test_construction_rejects_negative_palette():
     g = make_graph(2, [(0, 1)])
     with pytest.raises(ColoringError):
         PartialEdgeColoring(g, -1, {(0, 1): 1})
+
+
+def test_construction_refuses_a_palette_above_edges_plus_one():
+    # slots take n * (k + 1) entries, so the palette is capped by the host:
+    # k = 10**8 on one edge would otherwise build 300 million slots
+    g = make_graph(3, [(0, 1)])
+    for k in (3, 10**8):
+        with pytest.raises(ColoringError, match=r"palette size \d+ outside \[0, 2\]"):
+            PartialEdgeColoring(g, k, {(0, 1): 1})
+    assert PartialEdgeColoring(g, 2, {(0, 1): 2}).missing(0) == frozenset({1})
+    assert triangle_coloring(k=4).missing(0) == frozenset({3, 4})  # a Delta + 2 palette
 
 
 def test_construction_rejects_zero_color():
@@ -114,7 +126,7 @@ def test_color_queries():
     col = triangle_coloring()
     assert col.color_of(1, 0) == 1
     assert col.is_full()
-    assert col._core.slot[0] == {1: 1, 2: 2}
+    assert (col.color_of(0, 1), col.color_of(0, 2)) == (1, 2)
     assert col.missing(0) == frozenset({3})
     with pytest.raises(GraphError):
         col.color_of(0, 5)
@@ -328,7 +340,7 @@ def test_mutable_core_set_clear_missing():
     core = c5_core()
     assert core.missing(0) == 1 << 2 and core.missing(4) == 1 << 1
     assert core.clear(4, 0) == 3
-    assert (0, 4) not in core.col and 3 not in core.slot[0]
+    assert (0, 4) not in core.col and core.slot[0][3] is None
     assert core.missing(0) == (1 << 2) | (1 << 3)
     core.set(0, 4, 3)
     assert core.col == dict(c5_coloring().colored_items())
@@ -418,7 +430,6 @@ def test_propagation_matches_flipping_reference_on_sweep_seeds(monkeypatch):
         walks.clear()
         assert flips == []  # each Kempe swap is read, never written
         assert_same_certificates(certs, propagate_by_flips(seed))
-        flips.clear()
     # a path is walked only when its view could reach an unreached edge;
     # walking every path at a hole end took 1,899 walks
     assert propagation_walks == 804
@@ -455,6 +466,56 @@ def test_propagation_matches_flipping_reference_on_class_two_hosts(g):
         phi = find_coloring(g, delta, hole=e)
         if phi is not None:
             assert_same_certificates(propagate_certificates(phi), propagate_by_flips(phi))
+
+
+def assert_core_consistent(core, k):
+    """The slot lists, present masks and edge map of a k-color core agree."""
+    assert all(len(s) == k + 1 for s in core.slot)
+    want = [[None] * (k + 1) for _ in core.slot]
+    for (u, v), c in core.col.items():
+        want[u][c], want[v][c] = v, u
+    assert core.slot == want  # slot[u][c] == v exactly when col[(u, v)] == c
+    for v, s in enumerate(core.slot):
+        assert core.present[v] == sum(1 << c for c, w in enumerate(s) if w is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.data())
+def test_every_core_operation_keeps_slots_masks_and_edges_consistent(g, data):
+    col = vizing_color(g)
+    k = col.k
+    assert_core_consistent(col._core, k)
+    x = data.draw(st.integers(0, g.n - 1))
+    alpha = data.draw(st.integers(1, k))
+    beta = data.draw(st.integers(1, k).filter(lambda c: c != alpha))
+    assert_core_consistent(kempe_swap(col, x, alpha, beta)._core, k)
+    vertices, _, is_cycle = kempe_chain(col, x, alpha, beta)
+    y = data.draw(st.sampled_from(vertices))
+    if not is_cycle and y != x:
+        try:
+            assert_core_consistent(subchain_swap(col, x, y, alpha, beta)._core, k)
+        except ImproperColoringError:
+            pass  # a segment boundary inside the chain; nothing is built
+    e = data.draw(st.sampled_from(g.sorted_edges()))
+    to = data.draw(st.integers(1, k))
+    try:
+        assert_core_consistent(recolor_edge(col, *e, to)._core, k)
+    except ImproperColoringError:
+        pass  # `to` is already at an end of e
+    core = MutableColoring(g.n, k)
+    for (u, v), c in col.colored_items():
+        core.set(u, v, c)
+    assert_core_consistent(core, k)
+    second = data.draw(st.sampled_from(sorted(_bits(core.missing(x)))))  # k = Delta + 1
+    first = data.draw(st.integers(1, k).filter(lambda c: c != second))
+    core.flip(x, first, second)
+    assert_core_consistent(core, k)
+    core.clear(*e)
+    assert_core_consistent(core, k)
+    holed = PartialEdgeColoring(g, k, core.col, e)
+    assert_core_consistent(holed._core, k)
+    for cert in propagate_certificates(holed).values():
+        assert_core_consistent(cert._core, k)
 
 
 @settings(max_examples=60, deadline=None)

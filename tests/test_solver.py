@@ -38,7 +38,7 @@ from edgecritic.solver import (
     find_delta_coloring,
     vizing_color,
 )
-from edgecritic.verifier import SplitInstance, check_split_instance
+from edgecritic.verifier import SplitInstance, check_split_instance, inherit_split_coloring
 
 KNOWN_INDEX = {
     "k4": (complete(4), 3),
@@ -202,6 +202,15 @@ def test_every_budgeted_call_refuses_a_bad_budget(budget):
     assert [check_split_instance(split_instance(g, None)).verdict
             for g in (complete(4), paw)] == ["pass", "skipped"]
     assert solver.check_budget(None) is None and solver.check_budget(1e-6) == 1e-6
+
+
+def test_hole_colorings_refuses_a_bad_budget_that_no_search_meets():
+    # propagation from the inherited coloring of the K4 split certifies all
+    # 7 edges, so no search would ever see the budget
+    phi = inherit_split_coloring(find_delta_coloring(complete(4)), 0, (1,), (2, 3))
+    assert all(cert is not None for _, cert in solver.hole_colorings(phi.graph, phi))
+    with pytest.raises(GraphError, match="budget_ms must be finite and above 0"):
+        list(solver.hole_colorings(phi.graph, phi, float("nan")))
 
 
 def test_no_budget_means_no_deadline():
