@@ -1,17 +1,16 @@
 """Partial proper edge colorings and Kempe-chain operations.
 
 Colors are integers in [1, k]. One representation holds a coloring:
-`MutableColoring`, per-vertex slot lists indexed by color (the neighbor
-through that color, or None) plus present-color bitmasks, where bit c
-corresponds to color c. A `PartialEdgeColoring` is the validated, frozen face
-of one such core. Its constructor takes host edges, keyed as in `graph.edges`,
-names the hole only by `uncolored`, refuses a palette above |E| + 1 (slots
-take n * (k + 1) entries) and runs every check on every call. The places that
-take outside input (`coloring_from_text`, `color_of`, `recolor_edge`)
-normalise edge keys, and `color_of` reports the hole as 0. `vizing_color`
-edits a core in place; hole propagation, the Kempe swaps and `recolor_edge`
-copy the `col` map of a frozen coloring and change it. All of them freeze
-their results through the validating constructor.
+`MutableColoring`, one flat slot list whose entry v * (k + 1) + c is the
+neighbor of v through color c, or None, plus present-color bitmasks (bit c for
+color c). A `PartialEdgeColoring` is the validated, frozen face of one such
+core. Its constructor takes host edges, keyed as in `graph.edges`, names the
+hole only by `uncolored`, refuses a palette above |E| + 1 (`check_palette`)
+and runs every check on every call. `coloring_from_text`, `color_of` and
+`recolor_edge` normalise outside edge keys, and `color_of` reports the hole as
+0. `vizing_color` edits a core in place; hole propagation, the Kempe swaps and
+`recolor_edge` copy a frozen coloring's `col` map and change it. All of them
+freeze their results through the validating constructor.
 """
 
 from __future__ import annotations
@@ -29,6 +28,12 @@ class ImproperColoringError(ColoringError):
 
 class LinkageError(ColoringError):
     """A chain operation's linkage hypothesis does not hold."""
+
+
+def check_palette(graph: Graph, k: int) -> None:
+    """The one palette rule: k in [0, |E| + 1], since slots grow with k."""
+    if not 0 <= k <= len(graph.edges) + 1:
+        raise ColoringError(f"palette size {k} outside [0, {len(graph.edges) + 1}]")
 
 
 def _bits(mask: int):
@@ -52,8 +57,7 @@ class PartialEdgeColoring:
 
     def __init__(self, graph: Graph, k: int, assignment: dict[Edge, int],
                  uncolored: Edge | None = None):
-        if not 0 <= k <= len(graph.edges) + 1:
-            raise ColoringError(f"palette size {k} outside [0, {len(graph.edges) + 1}]")
+        check_palette(graph, k)
         self.graph = graph
         self.k = k
         col = dict(assignment)
@@ -67,17 +71,17 @@ class PartialEdgeColoring:
             raise ColoringError("assignment does not cover the host edge set exactly")
         core = MutableColoring(graph.n, k)
         core.col = col
-        slot, present = core.slot, core.present
+        slot, present, w = core.slot, core.present, core.width
         for (u, v), c in col.items():
             if not 1 <= c <= k:
                 raise ImproperColoringError(f"color {c} on edge {(u, v)} outside [1, {k}]")
-            if slot[u][c] is not None:
+            if slot[iu := u * w + c] is not None:
                 raise ImproperColoringError(f"color {c} repeated at vertex {u}")
-            if slot[v][c] is not None:
+            if slot[iv := v * w + c] is not None:
                 raise ImproperColoringError(f"color {c} repeated at vertex {v}")
             # MutableColoring.set, inlined: this loop builds every certificate
-            slot[u][c] = v
-            slot[v][c] = u
+            slot[iu] = v
+            slot[iv] = u
             present[u] |= 1 << c
             present[v] |= 1 << c
         self._core = core
@@ -126,31 +130,31 @@ class MutableColoring:
     """Mutable slot arrays for coloring algorithms that edit in place.
 
     `col` maps each colored edge, keyed (low, high) as in `graph.edges`, to its
-    color, `slot[v]` is a list of k + 1 entries whose entry c is the neighbor
-    reached from v through color c, or None, and `present[v]` is v's color
-    bitmask. No validation: callers keep the coloring proper and freeze the
-    result by passing `col` to the PartialEdgeColoring constructor, which
-    checks it.
+    color; `slot` holds n rows of `width` = k + 1 entries, entry v * width + c
+    the neighbor of v through color c, or None; `present[v]` is v's color
+    bitmask. No validation: callers keep the coloring proper and freeze it by
+    passing `col` to the PartialEdgeColoring constructor, which checks it.
     """
 
-    __slots__ = ("full", "col", "slot", "present")
+    __slots__ = ("full", "width", "col", "slot", "present")
 
     def __init__(self, n: int, k: int):
         self.full = (1 << (k + 1)) - 2
+        self.width = k + 1
         self.col: dict[Edge, int] = {}
-        self.slot: list[list[int | None]] = [[None] * (k + 1) for _ in range(n)]
+        self.slot: list[int | None] = [None] * (n * self.width)
         self.present = [0] * n
 
     def set(self, u: int, v: int, c: int) -> None:
         self.col[edge_key(u, v)] = c
-        self.slot[u][c] = v
-        self.slot[v][c] = u
+        self.slot[u * self.width + c] = v
+        self.slot[v * self.width + c] = u
         self.present[u] |= 1 << c
         self.present[v] |= 1 << c
 
     def clear(self, u: int, v: int) -> int:
         c = self.col.pop(edge_key(u, v))
-        self.slot[u][c] = self.slot[v][c] = None
+        self.slot[u * self.width + c] = self.slot[v * self.width + c] = None
         self.present[u] ^= 1 << c
         self.present[v] ^= 1 << c
         return c
@@ -164,17 +168,17 @@ class MutableColoring:
         v must miss `second`, so it is an end of its (first, second)-component
         and the swap keeps the coloring proper.
         """
-        if self.slot[v][second] is not None:
+        slot, col, w = self.slot, self.col, self.width
+        if slot[v * w + second] is not None:
             raise LinkageError(f"vertex {v} sees color {second}; not a path end")
-        slot, col = self.slot, self.col
-        verts, edges, _ = _walk(slot, v, first, second)
+        verts, edges, _ = _walk(slot, w, v, first, second)
         if not edges:
             return
         for e in edges:
             col[e] = second if col[e] == first else first
-        for w in (v, *verts):
-            s = slot[w]
-            s[first], s[second] = s[second], s[first]
+        for i in (v, *verts):
+            f, s = i * w + first, i * w + second
+            slot[f], slot[s] = slot[s], slot[f]
         swap = (1 << first) | (1 << second)
         self.present[v] ^= swap
         self.present[verts[-1]] ^= swap
@@ -221,7 +225,7 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
             for c in _bits(core.full & ~mp & mq):
                 # on the path, q's c edge in the view has the other color in the core
                 d = a + b - c if path and c in (a, b) and q in verts else c
-                new = edge_key(q, core.slot[q][d])
+                new = edge_key(q, core.slot[q * core.width + d])
                 if new not in reached:
                     assign = dict(core.col)
                     if path:
@@ -247,17 +251,17 @@ def propagate_certificates(coloring: PartialEdgeColoring) -> dict[Edge, PartialE
             if not (unreached[x] or unreached[y]):
                 continue
             core = reached[hole]._core
-            slot = core.slot
+            slot, w = core.slot, core.width
             for p, a, b in ((p, a, b) for p in hole for a in _bits(core.missing(p))
                             for b in _bits(core.present[p])):
                 # the view can newly reach only p's b-edge and the other
                 # end's a- and b-edges; skip the walk when all are reached
                 q = x + y - p
-                if (edge_key(p, slot[p][b]) in reached
-                        and all(edge_key(q, w) in reached
-                                for w in (slot[q][a], slot[q][b]) if w is not None)):
+                if (edge_key(p, slot[p * w + b]) in reached
+                        and all(edge_key(q, r) in reached
+                                for r in (slot[q * w + a], slot[q * w + b]) if r is not None)):
                     continue
-                verts, edges, _ = _walk(slot, p, b, a)
+                verts, edges, _ = _walk(slot, w, p, b, a)
                 slide(core, hole, (a, b, (p, *verts), edges))
                 if not (unreached[x] or unreached[y]):
                     break
@@ -328,13 +332,13 @@ def _check_chain_args(coloring, x, alpha, beta):
             raise ColoringError(f"color {c} outside palette [1, {coloring.k}]")
 
 
-def _walk(slot, start, first_color, second_color):
-    """Alternating walk over slot lists; returns (vertices after start, edges, closed)."""
+def _walk(slot, width, start, first_color, second_color):
+    """Alternating walk over slot rows `width` wide; returns (vertices after start, edges, closed)."""
     verts: list[int] = []
     edges: list[Edge] = []
     v = start
     c = first_color
-    while (w := slot[v][c]) is not None:
+    while (w := slot[v * width + c]) is not None:
         edges.append(edge_key(v, w))
         if w == start:
             return verts, edges, True
@@ -354,11 +358,11 @@ def kempe_chain(coloring: PartialEdgeColoring, x: int, alpha: int, beta: int
     their edges close back to x.
     """
     _check_chain_args(coloring, x, alpha, beta)
-    slot = coloring._core.slot
-    va, ea, closed = _walk(slot, x, alpha, beta)
+    slot, w = coloring._core.slot, coloring._core.width
+    va, ea, closed = _walk(slot, w, x, alpha, beta)
     if closed:
         return (x, *va), tuple(ea), True
-    vb, eb, _ = _walk(slot, x, beta, alpha)
+    vb, eb, _ = _walk(slot, w, x, beta, alpha)
     vertices = (*reversed(vb), x, *va)
     edges = (*reversed(eb), *ea)
     if vb and (not va or vertices[0] > vertices[-1]):

@@ -17,7 +17,7 @@ import math
 import time
 from functools import lru_cache
 
-from .coloring import MutableColoring, PartialEdgeColoring, propagate_certificates
+from .coloring import MutableColoring, PartialEdgeColoring, check_palette, propagate_certificates
 from .graphs import Edge, Graph, GraphError, edge_key
 
 
@@ -115,10 +115,11 @@ def _solve(graph: Graph, k: int, hole: Edge | None, budget: float | None):
             avail[v] |= low
             continue
         cands[i] = cand
-        t = top[i + 1] = max(top[i], c)
+        # conditional expressions, not max and min: this runs once per node
+        t = top[i + 1] = c if c > top[i] else top[i]
         i += 1
         u, v = edges[i]
-        cand = avail[u] & avail[v] & ((2 << min(k, t + 1)) - 1)
+        cand = avail[u] & avail[v] & ((2 << (t + 1 if t < k else k)) - 1)
 
 
 def find_coloring(graph: Graph, k: int, hole: Edge | None = None,
@@ -131,7 +132,9 @@ def enumerate_colorings(graph: Graph, k: int, hole: Edge | None = None,
                         budget_ms: float | None = None):
     """One proper k-coloring of the host minus the hole per renaming of the
     colors, deterministic order: the member in which colors first appear in
-    increasing order along the search's edge order."""
+    increasing order along the search's edge order. The palette rule is
+    checked before any search."""
+    check_palette(graph, k)
     hole = edge_key(*hole) if hole is not None else None
     for assign in _solve(graph, k, hole, budget_ms):
         yield PartialEdgeColoring(graph, k, assign, hole)
@@ -208,6 +211,7 @@ def vizing_color(graph: Graph) -> PartialEdgeColoring:
         fan = [v0]
         in_fan = {v0}
         mu = missing(u)
+        row = u * core.width
         while True:
             last = fan[-1]
             ml = missing(last)
@@ -223,7 +227,7 @@ def vizing_color(graph: Graph) -> PartialEdgeColoring:
                 low = rest & -rest
                 rest ^= low
                 c = low.bit_length() - 1
-                w = slot[u][c]
+                w = slot[row + c]
                 if w is not None and w not in in_fan:
                     ext = w
                     break

@@ -338,11 +338,15 @@ def c5_core():
 
 def test_mutable_core_set_clear_missing():
     core = c5_core()
+    assert_core_consistent(core, 5, 3)
+    assert core.width == 4 and core.slot[0 * 4 + 3] == 4 and core.slot[4 * 4 + 3] == 0
     assert core.missing(0) == 1 << 2 and core.missing(4) == 1 << 1
     assert core.clear(4, 0) == 3
-    assert (0, 4) not in core.col and core.slot[0][3] is None
+    assert (0, 4) not in core.col and core.slot[0 * 4 + 3] is None and core.slot[4 * 4 + 3] is None
+    assert_core_consistent(core, 5, 3)
     assert core.missing(0) == (1 << 2) | (1 << 3)
     core.set(0, 4, 3)
+    assert_core_consistent(core, 5, 3)
     assert core.col == dict(c5_coloring().colored_items())
 
 
@@ -352,9 +356,9 @@ def test_mutable_core_flip_matches_kempe_swap():
     core.flip(0, 1, 2)  # 0 misses 2: the whole (1, 2)-path 0-1-2-3-4
     swapped = kempe_swap(start, 0, 1, 2)
     assert core.col == dict(swapped.colored_items())
-    for v in range(5):
-        assert core.missing(v) == swapped.missing_mask(v)
-        assert core.slot[v] == swapped._core.slot[v]
+    assert [core.missing(v) for v in range(5)] == [swapped.missing_mask(v) for v in range(5)]
+    # whole arrays: an index into the flat slot list is a single entry
+    assert core.slot == swapped._core.slot and core.present == swapped._core.present
     core.flip(0, 2, 1)
     assert core.col == dict(start.colored_items())
     with pytest.raises(LinkageError, match="not a path end"):
@@ -374,9 +378,8 @@ def test_propagation_from_one_hole_reaches_every_edge():
 
 def assert_same_coloring(a, b):
     assert a == b
-    for v in range(a.graph.n):
-        assert a._core.present[v] == b._core.present[v]
-        assert a._core.slot[v] == b._core.slot[v]
+    assert a._core.present == b._core.present
+    assert a._core.slot == b._core.slot
 
 
 def test_propagation_leaves_input_and_certificates_unshared():
@@ -468,15 +471,18 @@ def test_propagation_matches_flipping_reference_on_class_two_hosts(g):
             assert_same_certificates(propagate_certificates(phi), propagate_by_flips(phi))
 
 
-def assert_core_consistent(core, k):
-    """The slot lists, present masks and edge map of a k-color core agree."""
-    assert all(len(s) == k + 1 for s in core.slot)
-    want = [[None] * (k + 1) for _ in core.slot]
+def assert_core_consistent(core, n, k):
+    """The flat slot list, present masks and edge map of an n-vertex, k-color
+    core agree."""
+    w = k + 1
+    assert core.width == w and len(core.slot) == n * w and len(core.present) == n
+    want = [None] * (n * w)
     for (u, v), c in core.col.items():
-        want[u][c], want[v][c] = v, u
-    assert core.slot == want  # slot[u][c] == v exactly when col[(u, v)] == c
-    for v, s in enumerate(core.slot):
-        assert core.present[v] == sum(1 << c for c, w in enumerate(s) if w is not None)
+        want[u * w + c], want[v * w + c] = v, u
+    assert core.slot == want  # entry u * w + c is v exactly when col[(u, v)] == c
+    assert all(core.slot[v * w] is None for v in range(n))  # color 0 is no color
+    for v in range(n):
+        assert core.present[v] == sum(1 << c for c in range(w) if core.slot[v * w + c] is not None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,38 +490,38 @@ def assert_core_consistent(core, k):
 def test_every_core_operation_keeps_slots_masks_and_edges_consistent(g, data):
     col = vizing_color(g)
     k = col.k
-    assert_core_consistent(col._core, k)
+    assert_core_consistent(col._core, g.n, k)
     x = data.draw(st.integers(0, g.n - 1))
     alpha = data.draw(st.integers(1, k))
     beta = data.draw(st.integers(1, k).filter(lambda c: c != alpha))
-    assert_core_consistent(kempe_swap(col, x, alpha, beta)._core, k)
+    assert_core_consistent(kempe_swap(col, x, alpha, beta)._core, g.n, k)
     vertices, _, is_cycle = kempe_chain(col, x, alpha, beta)
     y = data.draw(st.sampled_from(vertices))
     if not is_cycle and y != x:
         try:
-            assert_core_consistent(subchain_swap(col, x, y, alpha, beta)._core, k)
+            assert_core_consistent(subchain_swap(col, x, y, alpha, beta)._core, g.n, k)
         except ImproperColoringError:
             pass  # a segment boundary inside the chain; nothing is built
     e = data.draw(st.sampled_from(g.sorted_edges()))
     to = data.draw(st.integers(1, k))
     try:
-        assert_core_consistent(recolor_edge(col, *e, to)._core, k)
+        assert_core_consistent(recolor_edge(col, *e, to)._core, g.n, k)
     except ImproperColoringError:
         pass  # `to` is already at an end of e
     core = MutableColoring(g.n, k)
     for (u, v), c in col.colored_items():
         core.set(u, v, c)
-    assert_core_consistent(core, k)
+    assert_core_consistent(core, g.n, k)
     second = data.draw(st.sampled_from(sorted(_bits(core.missing(x)))))  # k = Delta + 1
     first = data.draw(st.integers(1, k).filter(lambda c: c != second))
     core.flip(x, first, second)
-    assert_core_consistent(core, k)
+    assert_core_consistent(core, g.n, k)
     core.clear(*e)
-    assert_core_consistent(core, k)
+    assert_core_consistent(core, g.n, k)
     holed = PartialEdgeColoring(g, k, core.col, e)
-    assert_core_consistent(holed._core, k)
+    assert_core_consistent(holed._core, g.n, k)
     for cert in propagate_certificates(holed).values():
-        assert_core_consistent(cert._core, k)
+        assert_core_consistent(cert._core, g.n, k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ from conftest import (
     small_graphs,
     solve_recursively,
 )
-from edgecritic.coloring import PartialEdgeColoring
+from edgecritic.coloring import ColoringError, PartialEdgeColoring
 from edgecritic.graph6 import emit_graph6, parse_graph6
 from edgecritic.graphs import (
     GraphError,
@@ -171,6 +171,20 @@ def test_enumeration_deterministic():
 def test_enumeration_bad_hole():
     with pytest.raises(GraphError):
         list(enumerate_colorings(cycle(4), 2, hole=(0, 2)))
+
+
+def test_search_refuses_a_palette_above_edges_plus_one_before_searching(monkeypatch):
+    # the constructor's palette rule, met before the search rather than at
+    # the first coloring it yields
+    def no_search(*args):
+        raise AssertionError("searched with a refused palette")
+
+    monkeypatch.setattr(solver, "_solve", no_search)
+    path = make_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ColoringError, match=r"palette size 4 outside \[0, 3\]"):
+        find_coloring(path, 4)
+    with pytest.raises(ColoringError, match=r"palette size -1 outside \[0, 3\]"):
+        next(enumerate_colorings(path, -1, hole=(0, 1)))
 
 
 def test_budget_exhaustion_raises():
