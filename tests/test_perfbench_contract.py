@@ -6,15 +6,20 @@ any other test noticing. Its scripts are read and compiled here, never
 imported, so no bytecode is written next to them.
 """
 
+import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import edgecritic
 import edgecritic.solver as solver
-from conftest import corpus_hosts, published_runs
-from edgecritic import check_split_instance
+from conftest import ROOT, corpus_hosts, published_runs
 from edgecritic.graph6 import emit_graph6
+from edgecritic.verifier import check_split_instance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,13 +38,34 @@ STALE_TRACED = {
 }
 
 
-def load_script(name):
+def compile_script(name, flags=0):
     path = PERFBENCH / f"{name}.py"
+    return compile(path.read_text(encoding="ascii"), str(path), "exec", flags, dont_inherit=True)
+
+
+def load_script(name):
     module = types.ModuleType(f"perfbench_{name}")
-    module.__file__ = str(path)
-    code = compile(path.read_text(encoding="ascii"), str(path), "exec", dont_inherit=True)
-    exec(code, module.__dict__)
+    module.__file__ = str(PERFBENCH / f"{name}.py")
+    exec(compile_script(name), module.__dict__)
     return module
+
+
+def test_package_root_exports_only_what_the_harness_imports():
+    # everything else is imported from its defining module
+    tree = compile_script("child", ast.PyCF_ONLY_AST)
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "edgecritic"
+                for alias in node.names}
+    exported = {name for name, value in vars(edgecritic).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == imported - {"cli", "verifier"}
+    # a bare import, in a fresh interpreter, binds every module but the CLI
+    probe = ("import pkgutil, edgecritic; print([m.name for m in "
+             "pkgutil.iter_modules(edgecritic.__path__) if not hasattr(edgecritic, m.name)])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "['cli']\n"
 
 
 def test_theorem10_sample_passes_every_split_without_search(monkeypatch):
